@@ -5,10 +5,17 @@ adversary, n, f, max_steps) cell on a shared (T, N) grid. Unlike the
 legacy lockstep kernel it does not assume unit timings or scripted
 draws: per-trial *visited steps* are fast-forwarded exactly like the
 scalar event loop (min over awake wake-ups, pending arrivals and the
-adversary's scheduled wake-ups), messages live in COO waves carrying
-their absolute arrival step, and every protocol draw goes through the
-RNG replay plane in scalar draw order. The result is byte-identical
-``Outcome``s — the differential battery compares ``to_wire()`` rows.
+adversary's scheduled wake-ups), every undelivered message of the run
+sits in one arrival-indexed in-flight pool (``waves.py``: flat COO
+columns in scalar bucket order plus one snapshot table), and every
+protocol draw goes through the RNG replay plane in scalar draw order.
+The result is byte-identical ``Outcome``s — the differential battery
+compares ``to_wire()`` rows.
+
+A visited step touches the pool a fixed number of times, however many
+decision steps still have messages in flight: one masked select of
+"arrives now", one scatter of payload rows into the pending grids, one
+``received`` update, one wake pass, one min/count fold for quiescence.
 
 Scalar-fidelity notes, each load-bearing:
 
@@ -38,6 +45,7 @@ from repro.backends.batch.waves import (
     KIND_GOSSIP,
     KIND_PULL,
     KIND_RELATION,
+    InFlightPool,
     Wave,
     WaveBuilder,
 )
@@ -50,6 +58,34 @@ __all__ = ["run_cell"]
 
 _AWAKE, _ASLEEP, _CRASHED = 0, 1, 2
 _NEVER = 2**62
+
+
+def _scatter_or(targets, tables, dest, uid, unique=False) -> None:
+    """``target[dest] |= table[uid]`` for each (target, table) pair,
+    with repeated destinations OR-ed together.
+
+    A fancy ``|=`` keeps one write per repeated index, and
+    ``bitwise_or.at`` / ``reduceat`` are slow on relation-sized rows, so
+    repeats go in rounds by within-destination rank: round r holds each
+    destination's r-th message, hence no repeats. Pass ``unique`` when
+    the caller already knows there are none (skips the sort).
+    """
+    if dest.size == 0:
+        return
+    if unique:
+        rounds = [slice(None)]
+    else:
+        order = np.argsort(dest, kind="stable")
+        sd = dest[order]
+        pos = np.arange(sd.size)
+        head = np.zeros(sd.size, dtype=np.int64)  # start of each run of equals
+        np.multiply(pos[1:], sd[1:] != sd[:-1], out=head[1:])
+        rank = pos - np.maximum.accumulate(head)
+        rounds = [order[rank == r] for r in range(int(rank.max()) + 1)]
+    for sel in rounds:
+        d, u = dest[sel], uid[sel]
+        for target, table in zip(targets, tables):
+            target[d] |= table[u]
 
 
 class _CellRun:
@@ -88,13 +124,15 @@ class _CellRun:
         eye[np.arange(n), np.arange(n) >> 3] = 128 >> (np.arange(n) & 7)
         self.K = np.tile(eye, (T, 1, 1))
         self.pend_g = np.zeros((T, n, W), dtype=np.uint8)
+        #: The pending grids as flat (T*n, row) views, one per snapshot
+        #: table of the in-flight pool (deliveries scatter table -> view).
+        self._pend_flat = [self.pend_g.reshape(T * n, W)]
+        self.I = self.pend_i = None
         if self.relational:
             self.I = np.zeros((T, n, n, W), dtype=np.uint8)
             self.I[:, np.arange(n), np.arange(n)] = eye
             self.pend_i = np.zeros((T, n, n, W), dtype=np.uint8)
-        else:
-            self.I = None
-            self.pend_i = None
+            self._pend_flat.append(self.pend_i.reshape(T * n, n * W))
 
         self.status = np.zeros((T, n), dtype=np.int8)
         self.next_action = np.zeros((T, n), dtype=np.int64)
@@ -111,7 +149,8 @@ class _CellRun:
         self.crash_step = np.full((T, n), -1, dtype=np.int64)
         self.steps_sim = np.zeros(T, dtype=np.int64)
 
-        self.waves: list[Wave] = []
+        #: Every undelivered message, in scalar bucket order (waves.py).
+        self.pool = InFlightPool(*(flat.shape[1] for flat in self._pend_flat))
         self.builder: WaveBuilder | None = None
         #: (trial, pid) -> pull requesters awaiting an answer, in
         #: delivery order (== the scalar mailbox drain order).
@@ -127,16 +166,6 @@ class _CellRun:
         self.status[t, p] = _CRASHED
         self.next_action[t, p] = _NEVER
         self.crash_step[t, p] = self.now[t]
-
-    def send_snapshot(self, t: int, p: int, r: int) -> None:
-        """Protocol send of p's knowledge snapshot (G, plus I when
-        relational). Counted at emission even when omitted."""
-        self.sent[t, p] += 1
-        self.bytes_sent[t, p] += self._snap_nbytes
-        if self.plan.omitted[t, p]:
-            return
-        uid = self.builder.snapshot(t, p, self.K, self.I)
-        self.builder.add(t, p, r, self._snap_kind, uid)
 
     def send_snapshots_grouped(
         self,
@@ -165,9 +194,10 @@ class _CellRun:
                 sti, spi, targets = sti[keep], spi[keep], targets[keep]
         if sti.size == 0:
             return
-        rows_g = self.K[sti, spi]
-        rows_i = self.I[sti, spi] if self.relational else None
-        base = self.builder.add_snap_rows(rows_g, rows_i)
+        rows = [self.K[sti, spi]]
+        if self.relational:
+            rows.append(self.I[sti, spi].reshape(sti.size, -1))
+        base = self.builder.add_snap_rows(*rows)
         uid = base + np.arange(sti.size, dtype=np.int64)
         if k == 1:
             self.builder.add_block(sti, spi, targets[:, 0], self._snap_kind, uid)
@@ -179,14 +209,6 @@ class _CellRun:
                 self._snap_kind,
                 np.repeat(uid, k),
             )
-
-    def send_pull(self, t: int, p: int, r: int) -> None:
-        """Protocol send of a 1-byte pull request."""
-        self.sent[t, p] += 1
-        self.bytes_sent[t, p] += 1
-        if self.plan.omitted[t, p]:
-            return
-        self.builder.add(t, p, r, KIND_PULL, 0)
 
     def send_pulls_block(
         self, sti: np.ndarray, spi: np.ndarray, targets: np.ndarray
@@ -200,7 +222,7 @@ class _CellRun:
                 sti, spi, targets = sti[keep], spi[keep], targets[keep]
         if sti.size:
             self.builder.add_block(
-                sti, spi, targets, KIND_PULL, np.zeros(sti.size, dtype=np.int64)
+                sti, spi, targets, KIND_PULL, np.full(sti.size, -1, dtype=np.int64)
             )
 
     # ------------------------------------------------------- step phases
@@ -230,51 +252,37 @@ class _CellRun:
 
     def _deliver(self) -> None:
         """Deliver every in-flight message arriving at a live trial's now."""
-        now, status = self.now, self.status
-        for wave in self.waves:
-            m = wave.alive & self.live[wave.ti] & (wave.arrive == now[wave.ti])
-            if not m.any():
-                continue
-            wave.alive &= ~m
-            ti, ri = wave.ti[m], wave.ri[m]
-            keep = status[ti, ri] != _CRASHED  # crashed receivers drop
-            if not keep.all():
-                idx = np.flatnonzero(m)[keep]
-                m = np.zeros_like(m)
-                m[idx] = True
-                ti, ri = wave.ti[m], wave.ri[m]
-            if ti.size == 0:
-                continue
-            kind, uid = wave.kind[m], wave.uid[m]
-            np.add.at(self.received, (ti, ri), 1)
-            gm = kind != KIND_PULL
-            if gm.any():
-                flat_idx = ti[gm] * self.n + ri[gm]
-                flat_p = self.pend_g.reshape(-1, self.W)
-                np.bitwise_or.at(flat_p, flat_idx, wave.snap_g[uid[gm]])
-                if self.relational:
-                    flat_pi = self.pend_i.reshape(-1, self.n * self.W)
-                    np.bitwise_or.at(
-                        flat_pi,
-                        flat_idx,
-                        wave.snap_i[uid[gm]].reshape(-1, self.n * self.W),
-                    )
-            if self.uses_pull and not gm.all():
-                si = wave.si[m]
-                for j in np.flatnonzero(~gm):  # wave order == mailbox order
-                    self.requesters.setdefault(
-                        (int(ti[j]), int(ri[j])), []
-                    ).append(int(si[j]))
-            got = np.zeros((self.T, self.n), dtype=bool)
-            got[ti, ri] = True
-            woken = got & (status == _ASLEEP)
-            if woken.any():
-                status[woken] = _AWAKE
-                self.next_action[woken] = np.broadcast_to(
-                    now[:, None], woken.shape
-                )[woken]
-                self.wake_counts[woken] += 1
-        self.waves = [w for w in self.waves if w.alive.any()]
+        due = self.pool.take_due(self.now, self.live)
+        due = due[:, self.status[due[0], due[2]] != _CRASHED]  # crashed ones drop
+        ti, si, ri, kind, uid, _ = due
+        if ti.size == 0:
+            return
+        dest = ti * self.n + ri
+        counts = np.bincount(dest, minlength=self.T * self.n)
+        self.received += counts.reshape(self.T, self.n)
+        if self.uses_pull:
+            pulls = kind == KIND_PULL
+            asked = np.flatnonzero(pulls)  # pool order == mailbox order
+            for t, r, s in zip(
+                ti[asked].tolist(), ri[asked].tolist(), si[asked].tolist()
+            ):
+                self.requesters.setdefault((t, r), []).append(s)
+            snaps = ~pulls
+            sdest, suid = dest[snaps], uid[snaps]
+        else:
+            sdest, suid = dest, uid
+        _scatter_or(
+            self._pend_flat, self.pool.tables, sdest, suid, unique=counts.max() == 1
+        )
+        status = self.status.reshape(-1)
+        asleep = status[dest] == _ASLEEP
+        if asleep.any():
+            woken = dest[asleep]
+            status[woken] = _AWAKE
+            self.next_action.reshape(-1)[woken] = self.now[ti[asleep]]
+            # a buffered fancy += counts a repeated index once: one wake
+            # per receiver per step however many messages arrive.
+            self.wake_counts.reshape(-1)[woken] += 1
 
     def _local_pass(self) -> Wave | None:
         """Run every due process's local step; freeze the sends."""
@@ -286,7 +294,7 @@ class _CellRun:
         if not due.any():
             return None
         learned = self._merge_due(due)
-        self.builder = WaveBuilder(self.n, self.W, self.relational)
+        self.builder = WaveBuilder()
         sleep = self.kernel.step(self, due, learned)
         movers = due & ~sleep
         if sleep.any():
@@ -302,7 +310,7 @@ class _CellRun:
         wave = self.builder.build(self.now, self.plan.delta, self.plan.d)
         self.builder = None
         if wave is not None:
-            self.waves.append(wave)
+            self.pool.append(wave)
         return wave
 
     # ------------------------------------------------------------- driver
@@ -319,16 +327,14 @@ class _CellRun:
                 raise SimulationError(
                     "batch kernel failed to converge (internal scheduling bug)"
                 )
-            awake_count = ((self.status == _AWAKE) & self.live[:, None]).sum(axis=1)
-            inflight = np.zeros(self.T, dtype=np.int64)
-            cand = np.where(self.status == _AWAKE, self.next_action, _NEVER).min(
-                axis=1
-            )
-            for wave_ in self.waves:
-                wave_.accumulate_pending(self.status, inflight, cand)
+            # next_action is _NEVER exactly when a process is not awake
+            # (sleep and crash set it, wake-up and moving on reset it).
+            cand = self.next_action.min(axis=1)
+            none_awake = cand >= _NEVER
+            inflight = self.pool.fold_pending(self.status, cand)
             cand = np.minimum(cand, self.plan.sched_next)
 
-            quiesced = self.live & (awake_count == 0) & (inflight == 0)
+            quiesced = self.live & none_awake & (inflight == 0)
             if quiesced.any():
                 self.completed |= quiesced
                 self.live &= ~quiesced

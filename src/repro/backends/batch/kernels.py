@@ -5,14 +5,15 @@ counters, pulled/pushed rows, has-sent flags) and implements one
 ``step(grid, due, learned)`` pass over the step's due mask, returning
 the mask of processes that fall asleep. State transitions are
 vectorized; the *draws* go through the acting process's own replay
-generator one at a time in scalar draw order (``np.nonzero`` on the
-due mask is row-major: trials ascending, pid ascending — the scalar
-engine's heap-pop order for one step), and the resulting send sets are
-registered as whole blocks (``grid.send_snapshots_grouped``) so the
-per-message cost is one RNG draw, not a Python call chain. The pull
-family is the exception: its per-process send sequence (requester
-answers, then a pull, then possibly a push) is data-dependent, so it
-keeps the scalar per-message path.
+generator in scalar draw order (``np.nonzero`` on the due mask is
+row-major: trials ascending, pid ascending — the scalar engine's
+heap-pop order for one step), and the resulting send sets are
+registered as whole blocks (``grid.send_snapshots_grouped`` /
+``grid.send_pulls_block``). push and ears gather a pass's draws from
+the plane's prefetch buffer in one fancy index; the pull family's draw
+bounds are data-dependent (candidate-set sizes), so it draws one
+``Generator`` call at a time and emits its sends as three category
+blocks (answers, pull requests, eager pushes).
 
 Knowledge-merge bookkeeping note: the grids merge pending payloads
 with a single OR per drain and compute ``learned`` as "the pending
@@ -39,21 +40,14 @@ __all__ = ["make_kernel"]
 
 
 def _draw_other_targets(g, sti, spi) -> np.ndarray:
-    """One ``pick_other`` draw per sender, in order; (S, 1) targets.
+    """One ``pick_other`` draw per sender; (S, 1) targets.
 
     Uses the plane's prefetched-block path: push and ears draw nothing
     but uniform ``integers(n-1)`` from their generators, the one case
     where block prefetch is stream-exact (see ReplayPlane).
     """
-    n1 = g.n - 1
-    out = np.empty((sti.size, 1), dtype=np.int64)
-    draw = g.plane.prefetched_integers
-    tl, pl = sti.tolist(), spi.tolist()
-    for i in range(len(tl)):
-        p = pl[i]
-        v = draw(tl[i], p, n1)
-        out[i, 0] = v + (v >= p)
-    return out
+    v = g.plane.prefetched_integers(sti, spi, g.n - 1)
+    return (v + (v >= spi))[:, None]
 
 
 def _all_other_targets(n: int, spi: np.ndarray) -> np.ndarray:

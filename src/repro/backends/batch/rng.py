@@ -17,12 +17,15 @@ step's draws for exactly the processes that are due.
 
 The plane therefore holds a (trial × process) matrix of real
 ``numpy.random.Generator`` objects seeded exactly like ``bind`` seeds
-them, advanced draw-by-draw. Draws are scalar Python calls — this is
-the price of exactness for data-dependent draw orders (push-pull's
-pull-then-push two-draw sequence, pull's candidate-set sizes) — but
-one ``Generator.integers`` call is still far cheaper than a whole
-scalar local step (mailbox, context, trace, heap), which is where the
-randomized kernels' ≥5× floor comes from.
+them, advanced draw-by-draw. A draw whose bound depends on the
+process's state (pull's candidate-set sizes, push-pull's two-draw
+sequence) is one scalar Python call — the price of exactness, still
+far cheaper than a whole scalar local step, which is where the
+randomized kernels' ≥5× floor comes from. Where every draw on a
+generator is the same ``integers(high)`` (push, ears) the plane
+prefetches BLOCK draws per generator into a (T, n, BLOCK) buffer with
+a (T, n) cursor: a pass gathers its draws in one fancy index and only
+a refill calls a ``Generator``.
 
 With ``record=True`` every draw is logged per (trial, process) — the
 seeded draw-order property test (``tests/backends/test_draw_order.py``)
@@ -66,8 +69,9 @@ class ReplayPlane:
             stream = RandomSource(seed).stream("protocol")
             per_process = stream.integers(0, 2**63 - 1, size=n)
             self.gens.append([np.random.default_rng(int(s)) for s in per_process])
-        self._buf: list[list[np.ndarray | None]] = [[None] * n for _ in seeds]
-        self._pos = [[0] * n for _ in seeds]
+        #: Prefetched draws; per generator, how many are consumed.
+        self._buf = np.zeros((len(seeds), n, self.BLOCK), dtype=np.int64)
+        self._pos = np.full((len(seeds), n), self.BLOCK, dtype=np.int64)
         #: ``log[t][p]`` is the draw sequence of process p in trial t,
         #: entries ("integers", high, value) / ("choice", high, size,
         #: values); None unless *record*.
@@ -75,26 +79,27 @@ class ReplayPlane:
             [[[] for _ in range(n)] for _ in seeds] if record else None
         )
 
-    def prefetched_integers(self, t: int, p: int, high: int) -> int:
-        """Like :meth:`integers`, amortized through a per-generator block.
+    def prefetched_integers(self, ti, pi, high: int) -> np.ndarray:
+        """One :meth:`integers` draw for each (ti[i], pi[i]) — distinct
+        generators — gathered from per-generator prefetched blocks.
 
-        Only safe for kernels whose *every* draw on this generator is a
-        uniform ``integers(high)`` with one fixed bound (push, ears):
-        prefetching advances the generator past the draws consumed so
+        Only safe for kernels whose *every* draw on these generators is
+        a uniform ``integers(high)`` with one fixed bound (push, ears):
+        prefetching advances a generator past the draws consumed so
         far, which would corrupt any interleaved differently-shaped
         draw. The pull family therefore never touches this path.
         """
-        buf = self._buf[t][p]
-        pos = self._pos[t][p]
-        if buf is None or pos >= buf.shape[0]:
-            buf = self.gens[t][p].integers(high, size=self.BLOCK)
-            self._buf[t][p] = buf
-            pos = 0
-        self._pos[t][p] = pos + 1
-        value = int(buf[pos])
+        pos = self._pos[ti, pi]
+        for j in np.flatnonzero(pos == self.BLOCK).tolist():
+            t, p = int(ti[j]), int(pi[j])
+            self._buf[t, p] = self.gens[t][p].integers(high, size=self.BLOCK)
+            pos[j] = 0
+        values = self._buf[ti, pi, pos]
+        self._pos[ti, pi] = pos + 1
         if self.log is not None:
-            self.log[t][p].append(("integers", int(high), value))
-        return value
+            for t, p, v in zip(ti.tolist(), pi.tolist(), values.tolist()):
+                self.log[t][p].append(("integers", int(high), v))
+        return values
 
     def integers(self, t: int, p: int, high: int) -> int:
         """One ``Generator.integers(high)`` draw of process *p* in trial *t*."""

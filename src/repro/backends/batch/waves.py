@@ -1,4 +1,4 @@
-"""Waves: the generic engine's in-flight message store.
+"""Waves and the in-flight pool: the generic engine's message store.
 
 One *wave* holds every message decided in one local-steps pass of one
 visited step, in COO form — parallel arrays of (trial, sender,
@@ -6,40 +6,40 @@ receiver, kind, snapshot-uid) plus the per-message arrival step
 ``now + delta[t, sender] + d[t, sender]`` (both timings read at
 decision time, exactly like the scalar ``_send_sink`` → ``Network.send``
 chain; for every batchable adversary they are constant after setup).
+Kernels hand the builder whole arrays (``add_snap_rows`` +
+``add_block``); the frozen wave is what the adversary plan's
+``after_step`` scans, and the engine then appends it to the cell run's
+single :class:`InFlightPool`.
 
-Entry order within a wave is the scalar send order — trials ascending,
-then pid ascending within the step's due set, then each process's
-own send order — and waves are kept in creation (decision-step) order.
-Together that reproduces the scalar network's bucket order for any
-shared arrival step, which matters wherever delivery order is
-observable: pull-requester answer queues and Strategy 2.k.0's
-budget-bounded crash scan both walk it.
+Ordering. Entry order within a wave is the scalar send order — trials
+ascending, then pid ascending within the step's due set, then each
+process's own send order. The pool appends waves in creation order and
+only ever removes entries by *stable* compaction, so the pool
+restricted to one arrival step is the scalar network's bucket for that
+step — which matters wherever delivery order is observable: pull
+requester queues and Strategy 2.k.0's budget-bounded crash scan.
 
-The builder has two accumulation styles, and a pass must pick one:
-
-- the *block* style (``add_snap_rows`` + ``add_block``) takes whole
-  arrays — one fancy-indexed copy of every sender's knowledge row, one
-  extend of the COO columns. This is the fast path for kernels whose
-  send set is computable as arrays (push, ears, sears, flood,
-  round-robin): per-message Python overhead would otherwise dwarf the
-  actual RNG draws.
-- the *scalar* style (``snapshot`` + ``add``) appends one message at a
-  time with per-(trial, sender) snapshot deduplication — the pull
-  family needs it because its send sequence (requester answers, then
-  a pull, then possibly a push) is data-dependent per process.
-
-Payload snapshots are shared per sender within a pass: a sender's
-knowledge cannot change during the pass (merges happen at drain,
-before the kernels act), so SEARS's fanout of ``~sqrt(N) log N``
-messages per sender stores one row, mirroring the scalar
-snapshot-on-send cache.
+Lifetime. An entry leaves when it is delivered or when its trial stops
+being live; nothing is marked and kept. Payload snapshots live in one
+table shared by the pool, one row per sender per pass (knowledge
+cannot change within a pass, so SEARS's fanout stores one row, like
+the scalar snapshot-on-send cache). Unreferenced rows are reclaimed
+when the table would otherwise grow: referenced rows slide down in
+order and every ``uid`` is remapped, so a surviving ``uid`` always
+points at the bytes it was sent with. Pull requests are 1-byte markers
+whose answer is snapshotted at the *answerer's* local step, not at
+request time — they carry ``uid = -1`` and no row.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["KIND_GOSSIP", "KIND_RELATION", "KIND_PULL", "Wave", "WaveBuilder"]
+__all__ = [
+    "KIND_GOSSIP", "KIND_RELATION", "KIND_PULL", "Wave", "WaveBuilder", "InFlightPool",
+]
 
 #: Payload kinds: a ``G`` snapshot (W bytes), a ``(G, I)`` snapshot
 #: (W + N*W bytes), a pull-request marker (1 byte).
@@ -48,98 +48,40 @@ KIND_GOSSIP, KIND_RELATION, KIND_PULL = 0, 1, 2
 _CRASHED = 2  # mirrors the engine's status code
 
 
-class Wave:
-    """One decision step's sends, with per-message delivery tracking."""
+def _cat(parts) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    __slots__ = ("ti", "si", "ri", "kind", "uid", "arrive", "alive", "snap_g", "snap_i")
 
-    def __init__(self, ti, si, ri, kind, uid, arrive, snap_g, snap_i):
-        self.ti = ti  # (U,) trial index
-        self.si = si  # (U,) sender pid
-        self.ri = ri  # (U,) receiver pid
-        self.kind = kind  # (U,) payload kind
-        self.uid = uid  # (U,) snapshot row (0 for pulls)
-        self.arrive = arrive  # (U,) absolute arrival step
-        self.alive = np.ones(ti.shape[0], dtype=bool)  # not yet delivered
-        self.snap_g = snap_g  # (S, W) sender G snapshots
-        self.snap_i = snap_i  # (S, N, W) sender I snapshots, or None
+class Wave(NamedTuple):
+    """One decision step's sends, frozen in scalar send order."""
 
-    def accumulate_pending(self, status, inflight, cand) -> None:
-        """Fold undelivered messages into the per-trial quiescence state.
-
-        *cand* picks up every pending arrival (messages to crashed
-        receivers still force a visited step, like the scalar network's
-        arrival buckets); *inflight* counts only messages addressed to
-        correct processes (only those can keep a run alive).
-        """
-        und = self.alive
-        ti = self.ti[und]
-        if ti.size == 0:
-            return
-        arrive = self.arrive[und]
-        np.minimum.at(cand, ti, arrive)
-        to_correct = status[ti, self.ri[und]] != _CRASHED
-        if to_correct.any():
-            np.add.at(inflight, ti[to_correct], 1)
+    ti: np.ndarray  # (U,) trial index
+    si: np.ndarray  # (U,) sender pid
+    ri: np.ndarray  # (U,) receiver pid
+    kind: np.ndarray  # (U,) payload kind
+    uid: np.ndarray  # (U,) snapshot row (-1 for pulls)
+    arrive: np.ndarray  # (U,) absolute arrival step
+    #: Sender snapshot tables, row-aligned: [(S, W) G rows] plus
+    #: [(S, N*W) I rows] when relational; [] for a pull-only pass.
+    snaps: list[np.ndarray]
 
 
 class WaveBuilder:
-    """Collects one pass's sends; freezes them into a :class:`Wave`."""
+    """Collects one pass's send blocks; freezes them into a :class:`Wave`."""
 
-    __slots__ = ("n", "W", "relational", "ti", "si", "ri", "kind", "uid",
-                 "_chunks", "_snap_of", "_snap_rows_g", "_snap_rows_i",
-                 "_snap_blocks_g", "_snap_blocks_i", "_snap_count")
+    __slots__ = ("_chunks", "_snaps", "_snap_count")
 
-    def __init__(self, n: int, W: int, relational: bool):
-        self.n = n
-        self.W = W
-        self.relational = relational
-        # scalar-style accumulation (pull family)
-        self.ti: list[int] = []
-        self.si: list[int] = []
-        self.ri: list[int] = []
-        self.kind: list[int] = []
-        self.uid: list[int] = []
-        self._snap_of: dict[tuple[int, int], int] = {}
-        self._snap_rows_g: list[np.ndarray] = []
-        self._snap_rows_i: list[np.ndarray] = []
-        # block-style accumulation (array kernels)
+    def __init__(self):
         self._chunks: list[tuple] = []
-        self._snap_blocks_g: list[np.ndarray] = []
-        self._snap_blocks_i: list[np.ndarray] = []
+        self._snaps: list[tuple[np.ndarray, ...]] = []
         self._snap_count = 0
 
-    # ---------------------------------------------------- scalar style
-
-    def snapshot(self, t: int, p: int, K: np.ndarray, I: np.ndarray | None) -> int:
-        """Snapshot row for sender (t, p), copied once per pass."""
-        key = (t, p)
-        uid = self._snap_of.get(key)
-        if uid is None:
-            uid = self._snap_count
-            self._snap_of[key] = uid
-            self._snap_count += 1
-            self._snap_rows_g.append(K[t, p].copy())
-            if self.relational:
-                self._snap_rows_i.append(I[t, p].copy())
-        return uid
-
-    def add(self, t: int, p: int, r: int, kind: int, uid: int) -> None:
-        self.ti.append(t)
-        self.si.append(p)
-        self.ri.append(r)
-        self.kind.append(kind)
-        self.uid.append(uid)
-
-    # ----------------------------------------------------- block style
-
-    def add_snap_rows(self, rows_g: np.ndarray, rows_i: np.ndarray | None) -> int:
-        """Register a (S, W) block of sender snapshots; return base uid."""
+    def add_snap_rows(self, *rows: np.ndarray) -> int:
+        """Register a block of sender snapshots (one array per table,
+        row-aligned); return the block's base uid."""
         base = self._snap_count
-        self._snap_count += rows_g.shape[0]
-        self._snap_blocks_g.append(rows_g)
-        if self.relational:
-            self._snap_blocks_i.append(rows_i)
+        self._snap_count += rows[0].shape[0]
+        self._snaps.append(rows)
         return base
 
     def add_block(self, ti, si, ri, kind: int, uid) -> None:
@@ -148,45 +90,96 @@ class WaveBuilder:
             (ti, si, ri, np.full(ti.shape[0], kind, dtype=np.int8), uid)
         )
 
-    # ----------------------------------------------------------- build
-
     def build(self, now: np.ndarray, delta: np.ndarray, d: np.ndarray) -> Wave | None:
         """Freeze into a Wave (None when nothing travels this pass)."""
-        # A pass must not mix styles: chunk entries would lose their
-        # ordering relative to the scalar lists.
-        assert not (self.ti and self._chunks)
-        if self.ti:
-            ti = np.asarray(self.ti, dtype=np.int64)
-            si = np.asarray(self.si, dtype=np.int64)
-            ri = np.asarray(self.ri, dtype=np.int64)
-            kind = np.asarray(self.kind, dtype=np.int8)
-            uid = np.asarray(self.uid, dtype=np.int64)
-        elif self._chunks:
-            cols = list(zip(*self._chunks))
-            ti = np.concatenate(cols[0])
-            si = np.concatenate(cols[1])
-            ri = np.concatenate(cols[2])
-            kind = np.concatenate(cols[3])
-            uid = np.concatenate(cols[4])
-        else:
+        if not self._chunks:
             return None
+        ti, si, ri, kind, uid = (_cat(col) for col in zip(*self._chunks))
         arrive = now[ti] + delta[ti, si] + d[ti, si]
-        g_parts = (
-            [np.stack(self._snap_rows_g)] if self._snap_rows_g else []
-        ) + self._snap_blocks_g
-        snap_g = (
-            np.concatenate(g_parts)
-            if g_parts
-            else np.zeros((0, self.W), dtype=np.uint8)
-        )
-        snap_i = None
-        if self.relational:
-            i_parts = (
-                [np.stack(self._snap_rows_i)] if self._snap_rows_i else []
-            ) + self._snap_blocks_i
-            snap_i = (
-                np.concatenate(i_parts)
-                if i_parts
-                else np.zeros((0, self.n, self.W), dtype=np.uint8)
-            )
-        return Wave(ti, si, ri, kind, uid, arrive, snap_g, snap_i)
+        snaps = [_cat(parts) for parts in zip(*self._snaps)]
+        return Wave(ti, si, ri, kind, uid, arrive, snaps)
+
+
+_TI, _SI, _RI, _KIND, _UID, _ARRIVE = range(6)
+
+
+class InFlightPool:
+    """Every undelivered message of one cell run (see module docstring).
+
+    ``cols[:, :size]`` are the (ti, si, ri, kind, uid, arrive) columns
+    in wave-creation order; ``tables[k][:snaps]`` the snapshot tables
+    ``uid`` indexes (G rows, then I rows when relational). Both grow by
+    doubling.
+    """
+
+    __slots__ = ("cols", "size", "tables", "snaps")
+
+    def __init__(self, *row_bytes: int):
+        self.cols = np.empty((6, 256), dtype=np.int64)
+        self.size = 0
+        self.tables = [np.empty((64, w), dtype=np.uint8) for w in row_bytes]
+        self.snaps = 0
+
+    def append(self, wave: Wave) -> None:
+        m = wave.ti.shape[0]
+        s = wave.snaps[0].shape[0] if wave.snaps else 0
+        if self.size + m > self.cols.shape[1]:
+            grown = np.empty((6, 2 * (self.size + m)), dtype=np.int64)
+            grown[:, : self.size] = self.cols[:, : self.size]
+            self.cols = grown
+        if self.snaps + s > self.tables[0].shape[0]:
+            self._reclaim_snaps(s)
+        base, end = self.snaps, self.size + m
+        block = self.cols[:, self.size : end]
+        block[_TI], block[_SI], block[_RI] = wave.ti, wave.si, wave.ri
+        block[_KIND], block[_ARRIVE] = wave.kind, wave.arrive
+        block[_UID] = np.where(wave.uid >= 0, wave.uid + base, -1)
+        for table, rows in zip(self.tables, wave.snaps):
+            table[base : base + s] = rows
+        self.size, self.snaps = end, base + s
+
+    def _reclaim_snaps(self, extra: int) -> None:
+        """Drop unreferenced snapshot rows (stable, uids remapped); if
+        the tables would still be over half full, double them."""
+        uid = self.cols[_UID, : self.size]  # a view: remapped in place
+        held = uid >= 0
+        used = np.zeros(self.snaps, dtype=bool)
+        used[uid[held]] = True
+        uid[held] = (np.cumsum(used) - 1)[uid[held]]
+        kept = int(np.count_nonzero(used))
+        need = 2 * (kept + extra)
+        for k, table in enumerate(self.tables):
+            rows = table[: self.snaps][used]
+            if need > table.shape[0]:
+                table = self.tables[k] = np.empty((need, table.shape[1]), np.uint8)
+            table[:kept] = rows
+        self.snaps = kept
+
+    def take_due(self, now: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Remove and return (a (6, m) column block, pool order) the
+        entries arriving at their live trial's ``now``; entries of
+        trials no longer live are dropped in the same pass."""
+        cols = self.cols[:, : self.size]
+        ti = cols[_TI]
+        alive = live[ti]
+        due = alive & (cols[_ARRIVE] == now[ti])
+        out = cols[:, due]
+        keep = alive ^ due
+        kept = int(np.count_nonzero(keep))
+        if kept < self.size:
+            self.cols[:, :kept] = cols[:, keep]
+            self.size = kept
+        return out
+
+    def fold_pending(self, status: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Fold the pool into the per-trial quiescence state: *cand* is
+        lowered in place to every pending arrival (messages to crashed
+        receivers still force a visited step, like the scalar network's
+        arrival buckets); the returned per-trial count covers only
+        messages addressed to correct processes (only those can keep a
+        run alive)."""
+        cols = self.cols[:, : self.size]
+        ti = cols[_TI]
+        np.minimum.at(cand, ti, cols[_ARRIVE])
+        to_correct = status[ti, cols[_RI]] != _CRASHED
+        return np.bincount(ti[to_correct], minlength=cand.shape[0])

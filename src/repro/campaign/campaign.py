@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import pathlib
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 from repro.campaign.keys import spec_fingerprint, trial_key
@@ -212,6 +213,7 @@ class Campaign:
         self.stats = CampaignStats()
         self.memo_limit = memo_limit
         self._memo: dict[str, Outcome] = {}
+        self._warned_batch_error = False
         self.telemetry = None
         if self.metrics is not None and cache_dir is not None:
             from repro.obs.telemetry import TelemetrySink, telemetry_path
@@ -407,6 +409,9 @@ class Campaign:
                         self.metrics.count(
                             "campaign.backend_batch_errors", len(batch_items)
                         )
+                    self._warn_batch_error(
+                        [spec for _, spec, _ in batch_items], exc, mode
+                    )
                     if mode == "batch":
                         for i, spec, _key in batch_items:
                             error = f"batch backend error: {exc}"
@@ -458,6 +463,30 @@ class Campaign:
                     **batch_counts,
                 )
         return results  # type: ignore[return-value]
+
+    def _warn_batch_error(
+        self, specs: list[TrialSpec], exc: Exception, mode: str
+    ) -> None:
+        """One RuntimeWarning per session: a raising batch backend must
+        not degrade a sweep to scalar speed (or fail it) unannounced."""
+        if self._warned_batch_error:
+            return
+        self._warned_batch_error = True
+        cells = sorted({f"{s.protocol} x {s.adversary} N={s.n} F={s.f}" for s in specs})
+        named = ", ".join(cells[:3]) + (", ..." if len(cells) > 3 else "")
+        then = (
+            "failing their trials"
+            if mode == "batch"
+            else "re-running them on the scalar backend (same outcomes, "
+            "several times slower)"
+        )
+        warnings.warn(
+            f"batch backend raised {type(exc).__name__}: {exc} while running "
+            f"{named}; {then}. Later batch errors in this session are only "
+            f"counted (campaign.backend_batch_errors).",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
     def run_trial(self, spec: TrialSpec) -> Outcome:
         """One trial through the cache; raises on failure."""

@@ -37,6 +37,16 @@ def wire(outcome) -> str:
     return json.dumps(outcome.to_wire())
 
 
+def assert_wire_identical(specs):
+    """One ``run_batch`` over *specs* (one cell), byte-equal to the
+    scalar oracle spec by spec; skips when the cell is not eligible."""
+    verdict = BATCH.eligible(specs[0])
+    if not verdict:
+        pytest.skip(f"cell not batch-eligible: {verdict.reason}")
+    for spec, batch_outcome in zip(specs, BATCH.run_batch(specs)):
+        assert wire(batch_outcome) == wire(SCALAR.run_one(spec)), spec
+
+
 def test_grid_is_the_paper_grid():
     assert len(GRID) == 90
 
@@ -44,17 +54,49 @@ def test_grid_is_the_paper_grid():
 @pytest.mark.parametrize("protocol,adversary", GRID)
 def test_eligible_cells_are_wire_identical(protocol, adversary):
     """Every eligible (protocol, adversary) cell, several N, byte-equal."""
-    probe = TrialSpec(protocol=protocol, adversary=adversary, n=5, f=2, seed=0)
-    if not BATCH.eligible(probe):
-        pytest.skip(f"cell not batch-eligible: {BATCH.eligible(probe).reason}")
-    specs = [
-        TrialSpec(protocol=protocol, adversary=adversary, n=n, f=f, seed=seed)
-        for n, f in SIZES
-        for seed in SEEDS
+    assert_wire_identical(
+        [
+            TrialSpec(protocol=protocol, adversary=adversary, n=n, f=f, seed=seed)
+            for n, f in SIZES
+            for seed in SEEDS
+        ]
+    )
+
+
+# Deep in-flight state: the grid above stops at N=16, where one or two
+# decision steps are in flight at a time. UGF's delay strategies at the
+# benchmark's sizes keep tens of waves alive at once — pull-only waves
+# appended while snapshots are pending, the snapshot table reclaimed
+# mid-run, repeated destinations in one delivery — none of which the
+# small grid reaches. Cells are `cold_batch_rand`-shaped (f = 0.3 N),
+# all seeds of a cell in one run_batch.
+DEEP_CELLS = [
+    (p, a) for p in ("push", "pull", "push-pull", "ears") for a in ("ugf", "str-1")
+]
+
+
+def deep_specs(protocol, adversary, n, seeds):
+    return [
+        TrialSpec(
+            protocol=protocol, adversary=adversary, n=n, f=round(0.3 * n), seed=seed
+        )
+        for seed in seeds
     ]
-    batch_outcomes = BATCH.run_batch(specs)
-    for spec, batch_outcome in zip(specs, batch_outcomes):
-        assert wire(batch_outcome) == wire(SCALAR.run_one(spec)), spec
+
+
+@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("protocol,adversary", DEEP_CELLS)
+def test_deep_inflight_cells_are_wire_identical(protocol, adversary, n):
+    assert_wire_identical(deep_specs(protocol, adversary, n, range(100 + n, 105 + n)))
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("protocol,adversary", [("ears", "ugf"), ("pull", "ugf")])
+def test_benchmark_scale_cells_are_wire_identical(protocol, adversary):
+    """N=100, the benchmark's largest cell; too slow on the scalar
+    oracle for tier-1 — the CI backend-differential legs run it
+    (``-m deep``)."""
+    assert_wire_identical(deep_specs(protocol, adversary, 100, range(7, 12)))
 
 
 def test_some_cells_are_eligible():

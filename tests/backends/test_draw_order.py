@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.backends.batch.engine import run_cell
-from repro.backends.batch.rng import RecordingGenerator
+from repro.backends.batch.rng import RecordingGenerator, ReplayPlane
 from repro.experiments.config import TrialSpec
 
 PROTOCOLS = ("push", "pull", "push-pull", "ears", "sears")
@@ -72,3 +72,24 @@ def test_replay_plane_matches_scalar_draw_order(protocol):
         expected = scalar_draw_log(spec)
         _, plane = run_cell(spec, [spec.seed], record_draws=True)
         assert plane.log[0] == expected, spec
+
+
+@pytest.mark.parametrize("protocol", ["push", "ears"])
+def test_vectorised_prefetch_is_draw_exact_across_refills(protocol):
+    """push and ears gather a whole pass's draws from the plane's
+    (T, n, BLOCK) prefetch buffer. Under UGF's delays processes draw
+    well past one block, at different times per trial and process, so
+    the refill at draw BLOCK -> BLOCK + 1 happens mid-pass for some
+    generators and not others — the logs must still equal the scalar
+    engine's draw for draw."""
+    seeds = [1, 2, 3]
+    spec = TrialSpec(protocol=protocol, adversary="ugf", n=20, f=6, seed=seeds[0])
+    _, plane = run_cell(spec, seeds, record_draws=True)
+    crossed = 0
+    for t, seed in enumerate(seeds):
+        expected = scalar_draw_log(
+            TrialSpec(protocol=protocol, adversary="ugf", n=20, f=6, seed=seed)
+        )
+        assert plane.log[t] == expected, seed
+        crossed += sum(len(log) > ReplayPlane.BLOCK for log in expected)
+    assert crossed >= 10  # the boundary was really exercised

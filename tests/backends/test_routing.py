@@ -99,6 +99,33 @@ def test_forced_batch_fails_ineligible_trials():
         assert "ineligible" in r.error
 
 
+def test_raising_batch_backend_warns_counts_and_falls_back(monkeypatch):
+    """A batch-kernel exception under ``auto`` must not degrade silently:
+    one RuntimeWarning per session naming the cell and the exception,
+    the counter, and scalar-identical outcomes."""
+    from repro.backends import BatchBackend
+
+    def boom(self, specs, *, metrics=None):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(BatchBackend, "run_batch", boom)
+    metrics = MetricsRegistry()
+    with Campaign(workers=1, metrics=metrics, use_cache=False) as campaign:
+        with pytest.warns(RuntimeWarning) as caught:
+            results = campaign.run_trials(BATCHABLE)
+            campaign.run_trials(BATCHABLE)  # second failure: counted only
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert "IndexError: index 7 is out of bounds" in message
+    assert "flood x str-1 N=8 F=3" in message and "scalar" in message
+    assert counter(metrics, "campaign.backend_batch_errors") == 2 * len(BATCHABLE)
+    assert [r.backend for r in results] == ["scalar"] * len(BATCHABLE)
+    with Campaign(workers=1, backend="scalar", use_cache=False) as campaign:
+        forced = campaign.run_trials(BATCHABLE)
+    for a, s in zip(results, forced):
+        assert json.dumps(a.outcome.to_wire()) == json.dumps(s.outcome.to_wire())
+
+
 def test_unknown_backend_mode_rejected():
     from repro.errors import CampaignError
 

@@ -169,7 +169,11 @@ class TestCampaignTelemetry:
         bad = TrialSpec(
             protocol="push-pull", adversary="ugf", n=10, f=20, seed=0
         )  # F > N: rejected at simulator construction
-        with Campaign(cache_dir=tmp_path, workers=0, metrics=True) as campaign:
+        # backend="scalar": under auto the batch backend rejects the spec
+        # first and the demotion to scalar is (rightly) a RuntimeWarning.
+        with Campaign(
+            cache_dir=tmp_path, workers=0, metrics=True, backend="scalar"
+        ) as campaign:
             results = campaign.run_trials([bad])
         assert not results[0].ok
         records, _ = read_telemetry(tmp_path)
