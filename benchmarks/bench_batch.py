@@ -10,16 +10,17 @@ Two faces:
   representative batchable cells (best-of-R to damp scheduler noise)
   and exits non-zero when any cell's speedup falls below the floor in
   the committed baseline (``benchmarks/baselines/BATCH_BASELINE.json``,
-  10x by default). The vectorized engine justifies its second
-  implementation of the simulation semantics *only* through this
-  ratio — if it ever decays to scalar-like throughput the extra
+  10x by default). The vectorized engine justifies re-implementing
+  the simulation semantics beside the scalar oracle *only* through
+  this ratio — if it ever decays to scalar-like throughput the extra
   surface is pure liability, so the floor is a contract, not a
   curiosity.
 
-The randomized kernels (push/pull/ears/sears under replayed
-adversaries) pay for draw-exactness with one scalar RNG call per
-protocol draw, so they cannot match the deterministic kernels' 10x.
-They carry their own committed floor
+Every cell runs the same wave engine; what differs is the kernel. The
+kernels that draw (push/pull/ears/sears under replayed adversaries)
+pay for draw-exactness with one scalar RNG call per protocol draw, so
+they cannot match the zero-draw kernels' 10x. They carry their own
+committed floor
 (``benchmarks/baselines/BATCH_RANDOMIZED_BASELINE.json``, 5x) over a
 separate cell set; ``--check`` gates both sets, while the bare
 invocation keeps its historical meaning (deterministic cells only).
@@ -42,11 +43,15 @@ import pytest
 from repro.backends import BatchBackend, ScalarBackend
 from repro.experiments.config import TrialSpec
 
-#: Representative batchable cells: the per-step unicast worst case and
-#: the one-burst flood best case, both at paper scale F = 0.3 N.
+#: Representative zero-draw cells: the per-step unicast worst case and
+#: the one-burst flood best case, both at paper scale F = 0.3 N, each
+#: in unit timing and retimed by UGF — every batch cell runs the one
+#: wave engine, so the floor has to hold on both.
 CELLS = (
     {"protocol": "round-robin", "adversary": "str-1", "n": 48},
     {"protocol": "flood", "adversary": "oblivious", "n": 64},
+    {"protocol": "flood", "adversary": "ugf", "n": 64},
+    {"protocol": "round-robin", "adversary": "ugf", "n": 48},
 )
 
 #: Representative randomized cells: uniform-push under a static and an

@@ -1,27 +1,25 @@
 """Vectorized numpy batch backend (a package of cooperating kernels).
 
 Advances hundreds of trials at once for the protocol×adversary cells
-whose dynamics the vectorized engines can replay *exactly*. Two engine
-tiers share the backend:
-
-- :mod:`~repro.backends.batch.legacy` — the deterministic lockstep
-  kernel for ``flood``/``round-robin`` under non-retiming adversaries
-  (``none``/``str-1``/``oblivious``/``omission``). No per-step RNG, no
-  timing grids; the fastest path (≥10× floor, typically 25–300×).
-- :mod:`~repro.backends.batch.engine` — the generic grid engine for
-  the randomized protocols (``push``, ``pull``, ``push-pull``,
-  ``ears``, ``sears``) and the full replayable adversary set
-  (including ``ugf`` and the ``str-2.<k>.<l>`` family). Per-step
-  protocol draws go through the RNG replay plane
-  (:mod:`~repro.backends.batch.rng`) in scalar draw order; adversary
-  setup draws and retimes are compiled into plans
-  (:mod:`~repro.backends.batch.adversaries`); in-flight messages live
-  in COO waves (:mod:`~repro.backends.batch.waves`). Slower than the
-  lockstep kernel — draws stay scalar — but still ≥5× the oracle.
+whose dynamics one vectorized engine can replay *exactly*:
+:func:`~repro.backends.batch.engine.run_cell` runs every batch cell —
+the deterministic reference protocols (``flood``, ``round-robin``) and
+the randomized ones (``push``, ``pull``, ``push-pull``, ``ears``,
+``sears``) alike, under the full replayable adversary set (including
+``ugf`` and the ``str-2.<k>.<l>`` family). Protocols are kernels
+(:mod:`~repro.backends.batch.kernels`); per-step protocol draws go
+through the RNG replay plane (:mod:`~repro.backends.batch.rng`) in
+scalar draw order, seeded only when a kernel first draws; adversary
+setup draws and retimes are compiled into plans
+(:mod:`~repro.backends.batch.adversaries`); in-flight messages live in
+one COO pool (:mod:`~repro.backends.batch.waves`) where an all-send is
+a single broadcast entry. Zero-draw kernels sustain the ≥10× floor
+(typically 15–300×); kernels that draw stay scalar per draw and hold
+≥5× over the oracle.
 
 Eligibility (and the narrowest-reason rejection discipline) lives in
-:mod:`~repro.backends.batch.eligibility`; verdicts are memoized per
-cell for the campaign router.
+:mod:`~repro.backends.batch.eligibility`, which reads the kernel and
+plan tables; verdicts are memoized per cell for the campaign router.
 
 **Equivalence.** Outcomes are byte-identical at the wire level to the
 scalar oracle for every eligible cell — the differential battery in
@@ -45,11 +43,6 @@ from repro.backends.batch.eligibility import (
     why_ineligible,
 )
 from repro.backends.batch.engine import run_cell
-from repro.backends.batch.legacy import (
-    LEGACY_ADVERSARIES,
-    LEGACY_PROTOCOLS,
-    run_legacy_cell,
-)
 from repro.errors import SimulationError
 from repro.experiments.config import TrialSpec
 from repro.sim.outcome import Outcome
@@ -96,14 +89,7 @@ class BatchBackend(Backend):
         for members in groups.values():
             spec0 = members[0][1]
             seeds = [spec.seed for _, spec in members]
-            if (
-                spec0.protocol in LEGACY_PROTOCOLS
-                and spec0.adversary in LEGACY_ADVERSARIES
-            ):
-                outcomes = run_legacy_cell(spec0, seeds)
-            else:
-                outcomes = run_cell(spec0, seeds)
-            for (idx, _), outcome in zip(members, outcomes):
+            for (idx, _), outcome in zip(members, run_cell(spec0, seeds)):
                 results[idx] = outcome
         if metrics is not None:
             metrics.observe_span("backend.batch.run", time.perf_counter() - t0)

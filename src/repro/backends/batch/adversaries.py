@@ -37,13 +37,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.backends.batch.rng import adversary_stream
-from repro.backends.batch.waves import Wave
+from repro.backends.batch.waves import _CRASHED, _NEVER, BROADCAST, Wave
+from repro.core.fixed import ObliviousAdversary
+from repro.core.strategies import sample_group
+from repro.core.ugf import UniversalGossipFighter
 from repro.errors import SimulationError
 
-__all__ = ["AdversaryPlan", "build_plan"]
-
-_AWAKE, _ASLEEP, _CRASHED = 0, 1, 2
-_NEVER = 2**62
+__all__ = ["AdversaryPlan", "BATCH_ADVERSARIES", "build_plan", "can_replay"]
 
 _STR2 = re.compile(r"^str-2\.(\d+)\.(\d+)$")
 
@@ -129,8 +129,9 @@ class AdversaryPlan:
         The scalar loop walks this step's sends in order, breaks when
         the budget is exhausted, and crashes each still-correct
         receiver of a survivor send. Wave entry order is the scalar
-        send order, and a spent budget can never re-arm, so the
-        continue-on-exhausted scan below is exactly equivalent.
+        send order (a broadcast entry standing for its sender's
+        ascending-pid all-send), and a spent budget can never re-arm,
+        so skipping exhausted trials below is exactly equivalent.
         """
         if wave is None or not self._has_survivor:
             return
@@ -139,14 +140,15 @@ class AdversaryPlan:
             return
         f = self.f
         used = self.budget_used
+        everyone = range(status.shape[1])
         for j in np.flatnonzero(hits):
-            t = int(wave.ti[j])
-            if used[t] >= f:
-                continue
-            r = int(wave.ri[j])
-            if status[t, r] != _CRASHED:
-                crash(t, r)
-                used[t] += 1
+            t, s, to = int(wave.ti[j]), int(wave.si[j]), int(wave.ri[j])
+            for r in everyone if to == BROADCAST else (to,):
+                if used[t] >= f:
+                    break
+                if r != s and status[t, r] != _CRASHED:
+                    crash(t, r)
+                    used[t] += 1
 
 
 def _apply_group_timing(
@@ -164,95 +166,104 @@ def _apply_group_timing(
         plan.max_d[i] = max(1, d)
 
 
+def _crash_at_setup(plan: AdversaryPlan, i: int, victims) -> None:
+    plan.setup_crashes[i] = np.asarray(victims, dtype=np.int64)
+    plan.budget_used[i] = len(victims)
+
+
+def _isolate_survivor(plan: AdversaryPlan, i: int, rng, group, tau: int, k: int) -> None:
+    """Strategy 2.k.0 (IsolateSurvivorStrategy): an empty group returns
+    before retiming and before the survivor pick (no draw)."""
+    if group.size == 0:
+        return
+    _apply_group_timing(plan, i, group, tau, k, None)
+    pick = int(rng.integers(group.size))
+    plan.survivor[i] = group[pick]
+    _crash_at_setup(plan, i, group[group != group[pick]])
+
+
+# Per-trial setup replays, ``setup(plan, i, rng, n, f)`` with *rng* the
+# trial's ``stream("adversary")``. ``tau = max(2, f)`` is the paper's
+# tau = F with the analysis floor of 2; other parameters are the scalar
+# classes' defaults (eligibility routes pinned kwargs to the oracle).
+
+
+def _setup_str1(plan, i, rng, n, f):
+    _crash_at_setup(plan, i, sample_group(rng, n, f))
+
+
+def _setup_omission(plan, i, rng, n, f):
+    plan.omitted[i, sample_group(rng, n, f)] = True
+
+
+def _setup_oblivious(plan, i, rng, n, f):
+    victims = rng.choice(n, size=f, replace=False)
+    steps = rng.integers(0, ObliviousAdversary().horizon, size=f)
+    schedule: dict[int, list[int]] = {}
+    for rho, step in zip(victims, steps):
+        schedule.setdefault(int(step), []).append(int(rho))
+    _crash_at_setup(plan, i, schedule.pop(0, []))
+    plan.schedules[i] = sorted(schedule.items())
+
+
+def _setup_ugf(plan, i, rng, n, f):
+    defaults = UniversalGossipFighter()  # q1 = 1/3, q2 = 1/2, k = l = 1
+    group = sample_group(rng, n, f)
+    if rng.random() < defaults.q1:
+        plan.labels[i] = "str-1"
+        _crash_at_setup(plan, i, group)
+    elif rng.random() < defaults.q2:
+        plan.labels[i] = "str-2.1.0"
+        _isolate_survivor(plan, i, rng, group, max(2, f), 1)
+    else:
+        plan.labels[i] = "str-2.1.1"
+        _apply_group_timing(plan, i, group, max(2, f), 1, 1)
+
+
+def _setup_str2(k: int, l: int):
+    def setup(plan, i, rng, n, f):
+        group = sample_group(rng, n, f)
+        if l == 0:
+            _isolate_survivor(plan, i, rng, group, max(2, f), k)
+        else:
+            _apply_group_timing(plan, i, group, max(2, f), k, l)
+
+    return setup
+
+
+#: Named adversaries with a setup replay (None: nothing to replay); the
+#: ``str-2.<k>.<l>`` family is matched by :data:`_STR2` on top.
+_SETUPS = {
+    "none": None,
+    "str-1": _setup_str1,
+    "oblivious": _setup_oblivious,
+    "omission": _setup_omission,
+    "ugf": _setup_ugf,
+}
+BATCH_ADVERSARIES = tuple(_SETUPS)
+
+
+def can_replay(adversary: str) -> bool:
+    """Whether :func:`build_plan` can compile *adversary*."""
+    return adversary in _SETUPS or _STR2.match(adversary) is not None
+
+
 def build_plan(
     adversary: str, seeds: Sequence[int], n: int, f: int
 ) -> AdversaryPlan:
     """Replay each trial's setup draws; compile the cell's plan."""
-    from repro.core.strategies import sample_group
-
-    T = len(seeds)
-    plan = AdversaryPlan(adversary, T, n, f)
-
-    if adversary == "none":
-        plan.seal()
-        return plan
-
-    if adversary in ("str-1", "omission"):
+    if adversary in _SETUPS:
+        setup = _SETUPS[adversary]
+    else:
+        m = _STR2.match(adversary)
+        if m is None:
+            raise SimulationError(
+                f"batch backend cannot set up adversary {adversary!r}"
+            )
+        setup = _setup_str2(int(m.group(1)), int(m.group(2)))
+    plan = AdversaryPlan(adversary, len(seeds), n, f)
+    if setup is not None:
         for i, seed in enumerate(seeds):
-            rng = adversary_stream(seed)
-            group = sample_group(rng, n, f)
-            if adversary == "str-1":
-                plan.setup_crashes[i] = group
-                plan.budget_used[i] = group.size
-            else:
-                plan.omitted[i, group] = True
-        plan.seal()
-        return plan
-
-    if adversary == "oblivious":
-        from repro.core.fixed import ObliviousAdversary
-
-        horizon = ObliviousAdversary().horizon
-        for i, seed in enumerate(seeds):
-            rng = adversary_stream(seed)
-            victims = rng.choice(n, size=f, replace=False)
-            steps = rng.integers(0, horizon, size=f)
-            schedule: dict[int, list[int]] = {}
-            for rho, step in zip(victims, steps):
-                schedule.setdefault(int(step), []).append(int(rho))
-            step0 = schedule.pop(0, [])
-            plan.setup_crashes[i] = np.asarray(step0, dtype=np.int64)
-            plan.budget_used[i] = len(step0)
-            plan.schedules[i] = sorted(schedule.items())
-        plan.seal()
-        return plan
-
-    if adversary == "ugf":
-        from repro.core.ugf import UniversalGossipFighter
-
-        defaults = UniversalGossipFighter()  # q1 = 1/3, q2 = 1/2, k = l = 1
-        q1, q2 = defaults.q1, defaults.q2
-        tau = max(2, f)  # the paper's tau = F with the analysis floor of 2
-        for i, seed in enumerate(seeds):
-            rng = adversary_stream(seed)
-            group = sample_group(rng, n, f)
-            if rng.random() < q1:
-                plan.labels[i] = "str-1"
-                plan.setup_crashes[i] = group
-                plan.budget_used[i] = group.size
-            elif rng.random() < q2:
-                plan.labels[i] = "str-2.1.0"
-                if group.size:
-                    _apply_group_timing(plan, i, group, tau, 1, None)
-                    pick = int(rng.integers(group.size))
-                    plan.survivor[i] = group[pick]
-                    plan.setup_crashes[i] = group[group != group[pick]]
-                    plan.budget_used[i] = group.size - 1
-            else:
-                plan.labels[i] = "str-2.1.1"
-                _apply_group_timing(plan, i, group, tau, 1, 1)
-        plan.seal()
-        return plan
-
-    m = _STR2.match(adversary)
-    if m is not None:
-        k, l = int(m.group(1)), int(m.group(2))
-        tau = max(2, f)
-        for i, seed in enumerate(seeds):
-            rng = adversary_stream(seed)
-            group = sample_group(rng, n, f)
-            if l == 0:
-                # IsolateSurvivorStrategy: an empty group returns before
-                # retiming and before the survivor pick (no draw).
-                if group.size:
-                    _apply_group_timing(plan, i, group, tau, k, None)
-                    pick = int(rng.integers(group.size))
-                    plan.survivor[i] = group[pick]
-                    plan.setup_crashes[i] = group[group != group[pick]]
-                    plan.budget_used[i] = group.size - 1
-            else:
-                _apply_group_timing(plan, i, group, tau, k, l)
-        plan.seal()
-        return plan
-
-    raise SimulationError(f"batch backend cannot set up adversary {adversary!r}")
+            setup(plan, i, adversary_stream(seed), n, f)
+    plan.seal()
+    return plan

@@ -3,17 +3,15 @@
 A cell is batchable when the vectorized engine can replay it
 draw-for-draw against the scalar oracle:
 
-- protocol ``flood``, ``round-robin``, ``push``, ``pull``,
-  ``push-pull``, ``ears`` or ``sears`` — the deterministic pair runs
-  on the legacy lockstep kernel; the randomized five run on the
-  generic engine with the RNG replay plane
-  (:mod:`repro.backends.batch.rng`);
-- adversary ``none``, ``str-1``, ``oblivious``, ``omission``, ``ugf``
-  or any ``str-2.<k>.<l>`` family member — their ``stream("adversary")``
-  draws are replayed at setup, their retimes (``tau^k`` local steps,
-  ``tau^(k+l)`` delays) become per-(trial, process) timing grids, and
-  Strategy 2.k.0's per-step adaptive crash loop is mirrored in
-  :mod:`repro.backends.batch.adversaries`;
+- the protocol has a kernel (:mod:`repro.backends.batch.kernels`:
+  zero-draw ``flood``/``round-robin``, and the randomized protocols
+  drawing through the RNG replay plane, :mod:`repro.backends.batch.rng`);
+- the adversary has a replay plan
+  (:func:`repro.backends.batch.adversaries.can_replay`): its
+  ``stream("adversary")`` draws are replayed at setup, its retimes
+  (``tau^k`` local steps, ``tau^(k+l)`` delays) become per-(trial,
+  process) timing grids, and Strategy 2.k.0's per-step adaptive crash
+  loop is mirrored by the plan;
 - default protocol/adversary kwargs, homogeneous environment,
   sanitizer off (monitors attach to the scalar engine only), and the
   clique contact graph (the batch kernels' all-to-all assumption is
@@ -36,8 +34,9 @@ verdicts are memoized per cell and hits are counted as
 from __future__ import annotations
 
 import os
-import re
 
+from repro.backends.batch.adversaries import BATCH_ADVERSARIES, can_replay
+from repro.backends.batch.kernels import BATCH_PROTOCOLS
 from repro.experiments.config import TrialSpec
 
 __all__ = [
@@ -50,31 +49,10 @@ __all__ = [
     "format_grid",
 ]
 
-#: Protocols with a vectorized kernel (legacy lockstep or replay-plane).
-BATCH_PROTOCOLS = (
-    "flood",
-    "round-robin",
-    "push",
-    "pull",
-    "push-pull",
-    "ears",
-    "sears",
-)
-
-#: Adversaries whose attack the batch engine replays exactly. The
-#: ``str-2.<k>.<l>`` family (any k, l) is also accepted, via the regex.
-BATCH_ADVERSARIES = ("none", "str-1", "oblivious", "omission", "ugf")
-
-_STR2 = re.compile(r"^str-2\.(\d+)\.(\d+)$")
-
 #: Memoized verdicts keyed by cell; bounded so adversarial spec streams
 #: cannot grow it without limit (a sweep has a handful of cells).
 _MEMO: dict[tuple, str | None] = {}
 _MEMO_MAX = 4096
-
-
-def _adversary_is_batchable(name: str) -> bool:
-    return name in BATCH_ADVERSARIES or _STR2.match(name) is not None
 
 
 def _canonical_topology_or_spec(topology: "str | None") -> "str | None":
@@ -101,7 +79,7 @@ def _derive(spec: TrialSpec) -> str | None:
             f"protocol {spec.protocol!r} has no vectorized kernel "
             f"(batchable: {', '.join(BATCH_PROTOCOLS)})"
         )
-    if not _adversary_is_batchable(spec.adversary):
+    if not can_replay(spec.adversary):
         return (
             f"adversary {spec.adversary!r} is not replayable by the batch "
             f"engine (batchable: {', '.join(BATCH_ADVERSARIES)}, str-2.<k>.<l>)"

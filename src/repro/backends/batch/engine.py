@@ -1,14 +1,15 @@
-"""The generic vectorized engine: randomized protocols, replayed adversaries.
+"""The vectorized wave engine: every batch kernel, replayed adversaries.
 
 One :func:`run_cell` call simulates every trial of one (protocol,
-adversary, n, f, max_steps) cell on a shared (T, N) grid. Unlike the
-legacy lockstep kernel it does not assume unit timings or scripted
-draws: per-trial *visited steps* are fast-forwarded exactly like the
-scalar event loop (min over awake wake-ups, pending arrivals and the
-adversary's scheduled wake-ups), every undelivered message of the run
-sits in one arrival-indexed in-flight pool (``waves.py``: flat COO
-columns in scalar bucket order plus one snapshot table), and every
-protocol draw goes through the RNG replay plane in scalar draw order.
+adversary, n, f, max_steps) cell on a shared (T, N) grid. It assumes
+neither unit timings nor scripted draws: per-trial *visited steps* are
+fast-forwarded exactly like the scalar event loop (min over awake
+wake-ups, pending arrivals and the adversary's scheduled wake-ups),
+every undelivered message of the run sits in one arrival-indexed
+in-flight pool (``waves.py``: flat COO columns in scalar bucket order
+plus one snapshot table; an all-send is one broadcast entry), and every
+protocol draw goes through the RNG replay plane in scalar draw order —
+built on first use, so the deterministic kernels never seed one.
 The result is byte-identical ``Outcome``s — the differential battery
 compares ``to_wire()`` rows.
 
@@ -34,6 +35,7 @@ Scalar-fidelity notes, each load-bearing:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +44,11 @@ from repro.backends.batch.adversaries import build_plan
 from repro.backends.batch.kernels import make_kernel
 from repro.backends.batch.rng import ReplayPlane
 from repro.backends.batch.waves import (
+    _ASLEEP,
+    _AWAKE,
+    _CRASHED,
+    _NEVER,
+    BROADCAST,
     KIND_GOSSIP,
     KIND_PULL,
     KIND_RELATION,
@@ -55,9 +62,6 @@ from repro.protocols.bitset import packed_size
 from repro.sim.outcome import Outcome
 
 __all__ = ["run_cell"]
-
-_AWAKE, _ASLEEP, _CRASHED = 0, 1, 2
-_NEVER = 2**62
 
 
 def _scatter_or(targets, tables, dest, uid, unique=False) -> None:
@@ -103,6 +107,7 @@ class _CellRun:
         T = len(seeds)
         self.spec = spec0
         self.seeds = list(seeds)
+        self._record_draws = record_draws
         self.T, self.n, self.f = T, n, f
         self.max_steps = max_steps
         self.W = W = packed_size(n)
@@ -113,7 +118,6 @@ class _CellRun:
         self._snap_kind = KIND_RELATION if self.relational else KIND_GOSSIP
         self._snap_nbytes = W + n * W if self.relational else W
 
-        self.plane = ReplayPlane(seeds, n, record=record_draws)
         self.plan = build_plan(spec0.adversary, seeds, n, f)
         self._any_omitted = bool(self.plan.omitted.any())
 
@@ -162,6 +166,12 @@ class _CellRun:
 
     # ------------------------------------------------------------ plumbing
 
+    @cached_property
+    def plane(self) -> ReplayPlane:
+        """Seeded on the first draw: T x N generators cost more than a
+        whole flood or round-robin cell, which never draws."""
+        return ReplayPlane(self.seeds, self.n, record=self._record_draws)
+
     def _crash(self, t: int, p: int) -> None:
         self.status[t, p] = _CRASHED
         self.next_action[t, p] = _NEVER
@@ -171,17 +181,21 @@ class _CellRun:
         self,
         sti: np.ndarray,
         spi: np.ndarray,
-        targets: np.ndarray,
+        targets: np.ndarray | None,
         *,
         unique_senders: bool = True,
     ) -> None:
         """Bulk snapshot sends: each sender (sti[i], spi[i]) sends to
         every pid in ``targets[i]`` (a (S, k) matrix in per-sender send
-        order). One knowledge-row copy per sender row, one COO block for
-        the whole pass. Pass ``unique_senders=False`` when a sender may
-        appear on several rows (pull's requester answers) — counter
-        updates then go through the unbuffered scatter-add."""
-        k = targets.shape[1]
+        order), or with ``targets=None`` to every pid but itself, as one
+        broadcast entry. One knowledge-row copy per sender row, one COO
+        block for the whole pass. Pass ``unique_senders=False`` when a
+        sender may appear on several rows (pull's requester answers) —
+        counter updates then go through the unbuffered scatter-add."""
+        if targets is None:
+            k, targets = self.n - 1, np.full((sti.size, 1), BROADCAST)
+        else:
+            k = targets.shape[1]
         if unique_senders:
             self.sent[sti, spi] += k
             self.bytes_sent[sti, spi] += k * self._snap_nbytes
@@ -199,7 +213,7 @@ class _CellRun:
             rows.append(self.I[sti, spi].reshape(sti.size, -1))
         base = self.builder.add_snap_rows(*rows)
         uid = base + np.arange(sti.size, dtype=np.int64)
-        if k == 1:
+        if targets.shape[1] == 1:
             self.builder.add_block(sti, spi, targets[:, 0], self._snap_kind, uid)
         else:
             self.builder.add_block(
@@ -253,6 +267,10 @@ class _CellRun:
     def _deliver(self) -> None:
         """Deliver every in-flight message arriving at a live trial's now."""
         due = self.pool.take_due(self.now, self.live)
+        cast = due[2] == BROADCAST
+        if cast.any():
+            self._deliver_broadcasts(due[:, cast])
+            due = due[:, ~cast]
         due = due[:, self.status[due[0], due[2]] != _CRASHED]  # crashed ones drop
         ti, si, ri, kind, uid, _ = due
         if ti.size == 0:
@@ -274,15 +292,38 @@ class _CellRun:
         _scatter_or(
             self._pend_flat, self.pool.tables, sdest, suid, unique=counts.max() == 1
         )
-        status = self.status.reshape(-1)
-        asleep = status[dest] == _ASLEEP
+        asleep = self.status.reshape(-1)[dest] == _ASLEEP
         if asleep.any():
-            woken = dest[asleep]
-            status[woken] = _AWAKE
-            self.next_action.reshape(-1)[woken] = self.now[ti[asleep]]
-            # a buffered fancy += counts a repeated index once: one wake
-            # per receiver per step however many messages arrive.
-            self.wake_counts.reshape(-1)[woken] += 1
+            self._wake(dest[asleep])
+
+    def _deliver_broadcasts(self, due: np.ndarray) -> None:
+        """Deliver due broadcast entries, each one message to every pid
+        but its sender: a correct receiver counts its trial's due
+        broadcasts minus its own and, if that leaves any, takes the OR
+        of the trial's snapshot rows — its own among them, which teach
+        it nothing (knowledge only grows after a snapshot)."""
+        T, n = self.T, self.n
+        ti, si, _, _, uid, _ = due[:, np.argsort(due[0], kind="stable")]
+        per_trial = np.bincount(ti, minlength=T)
+        counts = np.repeat(per_trial, n) - np.bincount(ti * n + si, minlength=T * n)
+        counts[self.status.reshape(-1) == _CRASHED] = 0  # crashed ones drop
+        self.received += counts.reshape(T, n)
+        recv = np.flatnonzero(counts)
+        trials = np.flatnonzero(per_trial)
+        starts = np.cumsum(per_trial[trials]) - per_trial[trials]
+        for pend, table in zip(self._pend_flat, self.pool.tables):
+            union = np.zeros((T, table.shape[1]), dtype=np.uint8)
+            union[trials] = np.bitwise_or.reduceat(table[uid], starts, axis=0)
+            pend[recv] |= union[recv // n]
+        self._wake(recv[self.status.reshape(-1)[recv] == _ASLEEP])
+
+    def _wake(self, woken: np.ndarray) -> None:
+        """Wake sleeping receivers (flat grid indices) to act this step.
+        A buffered fancy += counts a repeated index once: one wake per
+        receiver per step however many messages arrive."""
+        self.status.reshape(-1)[woken] = _AWAKE
+        self.next_action.reshape(-1)[woken] = self.now[woken // self.n]
+        self.wake_counts.reshape(-1)[woken] += 1
 
     def _local_pass(self) -> Wave | None:
         """Run every due process's local step; freeze the sends."""

@@ -13,7 +13,10 @@ registered as whole blocks (``grid.send_snapshots_grouped`` /
 the plane's prefetch buffer in one fancy index; the pull family's draw
 bounds are data-dependent (candidate-set sizes), so it draws one
 ``Generator`` call at a time and emits its sends as three category
-blocks (answers, pull requests, eager pushes).
+blocks (answers, pull requests, eager pushes). flood and round-robin
+never draw, so their cell runs never seed a replay plane; an all-send
+(flood, SEARS at full fanout) is ``targets=None``, one broadcast entry
+per sender.
 
 Knowledge-merge bookkeeping note: the grids merge pending payloads
 with a single OR per drain and compute ``learned`` as "the pending
@@ -36,7 +39,7 @@ from repro.errors import SimulationError
 from repro.protocols.ears import ears_timeout
 from repro.protocols.sears import DEFAULT_PATIENCE, sears_fanout
 
-__all__ = ["make_kernel"]
+__all__ = ["BATCH_PROTOCOLS", "make_kernel"]
 
 
 def _draw_other_targets(g, sti, spi) -> np.ndarray:
@@ -48,12 +51,6 @@ def _draw_other_targets(g, sti, spi) -> np.ndarray:
     """
     v = g.plane.prefetched_integers(sti, spi, g.n - 1)
     return (v + (v >= spi))[:, None]
-
-
-def _all_other_targets(n: int, spi: np.ndarray) -> np.ndarray:
-    """Every pid but the sender's own, ascending; (S, n-1) targets."""
-    cols = np.arange(n - 1, dtype=np.int64)
-    return cols[None, :] + (cols[None, :] >= spi[:, None])
 
 
 class PushKernel:
@@ -250,8 +247,8 @@ class SearsKernel(_RelationalKernel):
 
     def _targets(self, g, sti, spi):
         k = self.fanout
-        if k >= g.n - 1:  # everyone else, ascending, no draw
-            return _all_other_targets(g.n, spi)
+        if k >= g.n - 1:  # everyone else, ascending, no draw: a broadcast
+            return None
         n1 = g.n - 1
         out = np.empty((sti.size, k), dtype=np.int64)
         plane = g.plane
@@ -275,7 +272,7 @@ class SearsKernel(_RelationalKernel):
 
 
 class FloodKernel:
-    """``flood`` under replayed adversaries: one all-send, then sleep."""
+    """``flood``: one all-send (a broadcast entry), then sleep."""
 
     name = "flood"
     relational = False
@@ -287,13 +284,13 @@ class FloodKernel:
     def step(self, g, due, learned):
         sti, spi = np.nonzero(due & ~self.done)
         if sti.size:
-            g.send_snapshots_grouped(sti, spi, _all_other_targets(g.n, spi))
+            g.send_snapshots_grouped(sti, spi, None)  # one broadcast each
         self.done[due] = True
         return due.copy()  # flood always sleeps after acting
 
 
 class RoundRobinKernel:
-    """``round-robin`` under replayed adversaries: ring walk, then sleep."""
+    """``round-robin``: ring walk, then sleep."""
 
     name = "round-robin"
     relational = False
@@ -316,15 +313,17 @@ class RoundRobinKernel:
 _KERNELS = {
     k.name: k
     for k in (
+        FloodKernel,
+        RoundRobinKernel,
         PushKernel,
         PullKernel,
         PushPullKernel,
         EarsKernel,
         SearsKernel,
-        FloodKernel,
-        RoundRobinKernel,
     )
 }
+#: Protocols with a vectorized kernel (what eligibility accepts).
+BATCH_PROTOCOLS = tuple(_KERNELS)
 
 
 def make_kernel(protocol: str, n: int, f: int, T: int):

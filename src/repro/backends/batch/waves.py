@@ -29,6 +29,13 @@ order and every ``uid`` is remapped, so a surviving ``uid`` always
 points at the bytes it was sent with. Pull requests are 1-byte markers
 whose answer is snapshotted at the *answerer's* local step, not at
 request time — they carry ``uid = -1`` and no row.
+
+Broadcasts. An entry whose receiver is :data:`BROADCAST` stands for one
+message to every pid but the sender, in ascending-pid send order, all
+sharing the sender's snapshot row and arrival step — flood's N(N-1)
+messages stay N entries. Every reader of the receiver column (the
+engine's delivery, :meth:`InFlightPool.fold_pending`, the adversary
+plan's survivor scan) expands it in place.
 """
 
 from __future__ import annotations
@@ -38,14 +45,21 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "KIND_GOSSIP", "KIND_RELATION", "KIND_PULL", "Wave", "WaveBuilder", "InFlightPool",
+    "KIND_GOSSIP", "KIND_RELATION", "KIND_PULL", "BROADCAST",
+    "Wave", "WaveBuilder", "InFlightPool",
 ]
 
 #: Payload kinds: a ``G`` snapshot (W bytes), a ``(G, I)`` snapshot
 #: (W + N*W bytes), a pull-request marker (1 byte).
 KIND_GOSSIP, KIND_RELATION, KIND_PULL = 0, 1, 2
 
-_CRASHED = 2  # mirrors the engine's status code
+#: Receiver of a broadcast entry: every pid but the sender.
+BROADCAST = -1
+
+#: Process status codes of the (trial, process) grid, and the
+#: ``next_action`` / wake-up step of a process or schedule with none.
+_AWAKE, _ASLEEP, _CRASHED = 0, 1, 2
+_NEVER = 2**62
 
 
 def _cat(parts) -> np.ndarray:
@@ -57,7 +71,7 @@ class Wave(NamedTuple):
 
     ti: np.ndarray  # (U,) trial index
     si: np.ndarray  # (U,) sender pid
-    ri: np.ndarray  # (U,) receiver pid
+    ri: np.ndarray  # (U,) receiver pid, or BROADCAST
     kind: np.ndarray  # (U,) payload kind
     uid: np.ndarray  # (U,) snapshot row (-1 for pulls)
     arrive: np.ndarray  # (U,) absolute arrival step
@@ -177,9 +191,16 @@ class InFlightPool:
         receivers still force a visited step, like the scalar network's
         arrival buckets); the returned per-trial count covers only
         messages addressed to correct processes (only those can keep a
-        run alive)."""
+        run alive) — for a broadcast, every correct pid but its sender."""
         cols = self.cols[:, : self.size]
-        ti = cols[_TI]
+        ti, ri = cols[_TI], cols[_RI]
         np.minimum.at(cand, ti, cols[_ARRIVE])
-        to_correct = status[ti, cols[_RI]] != _CRASHED
-        return np.bincount(ti[to_correct], minlength=cand.shape[0])
+        to_correct = status[ti, ri] != _CRASHED  # BROADCAST reads pid -1: unused
+        cast = ri == BROADCAST
+        if not cast.any():  # the randomized kernels' every fold: skip the weights
+            return np.bincount(ti[to_correct], minlength=cand.shape[0])
+        correct = status != _CRASHED
+        reach = np.where(
+            cast, correct.sum(axis=1)[ti] - correct[ti, cols[_SI]], to_correct
+        )
+        return np.bincount(ti, weights=reach, minlength=cand.shape[0])

@@ -137,6 +137,47 @@ def test_truncation_boundaries_are_wire_identical(max_steps):
             assert wire(BATCH.run_batch([spec])[0]) == wire(SCALAR.run_one(spec))
 
 
+# The broadcast pool entry (waves.py: an all-send is one row standing
+# for "every pid but me"). Each cell names the edge it is there for and
+# a predicate on the scalar outcome showing that some seed reaches it.
+BROADCAST_EDGES = {
+    # name: (adversary, n, f, max_steps, seeds, reached)
+    # Strategy 2.k.0's survivor floods at step 0 with budget left for
+    # fewer receivers than it has: the crash scan breaks mid-broadcast.
+    "budget-break-2.1.0": ("str-2.1.0", 12, 5, None, 12, lambda o: len(o.crashed) == 5),
+    "budget-break-2.2.0": ("str-2.2.0", 12, 5, None, 12, lambda o: len(o.crashed) == 5),
+    # As few travelling senders as a spec allows (|C| = F // 2 of 3):
+    # every traveller's due set is its own broadcast plus one other.
+    "omission-two-travel": ("omission", 3, 2, None, 12, lambda o: o.completed),
+    # A crash scheduled after the step-0 send and before the step-2
+    # arrival: the receiver drops what was addressed to it alive.
+    "crash-in-flight": (
+        "oblivious", 9, 4, None, 12, lambda o: {1, 2} & set(o.crash_steps.values()),
+    ),
+    "n2": ("none", 2, 1, None, 12, lambda o: o.completed),
+    # The peer crashes at step 0 in ~1 seed of 64: the lone broadcast
+    # has no correct receiver, so the run is quiescent, not truncated.
+    "n2-crashed-peer": ("oblivious", 2, 1, 1, 64, lambda o: o.completed and o.crashed),
+    # The survivor crashes both peers at step 0, so its own broadcast
+    # (arriving at 3) only has crashed receivers: pending at the
+    # truncation (max_steps 1) and at quiescence (max_steps 2).
+    "crashed-only-truncated": ("str-2.1.0", 3, 2, 1, 12, lambda o: not o.completed),
+    "crashed-only-quiescent": ("str-2.1.0", 3, 2, 2, 12, lambda o: o.completed),
+}
+
+
+@pytest.mark.parametrize("edge", BROADCAST_EDGES)
+def test_flood_broadcast_edges_are_wire_identical(edge):
+    adversary, n, f, max_steps, seeds, reached = BROADCAST_EDGES[edge]
+    limits = {} if max_steps is None else {"max_steps": max_steps}
+    specs = [
+        TrialSpec(protocol="flood", adversary=adversary, n=n, f=f, seed=seed, **limits)
+        for seed in range(seeds)
+    ]
+    assert_wire_identical(specs)
+    assert any(reached(SCALAR.run_one(spec)) for spec in specs)
+
+
 def test_batch_is_pure_slicing():
     """A batch of one equals the corresponding slice of a mixed batch —
     no cross-trial state."""
@@ -166,20 +207,24 @@ def test_word_boundary_n():
 
 
 def test_batch_validates_like_the_engine():
-    """Parameter validation mirrors Simulator.__init__ (same error type)."""
+    """Parameter validation mirrors Simulator.__init__: same error
+    type, same wording, for zero-draw and drawing kernels alike."""
     from repro.errors import ConfigurationError
 
-    for bad in (
-        TrialSpec(protocol="flood", adversary="none", n=1, f=0, seed=0),
-        TrialSpec(protocol="flood", adversary="none", n=4, f=4, seed=0),
-        TrialSpec(protocol="flood", adversary="none", n=4, f=1, seed=0, max_steps=0),
-    ):
-        if not BATCH.eligible(bad):
-            pytest.skip("cells not batch-eligible here")
-        with pytest.raises(ConfigurationError):
-            BATCH.run_batch([bad])
-        with pytest.raises(ConfigurationError):
-            SCALAR.run_one(bad)
+    for protocol, adversary in (("flood", "none"), ("push", "ugf")):
+        for bad in (
+            {"n": 1, "f": 0},
+            {"n": 4, "f": 4},
+            {"n": 4, "f": 1, "max_steps": 0},
+        ):
+            spec = TrialSpec(protocol=protocol, adversary=adversary, seed=0, **bad)
+            if not BATCH.eligible(spec):
+                pytest.skip("cells not batch-eligible here")
+            with pytest.raises(ConfigurationError) as batch_error:
+                BATCH.run_batch([spec])
+            with pytest.raises(ConfigurationError) as scalar_error:
+                SCALAR.run_one(spec)
+            assert str(batch_error.value) == str(scalar_error.value)
 
 
 def test_run_batch_rejects_ineligible_specs():

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.backends.batch.engine import _ASLEEP, _AWAKE, _NEVER, _CellRun
 from repro.backends.batch.waves import (
+    BROADCAST,
     KIND_GOSSIP,
     KIND_PULL,
     InFlightPool,
@@ -78,6 +79,62 @@ def test_crashed_receiver_drops_payload_but_forces_a_visited_step():
     cell._deliver()
     assert cell.received[0, 2] == 0 and not cell.pend_g[0, 2].any()
     assert cell.pool.size == 0
+
+
+def test_lone_broadcast_neither_wakes_nor_counts_for_its_sender():
+    """One broadcast row is one message to every pid but its sender: a
+    sender whose only due broadcast is its own sleeps on."""
+    cell = make_cell("flood")
+    cell.status[:] = _ASLEEP
+    cell.next_action[:] = _NEVER
+    cell._crash(0, 4)
+    cell.pool.append(
+        make_wave([(0, 2, BROADCAST, KIND_GOSSIP, 0, 3)], rows=[[0b0010_0000]])
+    )
+    cell.now[:] = 3
+    cell._deliver()
+    others = [0, 1, 3, 5]
+    assert cell.received[0].tolist() == [1, 1, 0, 1, 0, 1]
+    assert cell.wake_counts[0].tolist() == [1, 1, 0, 1, 0, 1]
+    assert (cell.status[0, others] == _AWAKE).all()
+    assert (cell.next_action[0, others] == 3).all()
+    assert cell.status[0, 2] == _ASLEEP and cell.next_action[0, 2] == _NEVER
+    assert cell.pend_g[0, others].tolist() == [[0b0010_0000]] * 4
+    assert not cell.pend_g[0, [2, 4]].any()
+    assert cell.received[1].sum() == 0 and cell.pool.size == 0
+
+
+def test_mixed_unicast_and_broadcast_rows_fold_and_leave_by_arrival_step():
+    cell = make_cell("flood")
+    cell._crash(0, 5)
+    cell.pool.append(
+        make_wave(
+            [
+                (0, 1, BROADCAST, KIND_GOSSIP, 0, 5),
+                (0, 2, 5, KIND_GOSSIP, 1, 5),  # to the crashed pid
+                (1, 3, BROADCAST, KIND_GOSSIP, 2, 7),
+                (0, 5, BROADCAST, KIND_GOSSIP, 3, 7),  # crashed after sending
+                (1, 0, 4, KIND_GOSSIP, 2, 5),
+            ],
+            rows=[[0x40], [0x20], [0x10], [0x04]],
+        )
+    )
+
+    def fold():
+        cand = np.full(cell.T, _NEVER, dtype=np.int64)
+        inflight = cell.pool.fold_pending(cell.status, cand)  # lowers cand
+        return cand.tolist(), inflight.tolist()
+
+    # trial 0: 1's broadcast reaches 4 correct others, the unicast none,
+    # 5's broadcast all 5 correct; trial 1: 5 for the broadcast + 1.
+    assert fold() == ([5, 5], [9, 6])
+    due = cell.pool.take_due(np.array([5, 5]), cell.live)
+    assert due[:3].T.tolist() == [[0, 1, BROADCAST], [0, 2, 5], [1, 0, 4]]
+    assert fold() == ([7, 7], [5, 5])
+    cell.now[:] = 7
+    cell._deliver()
+    assert cell.received.tolist() == [[1, 1, 1, 1, 1, 0], [1, 1, 1, 0, 1, 1]]
+    assert cell.pool.size == 0 and fold() == ([_NEVER, _NEVER], [0, 0])
 
 
 def test_entries_of_finished_trials_are_dropped_for_good():
