@@ -18,9 +18,9 @@ Two faces:
 
 Every cell runs the same wave engine; what differs is the kernel. The
 kernels that draw (push/pull/ears/sears under replayed adversaries)
-pay for draw-exactness with one scalar RNG call per protocol draw, so
-they cannot match the zero-draw kernels' 10x. They carry their own
-committed floor
+pay for draw-exactness with T x N seeded generators and a replay of
+every draw, so they cannot match the zero-draw kernels' floor. They
+carry their own committed floor
 (``benchmarks/baselines/BATCH_RANDOMIZED_BASELINE.json``, 5x) over a
 separate cell set; ``--check`` gates both sets, while the bare
 invocation keeps its historical meaning (deterministic cells only).
@@ -55,19 +55,20 @@ CELLS = (
 )
 
 #: Representative randomized cells: uniform-push under a static and an
-#: adaptive adversary, and both relational kernels under the UGF / its
+#: adaptive adversary, both relational kernels under the UGF / its
 #: hardest probe (ears x ugf is the top cell of the repo benchmark's
-#: `cold_batch_rand`). Re-measured after the in-flight pool (ISSUE 13,
-#: this script's defaults, N=48): push 10x, sears 11x, ears 9.5x — but
-#: the pull family only moved 4.7x -> 5.3x (pull x ugf) and 4.3x -> 4.5x
-#: (push-pull x ugf): its cost is the per-process candidate draw loop in
-#: the kernel, not delivery, so it still sits at the 5x line and stays
-#: covered by the differential battery but deliberately not gated here.
+#: `cold_batch_rand`), and the pull family under the UGF. Re-measured
+#: with every `integers` draw replayed from raw words (ISSUE 15, this
+#: script's defaults): push 11.5x / 12.9x, sears 10x, ears 15.7x, and —
+#: no longer a per-draw Python call — pull x ugf 5.3x -> 12.5x,
+#: push-pull x ugf 4.5x -> 13.4x.
 RANDOMIZED_CELLS = (
     {"protocol": "push", "adversary": "str-1", "n": 48},
     {"protocol": "push", "adversary": "ugf", "n": 48},
     {"protocol": "sears", "adversary": "str-2.1.1", "n": 32},
     {"protocol": "ears", "adversary": "ugf", "n": 48},
+    {"protocol": "pull", "adversary": "ugf", "n": 48},
+    {"protocol": "push-pull", "adversary": "ugf", "n": 48},
 )
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "BATCH_BASELINE.json"

@@ -17,6 +17,10 @@ A visited step touches the pool a fixed number of times, however many
 decision steps still have messages in flight: one masked select of
 "arrives now", one scatter of payload rows into the pending grids, one
 ``received`` update, one wake pass, one min/count fold for quiescence.
+The local pass likewise: knowledge rows are gathered, OR-ed and zeroed
+only for due processes that were delivered a payload since their last
+merge, and delivered pull requests wait in one flat (trial, answerer,
+requester) table until their answerer's next step.
 
 Scalar-fidelity notes, each load-bearing:
 
@@ -42,7 +46,7 @@ import numpy as np
 
 from repro.backends.batch.adversaries import build_plan
 from repro.backends.batch.kernels import make_kernel
-from repro.backends.batch.rng import ReplayPlane
+from repro.backends.batch.rng import ReplayPlane, check_stream_contract
 from repro.backends.batch.waves import (
     _ASLEEP,
     _AWAKE,
@@ -128,6 +132,8 @@ class _CellRun:
         eye[np.arange(n), np.arange(n) >> 3] = 128 >> (np.arange(n) & 7)
         self.K = np.tile(eye, (T, 1, 1))
         self.pend_g = np.zeros((T, n, W), dtype=np.uint8)
+        #: Whether a payload was delivered since the process last merged.
+        self.has_pending = np.zeros((T, n), dtype=bool)
         #: The pending grids as flat (T*n, row) views, one per snapshot
         #: table of the in-flight pool (deliveries scatter table -> view).
         self._pend_flat = [self.pend_g.reshape(T * n, W)]
@@ -156,9 +162,10 @@ class _CellRun:
         #: Every undelivered message, in scalar bucket order (waves.py).
         self.pool = InFlightPool(*(flat.shape[1] for flat in self._pend_flat))
         self.builder: WaveBuilder | None = None
-        #: (trial, pid) -> pull requesters awaiting an answer, in
-        #: delivery order (== the scalar mailbox drain order).
-        self.requesters: dict[tuple[int, int], list[int]] = {}
+        #: Delivered pull requests awaiting the answerer's next local
+        #: step: (trial, answerer, requester) columns in delivery order
+        #: (== the scalar mailbox drain order).
+        self.asked = np.empty((3, 0), dtype=np.int64)
 
         for i, victims in enumerate(self.plan.setup_crashes):
             for rho in victims:
@@ -170,6 +177,7 @@ class _CellRun:
     def plane(self) -> ReplayPlane:
         """Seeded on the first draw: T x N generators cost more than a
         whole flood or round-robin cell, which never draws."""
+        check_stream_contract()  # raises on a numpy the plane cannot replay
         return ReplayPlane(self.seeds, self.n, record=self._record_draws)
 
     def _crash(self, t: int, p: int) -> None:
@@ -239,12 +247,34 @@ class _CellRun:
                 sti, spi, targets, KIND_PULL, np.full(sti.size, -1, dtype=np.int64)
             )
 
+    def answer_pulls(self, due: np.ndarray) -> None:
+        """Due answerers send a snapshot to each requester they were
+        delivered, answerer-major and in delivery order within one —
+        the order the scalar pass drains its mailboxes. Requests stay
+        until their answerer acts; those of crashed answerers and of
+        finished trials are dropped."""
+        t, r, _ = self.asked
+        now = due[t, r]
+        ti, ri, si = self.asked[:, now]
+        order = np.argsort(ti * self.n + ri, kind="stable")
+        self.send_snapshots_grouped(
+            ti[order], ri[order], si[order, None], unique_senders=False
+        )
+        waiting = ~now & self.live[t] & (self.status[t, r] != _CRASHED)
+        self.asked = self.asked[:, waiting]
+
     # ------------------------------------------------------- step phases
 
     def _merge_due(self, due: np.ndarray) -> np.ndarray:
         """Drain pending payloads into K/I for due processes; return the
-        learned mask (union taught an unknown bit — see kernels.py)."""
-        ti, pi = np.nonzero(due)
+        learned mask (union taught an unknown bit — see kernels.py).
+        Only processes delivered a payload since their last merge are
+        touched: nobody else can learn."""
+        learned = np.zeros_like(due)
+        ti, pi = np.nonzero(due & self.has_pending)
+        if ti.size == 0:
+            return learned
+        self.has_pending[ti, pi] = False
         idx = ti * self.n + pi
         flat_k = self.K.reshape(-1, self.W)
         flat_p = self.pend_g.reshape(-1, self.W)
@@ -260,7 +290,6 @@ class _CellRun:
             flat_pi[idx] = 0
         flat_k[idx] |= pend
         flat_p[idx] = 0
-        learned = np.zeros_like(due)
         learned[ti, pi] = learned_rows
         return learned
 
@@ -279,16 +308,15 @@ class _CellRun:
         counts = np.bincount(dest, minlength=self.T * self.n)
         self.received += counts.reshape(self.T, self.n)
         if self.uses_pull:
-            pulls = kind == KIND_PULL
-            asked = np.flatnonzero(pulls)  # pool order == mailbox order
-            for t, r, s in zip(
-                ti[asked].tolist(), ri[asked].tolist(), si[asked].tolist()
-            ):
-                self.requesters.setdefault((t, r), []).append(s)
+            pulls = kind == KIND_PULL  # pool order == mailbox order
+            self.asked = np.concatenate(
+                [self.asked, np.stack([ti[pulls], ri[pulls], si[pulls]])], axis=1
+            )
             snaps = ~pulls
             sdest, suid = dest[snaps], uid[snaps]
         else:
             sdest, suid = dest, uid
+        self.has_pending.reshape(-1)[sdest] = True
         _scatter_or(
             self._pend_flat, self.pool.tables, sdest, suid, unique=counts.max() == 1
         )
@@ -315,6 +343,7 @@ class _CellRun:
             union = np.zeros((T, table.shape[1]), dtype=np.uint8)
             union[trials] = np.bitwise_or.reduceat(table[uid], starts, axis=0)
             pend[recv] |= union[recv // n]
+        self.has_pending.reshape(-1)[recv] = True
         self._wake(recv[self.status.reshape(-1)[recv] == _ASLEEP])
 
     def _wake(self, woken: np.ndarray) -> None:

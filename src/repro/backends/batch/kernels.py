@@ -3,20 +3,22 @@
 Each kernel owns the per-(trial, process) protocol state (quiet
 counters, pulled/pushed rows, has-sent flags) and implements one
 ``step(grid, due, learned)`` pass over the step's due mask, returning
-the mask of processes that fall asleep. State transitions are
-vectorized; the *draws* go through the acting process's own replay
-generator in scalar draw order (``np.nonzero`` on the due mask is
-row-major: trials ascending, pid ascending — the scalar engine's
-heap-pop order for one step), and the resulting send sets are
-registered as whole blocks (``grid.send_snapshots_grouped`` /
-``grid.send_pulls_block``). push and ears gather a pass's draws from
-the plane's prefetch buffer in one fancy index; the pull family's draw
-bounds are data-dependent (candidate-set sizes), so it draws one
-``Generator`` call at a time and emits its sends as three category
-blocks (answers, pull requests, eager pushes). flood and round-robin
-never draw, so their cell runs never seed a replay plane; an all-send
-(flood, SEARS at full fanout) is ``targets=None``, one broadcast entry
-per sender.
+the mask of processes that fall asleep. A pass is a fixed number of
+array operations, no Python per process: state transitions are
+vectorized, the *draws* of all due processes come from each one's own
+replay generator in one ``plane.bounded`` call per draw position
+(``np.nonzero`` on the due mask is row-major: trials ascending, pid
+ascending — the scalar engine's heap-pop order for one step), and the
+resulting send sets are registered as whole blocks
+(``grid.send_snapshots_grouped`` / ``grid.send_pulls_block``). push
+and ears draw with the fixed bound N - 1; the pull family's bounds are
+its per-row candidate-set sizes, its draw order per process stays
+pull then push, and its sends leave as three category blocks (answers
+— ``grid.answer_pulls`` — pull requests, eager pushes). SEARS alone
+still calls a ``Generator`` per sender (``choice``). flood and
+round-robin never draw, so their cell runs never seed a replay plane;
+an all-send (flood, SEARS at full fanout) is ``targets=None``, one
+broadcast entry per sender.
 
 Knowledge-merge bookkeeping note: the grids merge pending payloads
 with a single OR per drain and compute ``learned`` as "the pending
@@ -43,13 +45,8 @@ __all__ = ["BATCH_PROTOCOLS", "make_kernel"]
 
 
 def _draw_other_targets(g, sti, spi) -> np.ndarray:
-    """One ``pick_other`` draw per sender; (S, 1) targets.
-
-    Uses the plane's prefetched-block path: push and ears draw nothing
-    but uniform ``integers(n-1)`` from their generators, the one case
-    where block prefetch is stream-exact (see ReplayPlane).
-    """
-    v = g.plane.prefetched_integers(sti, spi, g.n - 1)
+    """One ``pick_other`` draw per sender; (S, 1) targets."""
+    v = g.plane.bounded(sti, spi, g.n - 1)
     return (v + (v >= spi))[:, None]
 
 
@@ -95,79 +92,38 @@ class PullKernel:
         dti, dpi = np.nonzero(due)
         if dti.size == 0:
             return sleep
-        # Candidate sets for the whole pass at once; the per-row draw
-        # then lands on the j-th set bit via the cumulative counts
-        # (searchsorted), replacing a flatnonzero per process.
+        # Sends leave as three blocks: answers, pull requests, eager
+        # pushes. Per-sender relative order (answers -> pull -> push)
+        # survives the split, and cross-sender order is only observable
+        # within a category (answerers see pulls in delivery order, the
+        # survivor scan sees each sender's own subsequence) — so the
+        # wave stays scalar-ordered everywhere it matters.
+        g.answer_pulls(due)
         known = np.unpackbits(g.K[dti, dpi], axis=1, count=g.n).astype(bool)
         avail = ~known
         avail &= ~self.pulled[dti, dpi]
         counts = avail.sum(axis=1)
-        cum = avail.cumsum(axis=1)
-        if self.push:
-            avail_push = ~self.pushed[dti, dpi]
-            push_counts = avail_push.sum(axis=1).tolist()
-            cum_push = avail_push.cumsum(axis=1)
-        plane = g.plane
-        if plane.log is None:
-            gens = plane.gens
-
-            def draw(t: int, p: int, high: int) -> int:
-                return int(gens[t][p].integers(high))
-
-        else:
-            draw = plane.integers
-        requesters = g.requesters
-        tl, pl = dti.tolist(), dpi.tolist()
-        count_list = counts.tolist()
-        # Sends are collected per category and emitted as three blocks:
-        # answers, pull requests, eager pushes. Per-sender relative
-        # order (answers -> pull -> push) survives the split, and
-        # cross-sender order is only observable within a category
-        # (requester queues see pulls, the survivor scan sees each
-        # sender's own subsequence) — so the wave stays scalar-ordered
-        # everywhere it matters.
-        a_t: list[int] = []; a_p: list[int] = []; a_r: list[int] = []
-        q_t: list[int] = []; q_p: list[int] = []; q_r: list[int] = []
-        b_t: list[int] = []; b_p: list[int] = []; b_r: list[int] = []
-        s_t: list[int] = []; s_p: list[int] = []
-        for i in range(len(tl)):
-            t, p = tl[i], pl[i]
-            if requesters:
-                reqs = requesters.pop((t, p), None)
-                if reqs:
-                    for requester in reqs:
-                        a_t.append(t); a_p.append(p); a_r.append(requester)
-            count = count_list[i]
-            if count == 0:
-                s_t.append(t); s_p.append(p)
-                continue
-            target = int(cum[i].searchsorted(draw(t, p, count) + 1))
-            q_t.append(t); q_p.append(p); q_r.append(target)
-            self.pulled[t, p, target] = True
-            if self.push:
-                push_count = push_counts[i]
-                if push_count:
-                    tgt = int(
-                        cum_push[i].searchsorted(draw(t, p, push_count) + 1)
-                    )
-                    b_t.append(t); b_p.append(p); b_r.append(tgt)
-                    self.pushed[t, p, tgt] = True
-            if count == 1:  # the pull just consumed the last candidate
-                s_t.append(t); s_p.append(p)
-        if a_t:
-            g.send_snapshots_grouped(
-                np.asarray(a_t), np.asarray(a_p),
-                np.asarray(a_r)[:, None], unique_senders=False,
-            )
-        if q_t:
-            g.send_pulls_block(np.asarray(q_t), np.asarray(q_p), np.asarray(q_r))
-        if b_t:
-            g.send_snapshots_grouped(
-                np.asarray(b_t), np.asarray(b_p), np.asarray(b_r)[:, None]
-            )
-        if s_t:
-            sleep[s_t, s_p] = True
+        sleep[dti, dpi] = counts <= 1  # covered, or this pull covers it
+        ti, pi, targets = self._pick(g, dti, dpi, avail, counts)
+        g.send_pulls_block(ti, pi, targets)
+        self.pulled[ti, pi, targets] = True
+        if self.push:  # only those that pulled draw again
+            avail = ~self.pushed[ti, pi]
+            ti, pi, targets = self._pick(g, ti, pi, avail, avail.sum(axis=1))
+            g.send_snapshots_grouped(ti, pi, targets[:, None])
+            self.pushed[ti, pi, targets] = True
         return sleep
+
+    @staticmethod
+    def _pick(g, ti, pi, avail, counts):
+        """One uniform draw among each row's ``counts[i]`` set bits of
+        ``avail[i]``; rows without a candidate draw nothing. Returns the
+        drawing rows' (ti, pi) and the pid each picked — that of its
+        (draw + 1)-th set bit."""
+        some = counts > 0
+        ti, pi, avail = ti[some], pi[some], avail[some]
+        j = g.plane.bounded(ti, pi, counts[some])
+        return ti, pi, (avail.cumsum(axis=1) <= j[:, None]).sum(axis=1)
 
 
 class PushPullKernel(PullKernel):
@@ -190,13 +146,21 @@ class _RelationalKernel:
     def __init__(self, n: int, f: int, T: int):
         self.quiet = np.zeros((T, n), dtype=np.int64)
         self.has_sent = np.zeros((T, n), dtype=bool)
+        #: The dissemination proof failed on the ``(K, I)`` the process
+        #: holds now; cleared when it learns.
+        self.unproven = np.zeros((T, n), dtype=bool)
 
     def _sleepers(self, g, due):
         """Scalar rule: has_sent and quiet >= patience and (dissemination
-        provably complete or a further give_up steps of silence)."""
-        sleep = np.zeros_like(due)
+        provably complete or a further give_up steps of silence).
+
+        A candidate sat out ``patience >= 1`` quiet steps, so its
+        ``(K, I)`` is what it was when the proof last ran: the (S, N, W)
+        containment check runs once per state of knowledge, not once
+        per step."""
         cand = due & self.has_sent & (self.quiet >= self.patience)
-        cti, cpi = np.nonzero(cand)
+        sleep = cand & (self.quiet >= self.patience + self.give_up)
+        cti, cpi = np.nonzero(cand & ~sleep & ~self.unproven)
         if cti.size == 0:
             return sleep
         gb = g.K[cti, cpi]  # (S, W) each candidate's gossip row
@@ -204,12 +168,14 @@ class _RelationalKernel:
         contains = ((rel & gb[:, None, :]) == gb[:, None, :]).all(axis=2)
         known = np.unpackbits(gb, axis=1, count=g.n).astype(bool)
         done = (contains | ~known).all(axis=1)
-        done |= self.quiet[cti, cpi] >= self.patience + self.give_up
-        sleep[cti[done], cpi[done]] = True
+        sleep[cti, cpi] = done
+        self.unproven[cti, cpi] = ~done
         return sleep
 
     def step(self, g, due, learned):
-        self.quiet[due & learned] = 0
+        fresh = due & learned
+        self.quiet[fresh] = 0
+        self.unproven[fresh] = False
         self.quiet[due & ~learned] += 1
         sleep = self._sleepers(g, due)
         senders = due & ~sleep

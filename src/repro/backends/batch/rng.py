@@ -15,33 +15,41 @@ same method calls in the same per-process order as the scalar engine
 — which the protocol kernels do by construction, replaying each local
 step's draws for exactly the processes that are due.
 
-The plane therefore holds a (trial × process) matrix of real
+The plane holds a (trial × process) matrix of real
 ``numpy.random.Generator`` objects seeded exactly like ``bind`` seeds
-them, advanced draw-by-draw. A draw whose bound depends on the
-process's state (pull's candidate-set sizes, push-pull's two-draw
-sequence) is one scalar Python call — the price of exactness, still
-far cheaper than a whole scalar local step, which is where the
-randomized kernels' ≥5× floor comes from. Where every draw on a
-generator is the same ``integers(high)`` (push, ears) the plane
-prefetches BLOCK draws per generator into a (T, n, BLOCK) buffer with
-a (T, n) cursor: a pass gathers its draws in one fancy index and only
-a refill calls a ``Generator``.
+them. Every ``integers(high)`` draw — push, ears, and the pull family's
+data-dependent candidate-set bounds alike — goes through
+:meth:`ReplayPlane.bounded`, which never calls ``integers``: it
+prefetches each generator's *raw* PCG64 output with
+``bit_generator.random_raw`` into a (T, n, 2·BLOCK) buffer of 32-bit
+words with a (T, n) cursor and replays numpy's bounded draw on those
+words as array arithmetic, so a pass costs a fixed number of array
+operations whatever its bounds and a ``Generator`` is touched only on
+refill. Three numpy facts make that exact (docs/BACKENDS.md, "Bounded
+draws from raw words"); they carry no cross-version guarantee, so the
+engine checks them once per process before it builds its first plane
+(:func:`check_stream_contract`) and declines loudly.
 
-With ``record=True`` every draw is logged per (trial, process) — the
-seeded draw-order property test (``tests/backends/test_draw_order.py``)
-compares these logs against a recording proxy wrapped around the
-scalar engine's generators.
+With ``record=True`` every draw is logged per (trial, process), from
+the same arrays the production path returns — the seeded draw-order
+property test (``tests/backends/test_draw_order.py``) compares these
+logs against a recording proxy wrapped around the scalar engine's
+generators.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.sim.rng import RandomSource
 
-__all__ = ["ReplayPlane", "RecordingGenerator", "adversary_stream"]
+__all__ = [
+    "ReplayPlane", "RecordingGenerator", "adversary_stream", "check_stream_contract",
+]
 
 
 def adversary_stream(seed: int) -> np.random.Generator:
@@ -50,15 +58,18 @@ def adversary_stream(seed: int) -> np.random.Generator:
 
 
 class ReplayPlane:
-    """Per-(trial, process) generator matrix mirroring ``bind``'s seeding."""
+    """Per-(trial, process) generator matrix mirroring ``bind``'s seeding.
 
-    #: Draws prefetched per generator by :meth:`prefetched_integers`.
-    #: numpy's bounded-integer fill consumes the bit stream exactly like
-    #: the same number of scalar ``integers(high)`` calls (pinned by
-    #: ``tests/backends/test_draw_order.py``), so a block costs one
-    #: Generator call instead of ~32 — sized to a couple of patience
-    #: windows so over-fetch stays cheap.
-    BLOCK = 32
+    A plane's generators must be driven through :meth:`bounded` only or
+    through :meth:`choice` only (SEARS): a refill advances a generator
+    past the draws consumed so far, which would corrupt any interleaved
+    call on the ``Generator`` itself.
+    """
+
+    #: 64-bit outputs fetched per refill, i.e. 2*BLOCK buffered 32-bit
+    #: words per generator — a couple of patience windows, so
+    #: over-fetch stays cheap.
+    BLOCK = 16
 
     __slots__ = ("n", "gens", "log", "_buf", "_pos")
 
@@ -69,9 +80,10 @@ class ReplayPlane:
             stream = RandomSource(seed).stream("protocol")
             per_process = stream.integers(0, 2**63 - 1, size=n)
             self.gens.append([np.random.default_rng(int(s)) for s in per_process])
-        #: Prefetched draws; per generator, how many are consumed.
-        self._buf = np.zeros((len(seeds), n, self.BLOCK), dtype=np.int64)
-        self._pos = np.full((len(seeds), n), self.BLOCK, dtype=np.int64)
+        #: Prefetched 32-bit words in consumption order; per generator,
+        #: how many are consumed.
+        self._buf = np.zeros((len(seeds), n, 2 * self.BLOCK), dtype=np.uint64)
+        self._pos = np.full((len(seeds), n), 2 * self.BLOCK, dtype=np.int64)
         #: ``log[t][p]`` is the draw sequence of process p in trial t,
         #: entries ("integers", high, value) / ("choice", high, size,
         #: values); None unless *record*.
@@ -79,34 +91,53 @@ class ReplayPlane:
             [[[] for _ in range(n)] for _ in seeds] if record else None
         )
 
-    def prefetched_integers(self, ti, pi, high: int) -> np.ndarray:
-        """One :meth:`integers` draw for each (ti[i], pi[i]) — distinct
-        generators — gathered from per-generator prefetched blocks.
+    def bounded(self, ti, pi, high) -> np.ndarray:
+        """One ``Generator.integers(high[i])`` draw (``1 <= high <= 2**32``,
+        a scalar or one bound per row) for each (ti[i], pi[i]) — distinct
+        generators — replayed on the prefetched words.
 
-        Only safe for kernels whose *every* draw on these generators is
-        a uniform ``integers(high)`` with one fixed bound (push, ears):
-        prefetching advances a generator past the draws consumed so
-        far, which would corrupt any interleaved differently-shaped
-        draw. The pull family therefore never touches this path.
+        numpy's draw is Lemire's: value ``(word * high) >> 32``, the word
+        rejected while ``(word * high) & 0xFFFFFFFF < (2**32 - high) %
+        high`` — rare (about ``high / 2**32``) but replayed exactly, one
+        more pass over just those rows. ``high == 1`` is 0 and consumes
+        no word.
         """
-        pos = self._pos[ti, pi]
-        for j in np.flatnonzero(pos == self.BLOCK).tolist():
-            t, p = int(ti[j]), int(pi[j])
-            self._buf[t, p] = self.gens[t][p].integers(high, size=self.BLOCK)
-            pos[j] = 0
-        values = self._buf[ti, pi, pos]
-        self._pos[ti, pi] = pos + 1
+        high = np.asarray(high, dtype=np.uint64)
+        if high.ndim == 0:
+            high = np.full(ti.shape, high)
+        values = np.zeros(ti.shape, dtype=np.int64)
+        rows = np.flatnonzero(high > 1)
+        while rows.size:
+            t, p, h = ti[rows], pi[rows], high[rows]
+            pos = self._pos[t, p]
+            empty = np.flatnonzero(pos == 2 * self.BLOCK)
+            if empty.size:
+                te, pe = t[empty], p[empty]
+                raw = np.array(
+                    [
+                        self.gens[i][j].bit_generator.random_raw(self.BLOCK)
+                        for i, j in zip(te.tolist(), pe.tolist())
+                    ]
+                )
+                # 32-bit draws take the low half of each output first.
+                halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2)
+                self._buf[te, pe] = halves.reshape(empty.size, -1)
+                pos[empty] = 0
+            m = self._buf[t, p, pos] * h
+            self._pos[t, p] = pos + 1
+            values[rows] = m >> 32
+            left = m & 0xFFFFFFFF
+            again = np.flatnonzero(left < h)  # numpy's cheap bound on the threshold
+            if again.size:
+                h = h[again]
+                again = again[left[again] < (2**32 - h) % h]
+            rows = rows[again]
         if self.log is not None:
-            for t, p, v in zip(ti.tolist(), pi.tolist(), values.tolist()):
-                self.log[t][p].append(("integers", int(high), v))
+            for t, p, h, v in zip(
+                ti.tolist(), pi.tolist(), high.tolist(), values.tolist()
+            ):
+                self.log[t][p].append(("integers", h, v))
         return values
-
-    def integers(self, t: int, p: int, high: int) -> int:
-        """One ``Generator.integers(high)`` draw of process *p* in trial *t*."""
-        value = int(self.gens[t][p].integers(high))
-        if self.log is not None:
-            self.log[t][p].append(("integers", int(high), value))
-        return value
 
     def choice(self, t: int, p: int, high: int, size: int) -> np.ndarray:
         """One ``Generator.choice(high, size, replace=False)`` draw.
@@ -119,6 +150,26 @@ class ReplayPlane:
                 ("choice", int(high), int(size), tuple(int(x) for x in picks))
             )
         return picks
+
+
+@functools.cache  # a pass is remembered, a mismatch raises every time
+def check_stream_contract() -> None:
+    """Compare :meth:`ReplayPlane.bounded` with ``Generator.integers`` on
+    a throw-away generator across a refill: word order, scaling, the
+    rejection rule (``3 * 2**30`` rejects a quarter of its words), the
+    free ``high == 1``. ``Generator`` streams may change between numpy
+    versions; a mismatch sends this process's batches to the scalar
+    engine rather than produce different outcomes."""
+    highs = [6, 1, 3 * 2**30, 2, 2**32, 1, 47, 2**31 + 1] * 5
+    plane, reference = ReplayPlane([0], 1), ReplayPlane([0], 1).gens[0][0]
+    at = np.zeros(1, dtype=np.int64)
+    got = [int(plane.bounded(at, at, high)[0]) for high in highs]
+    if got != [int(reference.integers(high)) for high in highs]:
+        raise SimulationError(
+            f"numpy {np.__version__}: Generator.integers does not draw the way "
+            "the batch replay plane replays it (32-bit Lemire on PCG64 raw "
+            "words, low half first)"
+        )
 
 
 class RecordingGenerator:

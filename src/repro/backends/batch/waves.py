@@ -16,8 +16,9 @@ ascending, then pid ascending within the step's due set, then each
 process's own send order. The pool appends waves in creation order and
 only ever removes entries by *stable* compaction, so the pool
 restricted to one arrival step is the scalar network's bucket for that
-step — which matters wherever delivery order is observable: pull
-requester queues and Strategy 2.k.0's budget-bounded crash scan.
+step — which matters wherever delivery order is observable: the order
+pull requests are answered in and Strategy 2.k.0's budget-bounded
+crash scan.
 
 Lifetime. An entry leaves when it is delivered or when its trial stops
 being live; nothing is marked and kept. Payload snapshots live in one

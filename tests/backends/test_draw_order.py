@@ -74,22 +74,30 @@ def test_replay_plane_matches_scalar_draw_order(protocol):
         assert plane.log[0] == expected, spec
 
 
-@pytest.mark.parametrize("protocol", ["push", "ears"])
-def test_vectorised_prefetch_is_draw_exact_across_refills(protocol):
-    """push and ears gather a whole pass's draws from the plane's
-    (T, n, BLOCK) prefetch buffer. Under UGF's delays processes draw
-    well past one block, at different times per trial and process, so
-    the refill at draw BLOCK -> BLOCK + 1 happens mid-pass for some
-    generators and not others — the logs must still equal the scalar
-    engine's draw for draw."""
+@pytest.mark.parametrize("protocol", ["push", "ears", "pull", "push-pull"])
+def test_vectorised_prefetch_is_draw_exact_across_refills(protocol, monkeypatch):
+    """Every ``integers`` draw of a pass comes out of the plane's
+    (T, n, 2*BLOCK) buffer of prefetched raw words. Under UGF's delays
+    processes draw well past one refill, at different times per trial
+    and process, so the refill happens mid-pass for some generators and
+    not others — the logs must still equal the scalar engine's draw for
+    draw. The pull family adds per-row bounds, among them the
+    ``high == 1`` draws (one candidate left) that consume no word; its
+    processes draw only some 15 words each at this N, so its cases
+    shrink the block to meet the boundary."""
+    block = 4 if "pull" in protocol else ReplayPlane.BLOCK
+    monkeypatch.setattr(ReplayPlane, "BLOCK", block)
     seeds = [1, 2, 3]
     spec = TrialSpec(protocol=protocol, adversary="ugf", n=20, f=6, seed=seeds[0])
     _, plane = run_cell(spec, seeds, record_draws=True)
-    crossed = 0
+    crossed = free = 0
     for t, seed in enumerate(seeds):
         expected = scalar_draw_log(
             TrialSpec(protocol=protocol, adversary="ugf", n=20, f=6, seed=seed)
         )
         assert plane.log[t] == expected, seed
-        crossed += sum(len(log) > ReplayPlane.BLOCK for log in expected)
+        words = [sum(high > 1 for _, high, _ in log) for log in expected]
+        crossed += sum(w > 2 * block for w in words)
+        free += sum(len(log) - w for log, w in zip(expected, words))
     assert crossed >= 10  # the boundary was really exercised
+    assert free >= 10 or "pull" not in protocol  # and so was high == 1
