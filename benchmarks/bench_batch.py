@@ -26,8 +26,8 @@ separate cell set; ``--check`` gates both sets, while the bare
 invocation keeps its historical meaning (deterministic cells only).
 
 The gate is a ratio of two rates measured in the same process on the
-same machine, so unlike the absolute rates in BENCH_*.json reports it
-is portable across hardware.
+same machine, so unlike the absolute rates the repo benchmark records
+(``benchmarks/suite``) it is portable across hardware.
 """
 
 from __future__ import annotations

@@ -9,23 +9,16 @@ Two faces:
 - ``python benchmarks/bench_chaos.py`` is the self-contained smoke
   check CI runs: it times a fault-free batch through
   ``Campaign.run_trials`` and through a :class:`Supervisor` with no
-  fault plan armed (best-of-R interleaved rounds to damp scheduler
-  noise), prints the overhead percentage, and exits non-zero when the
-  supervised run exceeds its acceptance bound (5% over plain by
-  default). The supervisor is meant to wrap *every* long campaign —
-  classification, the quarantine ledger and the degradation ladder
-  must all collapse to near-nothing on the happy path, so the
-  overhead is a contract, not a curiosity. Methodology is identical
-  to ``bench_obs.py``: the gate is the *minimum per-round ratio* —
-  one scheduler-quiet round proves the overhead low, while a true
-  regression inflates every round.
+  fault plan armed (interleaved rounds, min paired ratio:
+  ``overhead_gate.py``), prints the overhead percentage, and exits
+  non-zero when the supervised run exceeds its acceptance bound (5%
+  over plain by default). The supervisor is meant to wrap *every* long
+  campaign — classification, the quarantine ledger and the degradation
+  ladder must all collapse to near-nothing on the happy path, so the
+  overhead is a contract, not a curiosity.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
-import time
 
 import pytest
 
@@ -33,23 +26,15 @@ from repro.campaign import Campaign
 from repro.chaos.supervisor import Supervisor
 from repro.experiments.config import TrialSpec
 
+try:
+    from benchmarks import overhead_gate
+except ModuleNotFoundError:  # run as a script: benchmarks/ itself is sys.path[0]
+    import overhead_gate
+
 #: One representative attacked trial (paper scale F = 0.3 N).
 TRIAL = {"protocol": "push-pull", "adversary": "ugf", "n": 100, "f": 30}
 
 SETTINGS = ("plain", "supervised")
-
-
-def _specs(seeds: int) -> "list[TrialSpec]":
-    return [
-        TrialSpec(
-            protocol=TRIAL["protocol"],
-            adversary=TRIAL["adversary"],
-            n=TRIAL["n"],
-            f=TRIAL["f"],
-            seed=seed,
-        )
-        for seed in range(seeds)
-    ]
 
 
 def run_once(setting: str, seeds: int = 1) -> None:
@@ -57,7 +42,7 @@ def run_once(setting: str, seeds: int = 1) -> None:
     # work, and the only difference between settings is the supervisor
     # wrapper itself.
     with Campaign(cache_dir=None, workers=1, use_cache=False) as campaign:
-        specs = _specs(seeds)
+        specs = [TrialSpec(seed=seed, **TRIAL) for seed in range(seeds)]
         if setting == "supervised":
             run = Supervisor(campaign).run_trials(specs)
             assert run.verdict == "clean"
@@ -72,59 +57,11 @@ def test_supervisor_overhead(benchmark, setting):
     benchmark(run_once, setting)
 
 
-def _measure_rounds(seeds: int, repeats: int) -> "list[tuple[float, float]]":
-    """Paired (plain, supervised) wall times over interleaved rounds."""
-    rounds: list[tuple[float, float]] = []
-    for _ in range(repeats):
-        pair = []
-        for setting in SETTINGS:
-            start = time.perf_counter()
-            run_once(setting, seeds)
-            pair.append(time.perf_counter() - start)
-        rounds.append((pair[0], pair[1]))
-    return rounds
-
-
-def paired_overhead_pct(rounds: "list[tuple[float, float]]") -> float:
-    """The gated number: min over rounds of (supervised/plain - 1), %."""
-    return 100.0 * (min(on / off for off, on in rounds) - 1.0)
-
-
 def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=3, help="trials per timing")
-    parser.add_argument("--repeats", type=int, default=5, help="timings (best wins)")
-    parser.add_argument(
-        "--fail-over",
-        type=float,
-        default=5.0,
-        metavar="PCT",
-        help="exit 1 if supervised execution costs more than PCT%% over "
-        "plain (<= 0 disables the gate)",
+    return overhead_gate.main(
+        argv, doc=__doc__, trial=TRIAL, settings=SETTINGS, run_once=run_once,
+        gated="supervised", bound=5.0, what="supervisor",
     )
-    args = parser.parse_args(argv)
-
-    rounds = _measure_rounds(args.seeds, args.repeats)
-    best_plain = min(off for off, _ in rounds)
-    best_supervised = min(on for _, on in rounds)
-    gate = paired_overhead_pct(rounds)
-    print(
-        f"{TRIAL['protocol']} vs {TRIAL['adversary']} "
-        f"(N={TRIAL['n']}, F={TRIAL['f']}), {args.seeds} trial(s), "
-        f"best of {args.repeats}:"
-    )
-    print(f"  plain      {best_plain:8.3f}s")
-    print(f"  supervised {best_supervised:8.3f}s")
-    print(f"  overhead (best paired round): {gate:+.1f}%")
-
-    if args.fail_over > 0 and gate > args.fail_over:
-        print(
-            f"FAIL: supervisor overhead {gate:.1f}% exceeds "
-            f"{args.fail_over:.0f}%",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -7,20 +7,16 @@ Two faces:
   groups;
 - ``python benchmarks/bench_check.py`` is the self-contained smoke
   check CI runs: it times off / counters / full on one representative
-  attacked trial (best-of-R to damp scheduler noise), prints the
-  overhead percentages, and exits non-zero if the ``counters`` preset
-  exceeds its acceptance bound (10% over off by default) — the
-  ``counters`` preset is the always-on candidate, so its overhead is a
-  contract, not a curiosity. The ``full`` preset adds an O(N) knowledge
-  scan per local step and is expected to be visibly slower; it is
-  reported but not gated.
+  attacked trial (interleaved rounds, min paired ratio:
+  ``overhead_gate.py``), prints the overhead percentages, and exits
+  non-zero if the ``counters`` preset exceeds its acceptance bound (10%
+  over off by default) — the ``counters`` preset is the always-on
+  candidate, so its overhead is a contract, not a curiosity. The
+  ``full`` preset adds an O(N) knowledge scan per local step and is
+  expected to be visibly slower; it is reported but not gated.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
-import time
 
 import pytest
 
@@ -28,78 +24,41 @@ from repro.core.registry import make_adversary
 from repro.protocols.registry import make_protocol
 from repro.sim.engine import simulate
 
+try:
+    from benchmarks import overhead_gate
+except ModuleNotFoundError:  # run as a script: benchmarks/ itself is sys.path[0]
+    import overhead_gate
+
 #: One representative attacked trial (paper scale F = 0.3 N).
 TRIAL = {"protocol": "push-pull", "adversary": "ugf", "n": 100, "f": 30}
 
-SETTINGS = (None, "warn:counters", "warn")
+#: Label -> ``sanitize=`` value.
+SETTINGS = {"off": None, "counters": "warn:counters", "full": "warn"}
 
 
-def run_once(sanitize: "str | None", seed: int = 0) -> None:
-    simulate(
-        make_protocol(TRIAL["protocol"]),
-        make_adversary(TRIAL["adversary"]),
-        n=TRIAL["n"],
-        f=TRIAL["f"],
-        seed=seed,
-        sanitize=sanitize,
-    )
+def run_once(setting: str, seeds: int = 1) -> None:
+    for seed in range(seeds):
+        simulate(
+            make_protocol(TRIAL["protocol"]),
+            make_adversary(TRIAL["adversary"]),
+            n=TRIAL["n"],
+            f=TRIAL["f"],
+            seed=seed,
+            sanitize=SETTINGS[setting],
+        )
 
 
 @pytest.mark.benchmark(group="sanitizer")
-@pytest.mark.parametrize(
-    "sanitize", SETTINGS, ids=["off", "counters", "full"]
-)
-def test_sanitizer_overhead(benchmark, sanitize):
-    benchmark(run_once, sanitize)
-
-
-def _best_of(sanitize: "str | None", seeds: int, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for seed in range(seeds):
-            run_once(sanitize, seed)
-        best = min(best, time.perf_counter() - start)
-    return best
+@pytest.mark.parametrize("setting", SETTINGS, ids=list(SETTINGS))
+def test_sanitizer_overhead(benchmark, setting):
+    benchmark(run_once, setting)
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=3, help="trials per timing")
-    parser.add_argument("--repeats", type=int, default=5, help="timings (best wins)")
-    parser.add_argument(
-        "--fail-over",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="exit 1 if the counters preset costs more than PCT%% over off "
-        "(<= 0 disables the gate)",
+    return overhead_gate.main(
+        argv, doc=__doc__, trial=TRIAL, settings=SETTINGS, run_once=run_once,
+        gated="counters", bound=10.0, what="counters preset",
     )
-    args = parser.parse_args(argv)
-
-    timings = {s: _best_of(s, args.seeds, args.repeats) for s in SETTINGS}
-    off = timings[None]
-    print(
-        f"{TRIAL['protocol']} vs {TRIAL['adversary']} "
-        f"(N={TRIAL['n']}, F={TRIAL['f']}), {args.seeds} trial(s), "
-        f"best of {args.repeats}:"
-    )
-    overheads = {}
-    for setting in SETTINGS:
-        label = {None: "off", "warn:counters": "counters", "warn": "full"}[setting]
-        pct = 100.0 * (timings[setting] / off - 1.0)
-        overheads[setting] = pct
-        print(f"  {label:<10} {timings[setting]:8.3f}s  {pct:+6.1f}%")
-
-    gate = overheads["warn:counters"]
-    if args.fail_over > 0 and gate > args.fail_over:
-        print(
-            f"FAIL: counters preset overhead {gate:.1f}% exceeds "
-            f"{args.fail_over:.0f}%",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -6,20 +6,16 @@ Two faces:
   same trial with metrics off / on as classic pytest-benchmark groups;
 - ``python benchmarks/bench_obs.py`` is the self-contained smoke
   check CI runs: it times metrics-off and metrics-on on one
-  representative attacked trial (best-of-R to damp scheduler noise),
-  prints the overhead percentage, and exits non-zero when the
-  metrics-on run exceeds its acceptance bound (5% over off by
-  default). Metrics are the always-on candidate for long campaigns,
-  so the overhead is a contract, not a curiosity — the engine inlines
-  its span timing (one ``perf_counter`` pair per step, no context
-  manager allocation) specifically to stay under this gate.
+  representative attacked trial (interleaved rounds, min paired ratio:
+  ``overhead_gate.py``), prints the overhead percentage, and exits
+  non-zero when the metrics-on run exceeds its acceptance bound (5%
+  over off by default). Metrics are the always-on candidate for long
+  campaigns, so the overhead is a contract, not a curiosity — the
+  engine inlines its span timing (one ``perf_counter`` pair per step,
+  no context manager allocation) specifically to stay under this gate.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
-import time
 
 import pytest
 
@@ -28,21 +24,27 @@ from repro.obs import MetricsRegistry
 from repro.protocols.registry import make_protocol
 from repro.sim.engine import simulate
 
+try:
+    from benchmarks import overhead_gate
+except ModuleNotFoundError:  # run as a script: benchmarks/ itself is sys.path[0]
+    import overhead_gate
+
 #: One representative attacked trial (paper scale F = 0.3 N).
 TRIAL = {"protocol": "push-pull", "adversary": "ugf", "n": 100, "f": 30}
 
 SETTINGS = ("off", "on")
 
 
-def run_once(setting: str, seed: int = 0) -> None:
-    simulate(
-        make_protocol(TRIAL["protocol"]),
-        make_adversary(TRIAL["adversary"]),
-        n=TRIAL["n"],
-        f=TRIAL["f"],
-        seed=seed,
-        metrics=MetricsRegistry() if setting == "on" else False,
-    )
+def run_once(setting: str, seeds: int = 1) -> None:
+    for seed in range(seeds):
+        simulate(
+            make_protocol(TRIAL["protocol"]),
+            make_adversary(TRIAL["adversary"]),
+            n=TRIAL["n"],
+            f=TRIAL["f"],
+            seed=seed,
+            metrics=MetricsRegistry() if setting == "on" else False,
+        )
 
 
 @pytest.mark.benchmark(group="metrics")
@@ -51,67 +53,11 @@ def test_metrics_overhead(benchmark, setting):
     benchmark(run_once, setting)
 
 
-def _measure_rounds(seeds: int, repeats: int) -> "list[tuple[float, float]]":
-    """Paired (off, on) wall times over *repeats* interleaved rounds.
-
-    Settings alternate within each round so ambient load drift hits
-    both; the gate then takes the *minimum per-round ratio* — one
-    scheduler-quiet round is enough to prove the overhead low, whereas
-    a true regression inflates every round's ratio. That makes the
-    gate robust on noisy shared machines where independent best-of
-    timings still flake.
-    """
-    rounds: list[tuple[float, float]] = []
-    for _ in range(repeats):
-        pair = []
-        for setting in SETTINGS:
-            start = time.perf_counter()
-            for seed in range(seeds):
-                run_once(setting, seed)
-            pair.append(time.perf_counter() - start)
-        rounds.append((pair[0], pair[1]))
-    return rounds
-
-
-def paired_overhead_pct(rounds: "list[tuple[float, float]]") -> float:
-    """The gated number: min over rounds of (on/off - 1), as percent."""
-    return 100.0 * (min(on / off for off, on in rounds) - 1.0)
-
-
 def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=3, help="trials per timing")
-    parser.add_argument("--repeats", type=int, default=5, help="timings (best wins)")
-    parser.add_argument(
-        "--fail-over",
-        type=float,
-        default=5.0,
-        metavar="PCT",
-        help="exit 1 if metrics-on costs more than PCT%% over off "
-        "(<= 0 disables the gate)",
+    return overhead_gate.main(
+        argv, doc=__doc__, trial=TRIAL, settings=SETTINGS, run_once=run_once,
+        gated="on", bound=5.0, what="metrics",
     )
-    args = parser.parse_args(argv)
-
-    rounds = _measure_rounds(args.seeds, args.repeats)
-    best_off = min(off for off, _ in rounds)
-    best_on = min(on for _, on in rounds)
-    gate = paired_overhead_pct(rounds)
-    print(
-        f"{TRIAL['protocol']} vs {TRIAL['adversary']} "
-        f"(N={TRIAL['n']}, F={TRIAL['f']}), {args.seeds} trial(s), "
-        f"best of {args.repeats}:"
-    )
-    print(f"  off        {best_off:8.3f}s")
-    print(f"  on         {best_on:8.3f}s")
-    print(f"  overhead (best paired round): {gate:+.1f}%")
-
-    if args.fail_over > 0 and gate > args.fail_over:
-        print(
-            f"FAIL: metrics overhead {gate:.1f}% exceeds {args.fail_over:.0f}%",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

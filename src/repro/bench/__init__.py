@@ -1,29 +1,1 @@
-"""Throughput benchmark harness (``repro-ugf bench``).
-
-Measures the campaign execution stack end to end and writes a
-machine-readable ``BENCH_<stamp>.json`` that CI diffs against a
-committed baseline. See :mod:`repro.bench.harness` and
-docs/PERFORMANCE.md.
-"""
-
-from repro.bench.harness import (
-    GRIDS,
-    BenchGrid,
-    StageDiff,
-    compare_reports,
-    find_baseline,
-    render_report,
-    run_bench,
-    write_report,
-)
-
-__all__ = [
-    "GRIDS",
-    "BenchGrid",
-    "StageDiff",
-    "compare_reports",
-    "find_baseline",
-    "render_report",
-    "run_bench",
-    "write_report",
-]
+"""Environment fingerprint for benchmark results; see :mod:`repro.bench.harness`."""

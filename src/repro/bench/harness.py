@@ -1,274 +1,22 @@
-"""End-to-end throughput benchmark of the campaign execution stack.
+"""Environment fingerprint for benchmark results.
 
-``repro-ugf bench`` runs six stages against a throwaway cache and
-reports a rate (units/second) for each:
-
-- ``engine_inline``  — ``run_trial`` in-process over the grid: the
-  simulation kernel plus protocol layer, no pool, no cache. The
-  number every other stage is implicitly compared against.
-- ``engine_metrics`` — the same grid with a live metrics registry
-  (docs/OBSERVABILITY.md); the gap to ``engine_inline`` is the
-  instrumentation overhead.
-- ``cold_parallel``  — the same grid through a :class:`Campaign` with
-  a worker pool and an empty store: chunked dispatch, wire-format
-  IPC, batched fsync — the production cold-sweep path.
-- ``warm_replay``    — the grid again, against the store the cold
-  stage just filled: pure cache-hit throughput (parse + ``from_wire``).
-- ``wire_format``    — ``to_wire → json → from_wire`` round-trips of
-  one representative outcome, isolating serialisation cost.
-- ``dispatch``       — many near-trivial trials through the raw
-  :class:`WorkerPool`: per-trial dispatch overhead, which chunking
-  exists to amortise.
-- ``batch_backend``  — a batchable cell through the vectorized numpy
-  engine (docs/BACKENDS.md): the fast-path throughput the campaign
-  router buys on eligible cells. ``benchmarks/bench_batch.py`` gates
-  the *ratio* against the scalar oracle; this stage gates the
-  absolute rate like every other.
-
-The report is a JSON document (``BENCH_<stamp>.json``) carrying the
-schema version, the grid, an environment fingerprint (python /
-platform / cpu count / numpy / git revision / wire + key versions) and
-per-stage ``{seconds, units, rate}``. ``compare_reports`` diffs two
-reports stage by stage; CI's bench-smoke job fails when any stage of
-a fresh run regresses more than the tolerance against the committed
-baseline under ``benchmarks/baselines/``.
-
-Rates are wall-clock and therefore machine-dependent: baselines are
-only meaningful against runs from comparable hardware, which is why
-the gate lives in CI (same runner class) with a generous tolerance
-rather than in the test suite.
+All that is left of the pre-suite throughput harness and its ``bench``
+subcommand; measuring now lives in ``benchmarks/suite/`` alone
+(docs/PERFORMANCE.md). The fingerprint stays at this import path because
+``benchmarks/suite/__main__.py`` imports it from here for every
+``results.json``, and that directory is frozen by ``BENCHMARK.json`` —
+move it only in a change that may also repoint that import.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
 import subprocess
-import tempfile
-import time
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "BenchGrid",
-    "GRIDS",
-    "StageDiff",
-    "run_bench",
-    "write_report",
-    "find_baseline",
-    "compare_reports",
-    "render_report",
-    "render_diff",
-]
-
-#: Bump when the report layout changes; comparisons refuse to diff
-#: across schema versions.
-SCHEMA_VERSION = 1
-
-#: Default location of committed baselines, relative to the repo root.
-BASELINE_DIR = pathlib.Path("benchmarks") / "baselines"
-
-
-@dataclass(frozen=True, slots=True)
-class BenchGrid:
-    """One benchmark configuration: the sweep grid plus stage sizing."""
-
-    name: str
-    protocol: str = "push-pull"
-    adversary: str = "ugf"
-    n_values: tuple[int, ...] = (10, 20, 30, 50, 70, 100)
-    seeds: tuple[int, ...] = tuple(range(10))
-    #: Tiny-trial count for the dispatch-overhead stage.
-    dispatch_trials: int = 200
-    #: Serialisation round-trips for the wire-format stage.
-    wire_iterations: int = 2000
-    #: Trials through the vectorized backend for the batch stage.
-    batch_trials: int = 256
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.n_values) * len(self.seeds)
-
-
-#: Named grids selectable from the CLI. ``smoke`` is sized for a CI
-#: gate (seconds), ``default`` for local before/after measurements,
-#: ``full`` for chasing small effects.
-GRIDS: dict[str, BenchGrid] = {
-    "smoke": BenchGrid(
-        name="smoke",
-        n_values=(10, 20),
-        seeds=(0, 1, 2),
-        dispatch_trials=40,
-        wire_iterations=500,
-        batch_trials=96,
-    ),
-    "default": BenchGrid(name="default"),
-    "full": BenchGrid(
-        name="full",
-        n_values=(10, 20, 30, 50, 70, 100, 150, 200),
-        seeds=tuple(range(10)),
-        dispatch_trials=500,
-        wire_iterations=5000,
-        batch_trials=512,
-    ),
-}
-
-
-def _sweep_spec(grid: BenchGrid):
-    from repro.experiments.config import SweepSpec
-
-    return SweepSpec(
-        protocol=grid.protocol,
-        adversary=grid.adversary,
-        n_values=grid.n_values,
-        seeds=grid.seeds,
-    )
-
-
-def _stage(seconds: float, units: int, unit_name: str) -> dict[str, Any]:
-    return {
-        "seconds": round(seconds, 6),
-        "units": units,
-        "unit": unit_name,
-        "rate": round(units / seconds, 3) if seconds > 0 else None,
-    }
-
-
-def _stage_engine_inline(grid: BenchGrid) -> dict[str, Any]:
-    from repro.experiments.runner import run_trial
-
-    specs = list(_sweep_spec(grid).trials())
-    t0 = time.perf_counter()
-    for spec in specs:
-        run_trial(spec)
-    return _stage(time.perf_counter() - t0, len(specs), "trials")
-
-
-def _stage_engine_metrics(grid: BenchGrid) -> dict[str, Any]:
-    """The engine_inline grid again with a live metrics registry.
-
-    The rate here against ``engine_inline`` is the observability tax;
-    ``benchmarks/bench_obs.py`` gates the same ratio at < 5%.
-    """
-    from repro.experiments.runner import run_trial
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    specs = list(_sweep_spec(grid).trials())
-    t0 = time.perf_counter()
-    for spec in specs:
-        run_trial(spec, metrics=registry)
-    return _stage(time.perf_counter() - t0, len(specs), "trials")
-
-
-def _stage_cold_parallel(
-    grid: BenchGrid, cache_dir: pathlib.Path, workers: int | None
-) -> dict[str, Any]:
-    from repro.campaign import Campaign
-
-    specs = list(_sweep_spec(grid).trials())
-    t0 = time.perf_counter()
-    with Campaign(cache_dir=cache_dir, workers=workers) as campaign:
-        results = campaign.run_trials(specs)
-    seconds = time.perf_counter() - t0
-    failed = sum(not r.ok for r in results)
-    out = _stage(seconds, len(specs), "trials")
-    if failed:
-        out["failed"] = failed
-    return out
-
-
-def _stage_warm_replay(
-    grid: BenchGrid, cache_dir: pathlib.Path, workers: int | None
-) -> dict[str, Any]:
-    from repro.campaign import Campaign
-
-    specs = list(_sweep_spec(grid).trials())
-    t0 = time.perf_counter()
-    with Campaign(cache_dir=cache_dir, workers=workers) as campaign:
-        results = campaign.run_trials(specs)
-    seconds = time.perf_counter() - t0
-    out = _stage(seconds, len(specs), "trials")
-    out["cache_hits"] = sum(r.cached for r in results)
-    return out
-
-
-def _stage_wire_format(grid: BenchGrid) -> dict[str, Any]:
-    from repro.experiments.config import TrialSpec
-    from repro.experiments.runner import run_trial
-    from repro.sim.outcome import Outcome
-
-    n = grid.n_values[-1]
-    outcome = run_trial(
-        TrialSpec(
-            protocol=grid.protocol,
-            adversary=grid.adversary,
-            n=n,
-            f=max(1, round(0.3 * n)),
-            seed=0,
-        )
-    )
-    t0 = time.perf_counter()
-    for _ in range(grid.wire_iterations):
-        Outcome.from_wire(json.loads(json.dumps(outcome.to_wire())))
-    return _stage(
-        time.perf_counter() - t0, grid.wire_iterations, "round-trips"
-    )
-
-
-def _stage_dispatch(grid: BenchGrid, workers: int | None) -> dict[str, Any]:
-    from repro.campaign.pool import WorkerPool
-    from repro.experiments.config import TrialSpec
-
-    specs = [
-        TrialSpec(
-            protocol=grid.protocol,
-            adversary="none",
-            n=8,
-            f=0,
-            seed=seed,
-        )
-        for seed in range(grid.dispatch_trials)
-    ]
-    t0 = time.perf_counter()
-    with WorkerPool(workers) as pool:
-        results = pool.execute(specs)
-    seconds = time.perf_counter() - t0
-    out = _stage(seconds, len(specs), "trials")
-    failed = sum(not r.ok for r in results)
-    if failed:
-        out["failed"] = failed
-    return out
-
-
-def _stage_batch_backend(grid: BenchGrid) -> dict[str, Any]:
-    """The vectorized backend over one batchable cell.
-
-    Uses the largest grid N on a round-robin × str-1 cell — the
-    heaviest batchable dynamics (per-step unicast waves) — so the rate
-    is the conservative end of the fast path, not the flood best case.
-    """
-    from repro.backends import BatchBackend
-    from repro.experiments.config import TrialSpec
-
-    n = grid.n_values[-1]
-    specs = [
-        TrialSpec(
-            protocol="round-robin",
-            adversary="str-1",
-            n=n,
-            f=max(1, round(0.3 * n)),
-            seed=seed,
-        )
-        for seed in range(grid.batch_trials)
-    ]
-    backend = BatchBackend()
-    t0 = time.perf_counter()
-    backend.run_batch(specs)
-    return _stage(time.perf_counter() - t0, len(specs), "trials")
+__all__ = ["environment_fingerprint"]
 
 
 def _git_revision(repo_root: pathlib.Path) -> str | None:
@@ -292,7 +40,7 @@ def _repo_root() -> pathlib.Path:
 
 
 def environment_fingerprint() -> dict[str, Any]:
-    """Where this report came from — enough to judge comparability."""
+    """Where a result came from — enough to judge comparability."""
     import numpy as np
 
     from repro.campaign.keys import KEY_VERSION
@@ -309,186 +57,3 @@ def environment_fingerprint() -> dict[str, Any]:
         "wire_version": WIRE_VERSION,
         "key_version": KEY_VERSION,
     }
-
-
-def run_bench(
-    grid: "BenchGrid | str" = "default",
-    *,
-    workers: int | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, Any]:
-    """Run every stage and return the report document.
-
-    ``workers=None`` uses the pool's default sizing. Stages run coldest
-    first; the parallel stage's throwaway cache feeds the warm stage.
-    """
-    if isinstance(grid, str):
-        try:
-            grid = GRIDS[grid]
-        except KeyError:
-            raise ValueError(
-                f"unknown bench grid {grid!r} (have: {', '.join(sorted(GRIDS))})"
-            ) from None
-
-    def note(stage: str) -> None:
-        if progress is not None:
-            progress(stage)
-
-    stages: dict[str, dict[str, Any]] = {}
-    note("engine_inline")
-    stages["engine_inline"] = _stage_engine_inline(grid)
-    note("engine_metrics")
-    stages["engine_metrics"] = _stage_engine_metrics(grid)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        cache_dir = pathlib.Path(tmp) / "cache"
-        note("cold_parallel")
-        stages["cold_parallel"] = _stage_cold_parallel(grid, cache_dir, workers)
-        note("warm_replay")
-        stages["warm_replay"] = _stage_warm_replay(grid, cache_dir, workers)
-    note("wire_format")
-    stages["wire_format"] = _stage_wire_format(grid)
-    note("dispatch")
-    stages["dispatch"] = _stage_dispatch(grid, workers)
-    note("batch_backend")
-    stages["batch_backend"] = _stage_batch_backend(grid)
-
-    return {
-        "schema": SCHEMA_VERSION,
-        "stamp": time.strftime("%Y%m%dT%H%M%SZ", time.gmtime()),
-        "grid": {
-            "name": grid.name,
-            "protocol": grid.protocol,
-            "adversary": grid.adversary,
-            "n_values": list(grid.n_values),
-            "seeds": list(grid.seeds),
-            "trials": grid.n_trials,
-            "dispatch_trials": grid.dispatch_trials,
-            "wire_iterations": grid.wire_iterations,
-            "batch_trials": grid.batch_trials,
-        },
-        "env": environment_fingerprint(),
-        "stages": stages,
-    }
-
-
-def write_report(
-    report: dict[str, Any], out_dir: "str | os.PathLike" = "."
-) -> pathlib.Path:
-    """Write ``BENCH_<stamp>.json`` into *out_dir*; returns the path."""
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"BENCH_{report['stamp']}.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def find_baseline(
-    explicit: "str | os.PathLike | None" = None,
-) -> pathlib.Path | None:
-    """The baseline to diff against.
-
-    An explicit path wins; otherwise the lexicographically latest
-    ``BENCH_*.json`` under ``benchmarks/baselines/`` (stamps sort
-    chronologically). None when the repo has no baseline yet.
-    """
-    if explicit is not None:
-        return pathlib.Path(explicit)
-    base = _repo_root() / BASELINE_DIR
-    candidates = sorted(base.glob("BENCH_*.json"))
-    return candidates[-1] if candidates else None
-
-
-@dataclass(frozen=True, slots=True)
-class StageDiff:
-    """One stage's rate, before and after."""
-
-    stage: str
-    baseline_rate: float
-    current_rate: float
-    tolerance: float
-
-    @property
-    def ratio(self) -> float:
-        return self.current_rate / self.baseline_rate
-
-    @property
-    def regressed(self) -> bool:
-        return self.ratio < 1.0 - self.tolerance
-
-
-def compare_reports(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    *,
-    tolerance: float = 0.25,
-) -> list[StageDiff]:
-    """Diff two reports stage by stage.
-
-    Only stages present in both (with measured rates) are compared;
-    a baseline from another schema version or grid refuses to diff
-    rather than producing a nonsense verdict.
-    """
-    if baseline.get("schema") != current.get("schema"):
-        raise ValueError(
-            f"baseline schema {baseline.get('schema')!r} != "
-            f"current {current.get('schema')!r}; regenerate the baseline"
-        )
-    base_grid = baseline.get("grid", {}).get("name")
-    cur_grid = current.get("grid", {}).get("name")
-    if base_grid != cur_grid:
-        raise ValueError(
-            f"baseline grid {base_grid!r} != current {cur_grid!r}; "
-            "rates across grids are not comparable"
-        )
-    diffs: list[StageDiff] = []
-    for stage, data in current.get("stages", {}).items():
-        base = baseline.get("stages", {}).get(stage)
-        if not base:
-            continue
-        base_rate, cur_rate = base.get("rate"), data.get("rate")
-        if not base_rate or not cur_rate:
-            continue
-        diffs.append(
-            StageDiff(
-                stage=stage,
-                baseline_rate=float(base_rate),
-                current_rate=float(cur_rate),
-                tolerance=tolerance,
-            )
-        )
-    return diffs
-
-
-def render_report(report: dict[str, Any]) -> str:
-    """Human-readable stage table for one report."""
-    lines = [
-        f"grid={report['grid']['name']} "
-        f"({report['grid']['trials']} trials) "
-        f"python={report['env']['python']} "
-        f"cpus={report['env']['cpu_count']} "
-        f"git={report['env']['git'] or '?'}",
-    ]
-    for stage, data in report["stages"].items():
-        rate = data["rate"]
-        extras = "".join(
-            f" {k}={data[k]}" for k in ("failed", "cache_hits") if k in data
-        )
-        lines.append(
-            f"  {stage:<14} {data['units']:>6} {data['unit']:<11} "
-            f"in {data['seconds']:8.3f}s  = {rate:10.1f}/s{extras}"
-        )
-    return "\n".join(lines)
-
-
-def render_diff(diffs: list[StageDiff]) -> str:
-    """Human-readable comparison table; flags regressed stages."""
-    if not diffs:
-        return "no comparable stages between current run and baseline"
-    lines = []
-    for d in diffs:
-        verdict = "REGRESSED" if d.regressed else "ok"
-        lines.append(
-            f"  {d.stage:<14} baseline {d.baseline_rate:10.1f}/s  "
-            f"now {d.current_rate:10.1f}/s  ({d.ratio:6.2%})  {verdict}"
-        )
-    return "\n".join(lines)

@@ -13,7 +13,6 @@ Examples::
     repro-ugf check ~/.cache/repro-ugf
     repro-ugf doctor ~/.cache/repro-ugf --repair
     repro-ugf sweep --protocol flood --n 8 --seeds 3 --supervise --fault-plan plan.json
-    repro-ugf bench --grid smoke --check
     repro-ugf backends --protocol flood --adversary str-1 -n 64 -f 20
     repro-ugf sweep --protocol round-robin --adversary none --n 50 100 --backend batch
     repro-ugf serve --cache-dir /shared/cache --port 7341
@@ -485,48 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--width", type=int, default=64)
     p_plot.add_argument("--height", type=int, default=16)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure campaign throughput; write BENCH_<stamp>.json and "
-        "optionally gate against a committed baseline",
-    )
-    p_bench.add_argument(
-        "--grid",
-        default="default",
-        choices=["smoke", "default", "full"],
-        help="workload size: 'smoke' (seconds, the CI gate), 'default' "
-        "(local before/after), 'full' (chasing small effects)",
-    )
-    p_bench.add_argument(
-        "--workers", type=int, default=None, help="pool size for parallel stages"
-    )
-    p_bench.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("."),
-        help="directory for the BENCH_<stamp>.json report (default: cwd)",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        type=pathlib.Path,
-        default=None,
-        help="baseline report to diff against (default: latest under "
-        "benchmarks/baselines/)",
-    )
-    p_bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 when any stage regresses more than --tolerance "
-        "against the baseline",
-    )
-    p_bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional rate drop per stage before --check fails "
-        "(default: 0.25)",
-    )
-
     p_serve = sub.add_parser(
         "serve",
         help="run the campaign-service daemon: a shared trial cache many "
@@ -616,12 +573,9 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.obs import render_registry, resolve_metrics
-
-    # Instantiate eagerly so bad names fail before the run starts.
-    make_adversary(args.adversary)
-    spec = TrialSpec(
+def _cell_spec(args: argparse.Namespace) -> TrialSpec:
+    """The single cell ``run`` executes and ``backends`` explains."""
+    return TrialSpec(
         protocol=args.protocol,
         adversary=args.adversary,
         n=args.n,
@@ -632,6 +586,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sanitize=_sanitize_spec(args),
         topology=getattr(args, "topology", None),
     )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.obs import render_registry, resolve_metrics
+
+    # Instantiate eagerly so bad names fail before the run starts.
+    make_adversary(args.adversary)
+    spec = _cell_spec(args)
     if getattr(args, "cache_url", None) is not None:
         from repro.service import ServiceCampaign
 
@@ -692,17 +654,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         print()
         print("pass --protocol/--adversary/-n/-f to explain a cell's routing")
         return 0
-    spec = TrialSpec(
-        protocol=args.protocol,
-        adversary=args.adversary,
-        n=args.n,
-        f=args.f,
-        seed=args.seed,
-        max_steps=args.max_steps,
-        environment=args.environment,
-        sanitize=_sanitize_spec(args),
-        topology=getattr(args, "topology", None),
-    )
+    spec = _cell_spec(args)
     print()
     print(
         f"cell: protocol={spec.protocol} adversary={spec.adversary} "
@@ -1024,62 +976,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        compare_reports,
-        find_baseline,
-        render_report,
-        run_bench,
-        write_report,
-    )
-    from repro.bench.harness import render_diff
-
-    report = run_bench(
-        args.grid,
-        workers=args.workers,
-        progress=lambda stage: print(f"running {stage} ...", file=sys.stderr),
-    )
-    path = write_report(report, args.out)
-    print(render_report(report))
-    print(f"wrote {path}")
-    baseline_path = find_baseline(args.baseline)
-    if baseline_path is None or not baseline_path.exists():
-        # Under --check a missing baseline must fail loudly: silently
-        # returning 0 would let CI "pass" while gating against nothing.
-        if args.check:
-            wanted = args.baseline if args.baseline is not None else (
-                "benchmarks/baselines/ (no BENCH_*.json committed)"
-            )
-            print(f"BASELINE MISSING: {wanted} — --check has nothing to gate "
-                  "against; run 'repro-ugf bench' and commit the report as a "
-                  "baseline, or drop --check", file=sys.stderr)
-            return 1
-        print("no baseline found; skipping comparison", file=sys.stderr)
-        return 0
-    import json as _json
-
-    try:
-        diffs = compare_reports(
-            report,
-            _json.loads(baseline_path.read_text()),
-            tolerance=args.tolerance,
-        )
-    except (OSError, ValueError, _json.JSONDecodeError) as exc:
-        print(
-            f"BASELINE UNREADABLE: cannot compare against {baseline_path}: {exc}",
-            file=sys.stderr,
-        )
-        return 1 if args.check else 0
-    print(f"\nvs baseline {baseline_path.name} (tolerance {args.tolerance:.0%}):")
-    print(render_diff(diffs))
-    regressed = [d for d in diffs if d.regressed]
-    if regressed and args.check:
-        names = ", ".join(d.stage for d in regressed)
-        print(f"REGRESSION: {names}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.campaign import Campaign, default_cache_dir
     from repro.service.server import (
@@ -1188,8 +1084,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_decompose(args)
     if args.command == "plot":
         return _cmd_plot(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "ablate":

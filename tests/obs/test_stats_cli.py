@@ -1,4 +1,4 @@
-"""CLI surface: `repro-ugf stats`, `run --metrics`, bench --check gaps."""
+"""CLI surface: `repro-ugf stats`, `run --metrics`, the sweep telemetry note."""
 
 from __future__ import annotations
 
@@ -147,122 +147,3 @@ class TestSweepTelemetryNote:
         )
         assert rc == 0
         assert "telemetry:" not in capsys.readouterr().err
-
-
-def _canned_report():
-    """A minimal but well-formed bench report (schema 1)."""
-    return {
-        "schema": 1,
-        "stamp": "20260101T000000Z",
-        "grid": {"name": "smoke", "trials": 6},
-        "env": {"python": "3", "cpu_count": 1, "git": None},
-        "stages": {
-            "engine_inline": {
-                "seconds": 1.0,
-                "units": 6,
-                "unit": "trials",
-                "rate": 6.0,
-            }
-        },
-    }
-
-
-class TestBenchCheckBaselineRegression:
-    """`bench --check` must fail loudly when there is nothing to gate
-    against — a silently green gate is worse than no gate."""
-
-    @pytest.fixture(autouse=True)
-    def _canned_bench(self, monkeypatch):
-        # The bench itself is not under test: patch it out so these
-        # stay unit-fast. cli imports repro.bench lazily inside
-        # _cmd_bench, so patching the module attributes works.
-        import repro.bench
-
-        monkeypatch.setattr(
-            repro.bench, "run_bench", lambda *a, **k: _canned_report()
-        )
-
-    def test_missing_baseline_without_check_still_passes(self, tmp_path, capsys):
-        rc = main(
-            [
-                "bench",
-                "--grid",
-                "smoke",
-                "--out",
-                str(tmp_path),
-                "--baseline",
-                str(tmp_path / "nope.json"),
-            ]
-        )
-        assert rc == 0
-        assert "no baseline found" in capsys.readouterr().err
-
-    def test_missing_baseline_with_check_fails(self, tmp_path, capsys):
-        rc = main(
-            [
-                "bench",
-                "--grid",
-                "smoke",
-                "--check",
-                "--out",
-                str(tmp_path),
-                "--baseline",
-                str(tmp_path / "nope.json"),
-            ]
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "BASELINE MISSING" in err
-        assert "nope.json" in err
-
-    def test_unreadable_baseline_with_check_fails(self, tmp_path, capsys):
-        bad = tmp_path / "garbage.json"
-        bad.write_text("{not json")
-        rc = main(
-            [
-                "bench",
-                "--grid",
-                "smoke",
-                "--check",
-                "--out",
-                str(tmp_path),
-                "--baseline",
-                str(bad),
-            ]
-        )
-        assert rc == 1
-        assert "BASELINE UNREADABLE" in capsys.readouterr().err
-
-    def test_baseline_that_is_a_directory_fails_under_check(self, tmp_path, capsys):
-        rc = main(
-            [
-                "bench",
-                "--grid",
-                "smoke",
-                "--check",
-                "--out",
-                str(tmp_path),
-                "--baseline",
-                str(tmp_path),  # exists, but read_text() raises OSError
-            ]
-        )
-        assert rc == 1
-        assert "BASELINE UNREADABLE" in capsys.readouterr().err
-
-    def test_good_baseline_still_compares(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_base.json"
-        baseline.write_text(json.dumps(_canned_report()))
-        rc = main(
-            [
-                "bench",
-                "--grid",
-                "smoke",
-                "--check",
-                "--out",
-                str(tmp_path / "out"),
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        assert rc == 0
-        assert "vs baseline" in capsys.readouterr().out

@@ -1,5 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
+import pathlib
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -378,23 +382,45 @@ def test_sweep_accepts_trial_timeout(capsys):
     assert "n,f," in capsys.readouterr().out
 
 
-def test_bench_smoke_grid_writes_report(tmp_path, capsys):
-    import json
-
-    code = main(
-        ["bench", "--grid", "smoke", "--workers", "1",
-         "--out", str(tmp_path), "--baseline", str(tmp_path / "none.json")]
+def _subcommands() -> set[str]:
+    (sub,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    assert code == 0
-    reports = list(tmp_path.glob("BENCH_*.json"))
-    assert len(reports) == 1
-    report = json.loads(reports[0].read_text())
-    assert report["schema"] == 1
-    assert set(report["stages"]) == {
-        "engine_inline", "engine_metrics", "cold_parallel", "warm_replay",
-        "wire_format", "dispatch", "batch_backend",
+    return set(sub.choices)
+
+
+def test_retired_bench_command_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_every_documented_command_exists():
+    # A subcommand removed from the parser must leave no `repro-ugf <cmd>`
+    # behind in the user-facing docs (or the reverse: a typo'd example).
+    import repro.cli
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    texts = {"src/repro/cli.py": repro.cli.__doc__}
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        texts[str(path.relative_to(root))] = path.read_text()
+    named = {
+        (cmd, where)
+        for where, text in texts.items()
+        for cmd in re.findall(r"(?<![/\w-])repro-ugf\s+([a-z][a-z0-9-]*)", text)
     }
-    assert all(s["rate"] > 0 for s in report["stages"].values())
-    assert report["env"]["cpu_count"] >= 1
-    out = capsys.readouterr().out
-    assert "wrote" in out and "engine_inline" in out
+    assert len({cmd for cmd, _ in named}) >= 15  # the scan still finds them
+    unknown = sorted((c, w) for c, w in named if c not in _subcommands())
+    assert not unknown, f"docs name commands the parser lacks: {unknown}"
+
+
+def test_environment_fingerprint_keeps_the_fields_the_suite_records():
+    # Its only consumer, benchmarks/suite/__main__.py, is frozen by
+    # BENCHMARK.json: a rename here must fail in tier-1, not in a
+    # benchmark run.
+    from repro.bench.harness import environment_fingerprint
+
+    env = environment_fingerprint()
+    assert {"python", "numpy", "git", "cpu_count", "wire_version", "key_version"} <= set(env)
+    assert env["cpu_count"] >= 1
