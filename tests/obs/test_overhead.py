@@ -31,7 +31,7 @@ def _load(name: str):
 
 @pytest.fixture(scope="module")
 def gate_scripts():
-    return [_load(name) for name in ("bench_obs", "bench_chaos", "bench_check")]
+    return {name: _load(name) for name in ("bench_obs", "bench_chaos", "bench_check")}
 
 
 def _can_rounds(monkeypatch, script, ratio: float) -> None:
@@ -41,7 +41,7 @@ def _can_rounds(monkeypatch, script, ratio: float) -> None:
 
 
 def test_metrics_overhead_under_five_percent(gate_scripts):
-    bench_obs = gate_scripts[0]
+    bench_obs = gate_scripts["bench_obs"]
     rounds = overhead_gate.measure_rounds(
         bench_obs.run_once, bench_obs.SETTINGS, seeds=2, repeats=5
     )
@@ -62,14 +62,14 @@ def test_gate_script_fails_on_regression(gate_scripts, capsys, monkeypatch):
     # Deterministic trip-wire: with canned timings showing 50% overhead
     # in every round the gate must exit 1 (a true regression inflates
     # all rounds, so min-pairing cannot hide it).
-    for script in gate_scripts:
+    for script in gate_scripts.values():
         _can_rounds(monkeypatch, script, 1.5)
         assert script.main([]) == 1, script.__name__
         assert "FAIL" in capsys.readouterr().err, script.__name__
 
 
 def test_gate_script_passes_within_bound(gate_scripts, capsys, monkeypatch):
-    for script in gate_scripts:
+    for script in gate_scripts.values():
         _can_rounds(monkeypatch, script, 1.02)
         assert script.main([]) == 0, script.__name__
         assert "+2.0%" in capsys.readouterr().out, script.__name__

@@ -382,20 +382,6 @@ def test_sweep_accepts_trial_timeout(capsys):
     assert "n,f," in capsys.readouterr().out
 
 
-def _subcommands() -> set[str]:
-    (sub,) = (
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return set(sub.choices)
-
-
-def test_retired_bench_command_is_an_invalid_choice(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
 def test_every_documented_command_exists():
     # A subcommand removed from the parser must leave no `repro-ugf <cmd>`
     # behind in the user-facing docs (or the reverse: a typo'd example).
@@ -411,7 +397,10 @@ def test_every_documented_command_exists():
         for cmd in re.findall(r"(?<![/\w-])repro-ugf\s+([a-z][a-z0-9-]*)", text)
     }
     assert len({cmd for cmd, _ in named}) >= 15  # the scan still finds them
-    unknown = sorted((c, w) for c, w in named if c not in _subcommands())
+    (sub,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    unknown = sorted((c, w) for c, w in named if c not in sub.choices)
     assert not unknown, f"docs name commands the parser lacks: {unknown}"
 
 
