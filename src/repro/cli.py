@@ -21,12 +21,9 @@ Examples::
 The experiment commands (``sweep``, ``figure``, ``report``) execute
 through the campaign layer's content-addressed trial cache: identical
 trials are computed once ever, and an interrupted ``report`` resumes
-where it stopped. ``--cache-dir`` relocates the cache (default
-``$REPRO_CACHE_DIR`` or ``~/.cache/repro-ugf``), ``--fresh`` ignores
-previously cached results (but still records new ones), and
-``--no-cache`` disables caching entirely. See docs/CAMPAIGN.md.
-``serve`` turns that cache into a shared daemon and ``--cache-url``
-points any experiment command at it (docs/SERVICE.md).
+where it stopped (``--cache-dir`` / ``--fresh`` / ``--no-cache``,
+docs/CAMPAIGN.md). ``serve`` turns that cache into a shared daemon and
+``--cache-url`` points any experiment command at it (docs/SERVICE.md).
 
 ``--sanitize`` runs trials under the execution-model sanitizer
 (docs/SANITIZER.md) and ``check`` audits a trial cache offline —
@@ -37,22 +34,37 @@ bad content addresses) and ``--repair`` heals what is reversible;
 ``--fault-plan`` / ``--supervise`` belong to the chaos harness
 (docs/ROBUSTNESS.md): inject faults deterministically and run the
 sweep under retry/quarantine supervision.
+
+Every option is declared once, as an argparse ``parents=`` group;
+``build_parser`` is the one list of which command composes which.
+``_flag_groups`` holds the shared ones, a flag each (``adversary``,
+``seed``, ``max-steps``, ``environment``, ``topology``, ``sanitize``,
+``metrics``, ``backend``) except ``service`` (``--cache-url
+--service-timeout``: run, figure, sweep, report), ``campaign``
+(``--cache-dir --workers --fault-plan``: figure, sweep, report, serve),
+``cache`` (``--no-cache --fresh --store-backend --trial-timeout``:
+figure, sweep, report) and ``run-dir`` (doctor, stats); ``_protocol``,
+``_size`` (``-n -f``), ``_seeds`` build those whose defaults differ per
+command. A ``ConfigurationError`` from a handler is bad input: exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import importlib
 import pathlib
 import sys
 from typing import Sequence
 
 from repro.core.registry import available_adversaries, make_adversary
+from repro.errors import ConfigurationError
 from repro.experiments.ablation import (
     run_adversary_comparison,
     run_f_sweep,
     run_q_grid,
 )
-from repro.experiments.config import SweepSpec, TrialSpec
+from repro.experiments.config import SweepSpec, TrialSpec, f_fraction
 from repro.experiments.figure3 import PANELS, run_figure3_panel
 from repro.experiments.report import (
     format_table,
@@ -67,141 +79,67 @@ from repro.protocols.registry import available_protocols
 
 __all__ = ["main", "build_parser"]
 
+_CACHE_DEFAULT = "(default: $REPRO_CACHE_DIR or ~/.cache/repro-ugf)"
 
-def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
-    """Execution knobs shared by every campaign-backed command."""
-    parser.add_argument(
-        "--trial-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill any single trial exceeding this wall-clock budget "
-        "(reported as a failure; default: unbounded)",
+
+def _validated(module: str, check: str):
+    """argparse ``type=`` that rejects a bad spec at parse time: runs
+    ``module.check`` (imported on first use) on the string and keeps it."""
+
+    def validate(spec: str) -> str:
+        try:
+            getattr(importlib.import_module(module), check)(spec)
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return spec
+
+    return validate
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _flag_groups() -> dict[str, argparse.ArgumentParser]:
+    """Every option whose declaration is the same on each command that
+    takes it, declared once. Values are ``parents=`` parsers; options
+    that always travel together share one."""
+    g = collections.defaultdict(lambda: argparse.ArgumentParser(add_help=False))
+    g["adversary"].add_argument("--adversary", default="ugf", help="see 'list'")
+    g["seed"].add_argument("--seed", type=int, default=0)
+    g["max-steps"].add_argument("--max-steps", type=int, default=5_000_000)
+    g["environment"].add_argument(
+        "--environment",
+        help="baseline timing environment: 'homogeneous' (default) or "
+        "'jitter[:<max_delta>,<max_d>]'",
     )
-    parser.add_argument(
-        "--fault-plan",
-        type=pathlib.Path,
-        default=None,
-        metavar="PLAN.json",
-        help="arm the chaos fault-injection plane from a JSON fault plan "
-        "(docs/ROBUSTNESS.md) — for robustness testing of the harness itself",
-    )
-
-
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir",
-        type=pathlib.Path,
-        default=None,
-        help="trial-cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-ugf)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the trial cache entirely (every trial executes)",
-    )
-    parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="ignore previously cached results on read but still record new ones",
-    )
-    parser.add_argument(
-        "--cache-url",
-        default=None,
-        metavar="tcp://HOST:PORT|unix:///PATH",
-        help="execute through a shared campaign-service daemon "
-        "(docs/SERVICE.md, start one with 'repro-ugf serve'); transport "
-        "failures retry with backoff, then fall back to local execution",
-    )
-    _add_service_timeout_flag(parser)
-    parser.add_argument(
-        "--store-backend",
-        default="auto",
-        choices=["auto", "jsonl", "sharded"],
-        help="trial-store layout (docs/SERVICE.md): 'auto' detects the "
-        "on-disk layout, 'jsonl' is the single-file store, 'sharded' "
-        "splits by content-address prefix with an offset index",
-    )
-
-
-def _add_service_timeout_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--service-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-reply read deadline when talking to a --cache-url "
-        "daemon, so a wedged daemon can never hang the run (default: "
-        "120; 0 or negative waits forever)",
-    )
-
-
-def _service_timeout(args: argparse.Namespace):
-    """The finite read deadline the CLI path applies (satellite of
-    docs/SERVICE.md 'Failure model'): None only on explicit request."""
-    from repro.service.client import DEFAULT_SERVICE_TIMEOUT
-
-    value = getattr(args, "service_timeout", None)
-    if value is None:
-        return DEFAULT_SERVICE_TIMEOUT
-    return value if value > 0 else None
-
-
-def _sanitize_type(spec: str) -> str:
-    """argparse type= validator: reject bad specs at parse time."""
-    from repro.check.config import resolve_config
-    from repro.errors import ConfigurationError
-
-    try:
-        resolve_config(spec)
-    except ConfigurationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return spec
-
-
-def _topology_type(spec: str) -> str:
-    """Validate a --topology spec at parse time (fail before any run)."""
-    from repro.errors import ConfigurationError
-    from repro.sim.topology import canonical_topology
-
-    try:
-        canonical_topology(spec)
-    except ConfigurationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return spec
-
-
-def _add_topology_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    g["topology"].add_argument(
         "--topology",
-        default=None,
-        type=_topology_type,
+        type=_validated("repro.sim.topology", "canonical_topology"),
         metavar="SPEC",
         help="contact graph (docs/TOPOLOGY.md): 'complete' (default), "
         "'ring[:k]', 'random-regular:d', 'expander', or "
         "'dynamic:<base>:<rate>'; anything but the clique is outside "
         "Theorem 1's model and checks report OUT-OF-MODEL",
     )
-
-
-def _add_sanitize_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    g["sanitize"].add_argument(
         "--sanitize",
-        default=None,
-        type=_sanitize_type,
+        type=_validated("repro.check.config", "resolve_config"),
         metavar="MODE[:PRESET]",
         help="execution-model sanitizer: mode off/warn/strict, optional monitor "
         "preset 'counters' or 'full' (default: $REPRO_SANITIZE or off)",
     )
-
-
-def _sanitize_spec(args: argparse.Namespace) -> str | None:
-    """The validated --sanitize spec (None means $REPRO_SANITIZE or off)."""
-    return getattr(args, "sanitize", None)
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    g["metrics"].add_argument(
+        "--metrics",
+        action="store_const",
+        const="on",
+        help="collect metrics and run telemetry (docs/OBSERVABILITY.md); "
+        "default: $REPRO_METRICS or off",
+    )
+    g["backend"].add_argument(
         "--backend",
         default="auto",
         choices=["auto", "scalar", "batch"],
@@ -210,52 +148,385 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         "reference engine, 'batch' forces the vectorized engine and fails "
         "ineligible trials (default: auto)",
     )
-
-
-def _add_metrics_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics",
-        action="store_const",
-        const="on",
-        default=None,
-        help="collect metrics and run telemetry (docs/OBSERVABILITY.md); "
-        "default: $REPRO_METRICS or off",
+    g["service"].add_argument(
+        "--cache-url",
+        metavar="tcp://HOST:PORT|unix:///PATH",
+        help="execute through a shared campaign-service daemon "
+        "(docs/SERVICE.md, start one with 'repro-ugf serve'); transport "
+        "failures retry with backoff, then fall back to local execution",
     )
+    g["service"].add_argument(
+        "--service-timeout",
+        type=float,
+        metavar="SECONDS",
+        help="per-reply read deadline when talking to a --cache-url "
+        "daemon, so a wedged daemon can never hang the run (default: "
+        "120; 0 or negative waits forever)",
+    )
+    g["campaign"].add_argument(
+        "--cache-dir",
+        type=pathlib.Path,
+        help="trial-cache directory; on 'serve', where the shared sharded "
+        f"store lives {_CACHE_DEFAULT}",
+    )
+    g["campaign"].add_argument(
+        "--workers",
+        type=int,
+        help="worker-pool size (default: CPU count - 1; <= 1 runs inline); "
+        "on 'serve', the pool that computes misses",
+    )
+    g["campaign"].add_argument(
+        "--fault-plan",
+        type=pathlib.Path,
+        metavar="PLAN.json",
+        help="arm the chaos fault-injection plane (on 'serve', its daemon-"
+        "side sites) from a JSON fault plan (docs/ROBUSTNESS.md) — for "
+        "robustness testing of the harness itself",
+    )
+    g["cache"].add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the trial cache entirely (every trial executes)",
+    )
+    g["cache"].add_argument(
+        "--fresh",
+        action="store_true",
+        help="ignore previously cached results on read but still record new ones",
+    )
+    g["cache"].add_argument(
+        "--store-backend",
+        default="auto",
+        choices=["auto", "jsonl", "sharded"],
+        help="trial-store layout (docs/SERVICE.md): 'auto' detects the "
+        "on-disk layout, 'jsonl' is the single-file store, 'sharded' "
+        "splits by content-address prefix with an offset index",
+    )
+    g["cache"].add_argument(
+        "--trial-timeout",
+        type=float,
+        metavar="SECONDS",
+        help="kill any single trial exceeding this wall-clock budget "
+        "(reported as a failure; default: unbounded)",
+    )
+    g["run-dir"].add_argument(
+        "run_dir",
+        type=pathlib.Path,
+        nargs="?",
+        help=f"run/cache directory {_CACHE_DEFAULT}; 'stats' also takes a "
+        "telemetry.jsonl path",
+    )
+    return dict(g)
+
+
+def _protocol(required: bool = True) -> argparse.ArgumentParser:
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--protocol", required=required, choices=available_protocols())
+    return group
+
+
+def _size(n: int | None = None, f: int | None = None) -> argparse.ArgumentParser:
+    """``-n`` / ``-f``: both required unless the command has a default N,
+    and then an absent F means the paper's 0.3 N (:func:`_crash_budget`)."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument(
+        "-n", type=int, required=n is None, default=n, help="number of processes N"
+    )
+    group.add_argument(
+        "-f",
+        type=int,
+        required=n is None,
+        default=f,
+        help="crash budget F (where optional: 0.3 N; 'backends': 3)",
+    )
+    return group
+
+
+def _seeds(default: int | None) -> argparse.ArgumentParser:
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument(
+        "--seeds", type=_positive_int, default=default, help="seeds per point (>= 1)"
+    )
+    return group
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-ugf",
+        description="Reproduction of 'The Universal Gossip Fighter' (IPDPS 2022).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    g = _flag_groups()
+
+    def command(name: str, handler, groups: list[argparse.ArgumentParser], help: str):
+        """One subcommand: the handler ``main`` dispatches to, its flag groups."""
+        p = sub.add_parser(name, parents=groups, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    command("list", _cmd_list, [], "list available protocols and adversaries")
+
+    command(
+        "run",
+        _cmd_run,
+        [_protocol(), g["adversary"], _size(), g["seed"], g["max-steps"],
+         g["environment"], g["topology"], g["sanitize"], g["metrics"], g["backend"],
+         g["service"]],
+        "run one simulation",
+    )
+
+    p = command(
+        "backends",
+        _cmd_backends,
+        [_protocol(required=False), g["adversary"], _size(n=10, f=3), g["seed"],
+         g["max-steps"], g["environment"], g["topology"], g["sanitize"]],
+        "list execution backends; with cell arguments, explain "
+        "which backend the cell routes to and why",
+    )
+    p.add_argument(
+        "--grid",
+        action="store_true",
+        help="print the full protocol x adversary eligibility matrix "
+        "(batch-routed vs scalar-fallback cells, with reasons)",
+    )
+
+    p = command(
+        "figure",
+        _cmd_figure,
+        [_seeds(None), g["topology"], g["campaign"], g["cache"], g["service"],
+         g["backend"], g["sanitize"], g["metrics"]],
+        "regenerate a Figure 3 panel",
+    )
+    p.add_argument("panel", choices=sorted(PANELS))
+    p.add_argument("--full", action="store_true", help="use the paper's full grid")
+    p.add_argument("--csv", type=pathlib.Path, help="write CSVs here")
+    p.add_argument("--json", type=pathlib.Path, help="write result JSON here")
+    p.add_argument("--plot", action="store_true", help="render an ASCII chart")
+
+    p = command(
+        "sweep",
+        _cmd_sweep,
+        [_protocol(), g["adversary"], _seeds(10), g["environment"], g["topology"],
+         g["campaign"], g["cache"], g["service"], g["backend"], g["sanitize"],
+         g["metrics"]],
+        "run a custom sweep",
+    )
+    p.add_argument("--n", type=int, nargs="+", required=True)
+    p.add_argument("--f-fraction", type=float, default=0.3)
+    p.add_argument(
+        "--supervise",
+        action="store_true",
+        help="run under the chaos supervisor: transient failures retry with "
+        "backoff down a degradation ladder, deterministic ones land in "
+        "quarantine.jsonl and the sweep completes degraded (exit 3) instead "
+        "of aborting",
+    )
+    p.add_argument(
+        "--max-retries",
+        type=int,
+        default=3,
+        help="retry budget per trial under --supervise (default: 3)",
+    )
+
+    p = command(
+        "tradeoff",
+        _cmd_tradeoff,
+        [_protocol(), _size(), _seeds(5)],
+        "Theorem 1 trade-off frontier",
+    )
+    p.add_argument("--tau", type=int, default=3)
+    p.add_argument("--k", type=int, nargs="+", default=[1, 2, 3])
+
+    p = command(
+        "report",
+        _cmd_report,
+        [g["campaign"], g["cache"], g["service"], g["sanitize"], g["metrics"]],
+        "run the complete evaluation and write a markdown report",
+    )
+    p.add_argument("--scale", default="laptop", choices=["smoke", "laptop", "paper"])
+    p.add_argument("--out", type=pathlib.Path, default=pathlib.Path("report.md"))
+
+    p = command(
+        "check",
+        _cmd_check,
+        [],
+        "audit a trial cache: content addresses, sanitized replay, Theorem 1",
+    )
+    p.add_argument(
+        "cache_dir",
+        type=pathlib.Path,
+        nargs="?",
+        help=f"cache directory {_CACHE_DEFAULT}",
+    )
+    p.add_argument(
+        "--no-replay",
+        action="store_true",
+        help="structural checks only; skip re-executing cached trials",
+    )
+    p.add_argument("--max-records", type=int, help="audit at most K records")
+    p.add_argument("--alpha", type=int, default=1, help="Theorem 1 alpha parameter")
+
+    p = command(
+        "doctor",
+        _cmd_doctor,
+        [g["run-dir"]],
+        "scan a run directory for store damage — torn tails, bad "
+        "content addresses, undecodable payloads; --repair heals what is "
+        "reversible",
+    )
+    p.add_argument(
+        "--repair",
+        action="store_true",
+        help="truncate a torn tail / newline-terminate an unterminated "
+        "final record, then rescan",
+    )
+
+    p = command(
+        "stats",
+        _cmd_stats,
+        [g["run-dir"]],
+        "summarise a run's metrics and telemetry (written by --metrics)",
+    )
+    p.add_argument(
+        "--json", action="store_true", help="machine-readable JSON instead of tables"
+    )
+    p.add_argument(
+        "--top", type=int, default=10, help="spans shown in the hot-spot table"
+    )
+
+    p = command(
+        "inspect",
+        _cmd_inspect,
+        [_protocol(), g["adversary"], _size(), g["seed"]],
+        "run one trial and show its activity timeline",
+    )
+    p.add_argument("--rows", type=int, default=20, help="max timeline rows shown")
+
+    command(
+        "decompose",
+        _cmd_decompose,
+        [_protocol(), _size(n=60), _seeds(30)],
+        "group UGF runs by drawn strategy (how 'max UGF' is found)",
+    )
+
+    p = command("plot", _cmd_plot, [], "render a saved result JSON as an ASCII chart")
+    p.add_argument("file", type=pathlib.Path, help="JSON written by 'figure --json'")
+    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--height", type=int, default=16)
+
+    p = command(
+        "serve",
+        _cmd_serve,
+        [g["campaign"], g["sanitize"], g["metrics"], g["backend"]],
+        "run the campaign-service daemon: a shared trial cache many "
+        "clients execute against (docs/SERVICE.md)",
+    )
+    p.add_argument(
+        "--host",
+        default="127.0.0.1",
+        help="TCP bind address (default: 127.0.0.1 — loopback only; the "
+        "protocol is unauthenticated, widen deliberately)",
+    )
+    p.add_argument(
+        "--port",
+        type=int,
+        metavar="PORT",
+        help="TCP port (default: 7341 when no --unix socket is given; "
+        "0 binds an ephemeral port)",
+    )
+    p.add_argument(
+        "--unix",
+        type=pathlib.Path,
+        metavar="PATH.sock",
+        help="also (or only) listen on a unix socket at this path",
+    )
+    p.add_argument(
+        "--max-pending",
+        type=int,
+        metavar="TRIALS",
+        help="admission control: most trials allowed in the pending "
+        "queue before submits are refused with a 'busy' frame "
+        "(default: 4096)",
+    )
+    p.add_argument(
+        "--idle-timeout",
+        type=float,
+        default=900.0,
+        metavar="SECONDS",
+        help="close connections idle this long with no submit stream "
+        "running (default: 900; 0 or negative disables)",
+    )
+    p.add_argument(
+        "--drain-timeout",
+        type=float,
+        default=30.0,
+        metavar="SECONDS",
+        help="on SIGTERM, how long the graceful drain waits for "
+        "in-flight waves before exiting anyway (default: 30)",
+    )
+
+    p = command(
+        "ablate",
+        _cmd_ablate,
+        [_protocol(), _size(n=100), _seeds(10)],
+        "ablation experiments",
+    )
+    p.add_argument("which", choices=["f", "q", "adversaries"])
+
+    return parser
+
+
+def _crash_budget(args: argparse.Namespace) -> int:
+    """``-f``, or the paper's F = 0.3 N where the command leaves it optional."""
+    return args.f if args.f is not None else f_fraction(args.n, 0.3)
+
+
+def _cache_dir(path: pathlib.Path | None) -> pathlib.Path:
+    """The directory a command works on: the one given, else the default cache."""
+    from repro.campaign import default_cache_dir
+
+    return path if path is not None else default_cache_dir()
+
+
+def _fault_plan(args: argparse.Namespace):
+    """The chaos plan ``--fault-plan`` names; None leaves the plane unarmed."""
+    if args.fault_plan is None:
+        return None
+    from repro.chaos import FaultPlan
+
+    return FaultPlan.load(args.fault_plan)
+
+
+def _service_timeout(args: argparse.Namespace):
+    """The finite read deadline the CLI path applies (satellite of
+    docs/SERVICE.md 'Failure model'): None only on explicit request."""
+    from repro.service.client import DEFAULT_SERVICE_TIMEOUT
+
+    if args.service_timeout is None:
+        return DEFAULT_SERVICE_TIMEOUT
+    return args.service_timeout if args.service_timeout > 0 else None
 
 
 def _make_campaign(args: argparse.Namespace):
-    """Build the campaign session the cache flags describe."""
-    from repro.campaign import Campaign, default_cache_dir
+    """Build the campaign session figure / sweep / report's flags describe."""
+    from repro.campaign import Campaign
 
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = default_cache_dir()
-    fault_plan = None
-    plan_path = getattr(args, "fault_plan", None)
-    if plan_path is not None:
-        from repro.chaos import FaultPlan
-
-        fault_plan = FaultPlan.load(plan_path)
     kwargs = dict(
-        cache_dir=cache_dir,
-        workers=getattr(args, "workers", None),
+        cache_dir=None if args.no_cache else _cache_dir(args.cache_dir),
+        workers=args.workers,
         use_cache=not args.no_cache,
         fresh=args.fresh,
-        trial_timeout=getattr(args, "trial_timeout", None),
-        sanitize=_sanitize_spec(args),
-        metrics=getattr(args, "metrics", None),
-        fault_plan=fault_plan,
+        trial_timeout=args.trial_timeout,
+        sanitize=args.sanitize,
+        metrics=args.metrics,
+        fault_plan=_fault_plan(args),
+        # The one flag a caller lacks: 'report' takes no --backend.
         backend=getattr(args, "backend", "auto"),
-        store_backend=getattr(args, "store_backend", "auto"),
+        store_backend=args.store_backend,
     )
-    url = getattr(args, "cache_url", None)
-    if url is not None:
+    if args.cache_url is not None:
         from repro.service import ServiceCampaign
 
-        return ServiceCampaign(url, timeout=_service_timeout(args), **kwargs)
+        return ServiceCampaign(args.cache_url, timeout=_service_timeout(args), **kwargs)
     return Campaign(**kwargs)
 
 
@@ -270,304 +541,7 @@ def _note_telemetry(campaign) -> None:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-ugf",
-        description="Reproduction of 'The Universal Gossip Fighter' (IPDPS 2022).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available protocols and adversaries")
-
-    p_run = sub.add_parser("run", help="run one simulation")
-    p_run.add_argument("--protocol", required=True, choices=available_protocols())
-    p_run.add_argument("--adversary", default="ugf")
-    p_run.add_argument("-n", type=int, required=True, help="number of processes N")
-    p_run.add_argument("-f", type=int, required=True, help="crash budget F")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--max-steps", type=int, default=5_000_000)
-    p_run.add_argument(
-        "--environment",
-        default=None,
-        help="baseline timing environment: 'homogeneous' (default) or 'jitter[:<max_delta>,<max_d>]'",
-    )
-    p_run.add_argument(
-        "--cache-url",
-        default=None,
-        metavar="tcp://HOST:PORT|unix:///PATH",
-        help="execute through a shared campaign-service daemon "
-        "(docs/SERVICE.md); falls back to local execution if unreachable",
-    )
-    _add_service_timeout_flag(p_run)
-    _add_topology_flag(p_run)
-    _add_sanitize_flag(p_run)
-    _add_metrics_flag(p_run)
-    _add_backend_flag(p_run)
-
-    p_back = sub.add_parser(
-        "backends",
-        help="list execution backends; with cell arguments, explain "
-        "which backend the cell routes to and why",
-    )
-    p_back.add_argument(
-        "--grid",
-        action="store_true",
-        help="print the full protocol x adversary eligibility matrix "
-        "(batch-routed vs scalar-fallback cells, with reasons)",
-    )
-    p_back.add_argument(
-        "--protocol",
-        default=None,
-        choices=available_protocols(),
-        help="explain eligibility for this protocol's cell",
-    )
-    p_back.add_argument("--adversary", default="ugf")
-    p_back.add_argument("-n", type=int, default=10, help="number of processes N")
-    p_back.add_argument("-f", type=int, default=3, help="crash budget F")
-    p_back.add_argument("--seed", type=int, default=0)
-    p_back.add_argument("--max-steps", type=int, default=5_000_000)
-    p_back.add_argument("--environment", default=None)
-    _add_topology_flag(p_back)
-    _add_sanitize_flag(p_back)
-
-    p_fig = sub.add_parser("figure", help="regenerate a Figure 3 panel")
-    p_fig.add_argument("panel", choices=sorted(PANELS))
-    p_fig.add_argument("--full", action="store_true", help="use the paper's full grid")
-    p_fig.add_argument("--seeds", type=int, default=None, help="seeds per point")
-    p_fig.add_argument("--workers", type=int, default=None)
-    p_fig.add_argument("--csv", type=pathlib.Path, default=None, help="write CSVs here")
-    p_fig.add_argument("--json", type=pathlib.Path, default=None, help="write result JSON here")
-    p_fig.add_argument("--plot", action="store_true", help="render an ASCII chart")
-    _add_topology_flag(p_fig)
-    _add_cache_flags(p_fig)
-    _add_campaign_flags(p_fig)
-    _add_backend_flag(p_fig)
-    _add_sanitize_flag(p_fig)
-    _add_metrics_flag(p_fig)
-
-    p_sweep = sub.add_parser("sweep", help="run a custom sweep")
-    p_sweep.add_argument("--protocol", required=True, choices=available_protocols())
-    p_sweep.add_argument("--adversary", default="ugf")
-    p_sweep.add_argument("--n", type=int, nargs="+", required=True)
-    p_sweep.add_argument("--f-fraction", type=float, default=0.3)
-    p_sweep.add_argument("--seeds", type=int, default=10)
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument(
-        "--environment",
-        default=None,
-        help="baseline timing environment (see 'run --environment')",
-    )
-    p_sweep.add_argument(
-        "--supervise",
-        action="store_true",
-        help="run under the chaos supervisor: transient failures retry with "
-        "backoff down a degradation ladder, deterministic ones land in "
-        "quarantine.jsonl and the sweep completes degraded (exit 3) instead "
-        "of aborting",
-    )
-    p_sweep.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        help="retry budget per trial under --supervise (default: 3)",
-    )
-    _add_topology_flag(p_sweep)
-    _add_cache_flags(p_sweep)
-    _add_campaign_flags(p_sweep)
-    _add_sanitize_flag(p_sweep)
-    _add_metrics_flag(p_sweep)
-    _add_backend_flag(p_sweep)
-
-    p_trade = sub.add_parser("tradeoff", help="Theorem 1 trade-off frontier")
-    p_trade.add_argument("--protocol", required=True, choices=available_protocols())
-    p_trade.add_argument("-n", type=int, required=True)
-    p_trade.add_argument("-f", type=int, required=True)
-    p_trade.add_argument("--tau", type=int, default=3)
-    p_trade.add_argument("--k", type=int, nargs="+", default=[1, 2, 3])
-    p_trade.add_argument("--seeds", type=int, default=5)
-
-    p_rep = sub.add_parser(
-        "report", help="run the complete evaluation and write a markdown report"
-    )
-    p_rep.add_argument(
-        "--scale", default="laptop", choices=["smoke", "laptop", "paper"]
-    )
-    p_rep.add_argument("--out", type=pathlib.Path, default=pathlib.Path("report.md"))
-    p_rep.add_argument("--workers", type=int, default=None)
-    _add_cache_flags(p_rep)
-    _add_campaign_flags(p_rep)
-    _add_sanitize_flag(p_rep)
-    _add_metrics_flag(p_rep)
-
-    p_check = sub.add_parser(
-        "check",
-        help="audit a trial cache: content addresses, sanitized replay, Theorem 1",
-    )
-    p_check.add_argument(
-        "cache_dir",
-        type=pathlib.Path,
-        nargs="?",
-        default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-ugf)",
-    )
-    p_check.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="structural checks only; skip re-executing cached trials",
-    )
-    p_check.add_argument(
-        "--max-records", type=int, default=None, help="audit at most K records"
-    )
-    p_check.add_argument(
-        "--alpha", type=int, default=1, help="Theorem 1 alpha parameter"
-    )
-
-    p_doc = sub.add_parser(
-        "doctor",
-        help="scan a run directory for store damage — torn tails, bad "
-        "content addresses, undecodable payloads; --repair heals what is "
-        "reversible",
-    )
-    p_doc.add_argument(
-        "run_dir",
-        type=pathlib.Path,
-        nargs="?",
-        default=None,
-        help="run/cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-ugf)",
-    )
-    p_doc.add_argument(
-        "--repair",
-        action="store_true",
-        help="truncate a torn tail / newline-terminate an unterminated "
-        "final record, then rescan",
-    )
-
-    p_stats = sub.add_parser(
-        "stats",
-        help="summarise a run's metrics and telemetry (written by --metrics)",
-    )
-    p_stats.add_argument(
-        "run_dir",
-        type=pathlib.Path,
-        nargs="?",
-        default=None,
-        help="directory holding telemetry.jsonl (default: $REPRO_CACHE_DIR "
-        "or ~/.cache/repro-ugf); a telemetry.jsonl path also works",
-    )
-    p_stats.add_argument(
-        "--json", action="store_true", help="machine-readable JSON instead of tables"
-    )
-    p_stats.add_argument(
-        "--top", type=int, default=10, help="spans shown in the hot-spot table"
-    )
-
-    p_ins = sub.add_parser(
-        "inspect", help="run one trial and show its activity timeline"
-    )
-    p_ins.add_argument("--protocol", required=True, choices=available_protocols())
-    p_ins.add_argument("--adversary", default="ugf")
-    p_ins.add_argument("-n", type=int, required=True)
-    p_ins.add_argument("-f", type=int, required=True)
-    p_ins.add_argument("--seed", type=int, default=0)
-    p_ins.add_argument("--rows", type=int, default=20, help="max timeline rows shown")
-
-    p_dec = sub.add_parser(
-        "decompose", help="group UGF runs by drawn strategy (how 'max UGF' is found)"
-    )
-    p_dec.add_argument("--protocol", required=True, choices=available_protocols())
-    p_dec.add_argument("-n", type=int, default=60)
-    p_dec.add_argument("-f", type=int, default=None, help="F (defaults to 0.3N)")
-    p_dec.add_argument("--seeds", type=int, default=30)
-
-    p_plot = sub.add_parser("plot", help="render a saved result JSON as an ASCII chart")
-    p_plot.add_argument("file", type=pathlib.Path, help="JSON written by 'figure --json'")
-    p_plot.add_argument("--width", type=int, default=64)
-    p_plot.add_argument("--height", type=int, default=16)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the campaign-service daemon: a shared trial cache many "
-        "clients execute against (docs/SERVICE.md)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        type=pathlib.Path,
-        default=None,
-        help="directory for the shared sharded trial store "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro-ugf)",
-    )
-    p_serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="TCP bind address (default: 127.0.0.1 — loopback only; the "
-        "protocol is unauthenticated, widen deliberately)",
-    )
-    p_serve.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="TCP port (default: 7341 when no --unix socket is given; "
-        "0 binds an ephemeral port)",
-    )
-    p_serve.add_argument(
-        "--unix",
-        type=pathlib.Path,
-        default=None,
-        metavar="PATH.sock",
-        help="also (or only) listen on a unix socket at this path",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=None, help="worker-pool size for misses"
-    )
-    p_serve.add_argument(
-        "--max-pending",
-        type=int,
-        default=None,
-        metavar="TRIALS",
-        help="admission control: most trials allowed in the pending "
-        "queue before submits are refused with a 'busy' frame "
-        "(default: 4096)",
-    )
-    p_serve.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=900.0,
-        metavar="SECONDS",
-        help="close connections idle this long with no submit stream "
-        "running (default: 900; 0 or negative disables)",
-    )
-    p_serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="on SIGTERM, how long the graceful drain waits for "
-        "in-flight waves before exiting anyway (default: 30)",
-    )
-    p_serve.add_argument(
-        "--fault-plan",
-        type=pathlib.Path,
-        default=None,
-        metavar="PLAN.json",
-        help="arm the daemon side of the service chaos sites from a "
-        "JSON fault plan (docs/ROBUSTNESS.md) — testing only",
-    )
-    _add_sanitize_flag(p_serve)
-    _add_metrics_flag(p_serve)
-    _add_backend_flag(p_serve)
-
-    p_abl = sub.add_parser("ablate", help="ablation experiments")
-    p_abl.add_argument("which", choices=["f", "q", "adversaries"])
-    p_abl.add_argument("--protocol", required=True, choices=available_protocols())
-    p_abl.add_argument("-n", type=int, default=100)
-    p_abl.add_argument("-f", type=int, default=None, help="F (defaults to 0.3N)")
-    p_abl.add_argument("--seeds", type=int, default=10)
-
-    return parser
-
-
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     print("protocols :", ", ".join(available_protocols()))
     print("adversaries:", ", ".join(available_adversaries()))
     return 0
@@ -583,8 +557,8 @@ def _cell_spec(args: argparse.Namespace) -> TrialSpec:
         seed=args.seed,
         max_steps=args.max_steps,
         environment=args.environment,
-        sanitize=_sanitize_spec(args),
-        topology=getattr(args, "topology", None),
+        sanitize=args.sanitize,
+        topology=args.topology,
     )
 
 
@@ -594,25 +568,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Instantiate eagerly so bad names fail before the run starts.
     make_adversary(args.adversary)
     spec = _cell_spec(args)
-    if getattr(args, "cache_url", None) is not None:
+    if args.cache_url is not None:
         from repro.service import ServiceCampaign
 
         with ServiceCampaign(
             args.cache_url,
             timeout=_service_timeout(args),
             workers=0,
-            metrics=getattr(args, "metrics", None),
-            backend=getattr(args, "backend", "auto"),
+            metrics=args.metrics,
+            backend=args.backend,
         ) as campaign:
             outcome = campaign.run_trial(spec)
             metrics = campaign.metrics
     else:
-        metrics = resolve_metrics(getattr(args, "metrics", None))
-        outcome = run_trial(
-            spec,
-            metrics=metrics,
-            backend=getattr(args, "backend", "auto"),
-        )
+        metrics = resolve_metrics(args.metrics)
+        outcome = run_trial(spec, metrics=metrics, backend=args.backend)
     print(outcome.summary())
     if outcome.sanitizer is not None:
         total = outcome.sanitizer["total_violations"]
@@ -641,7 +611,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     from repro.backends import available_backends
 
     backends = available_backends()
-    if getattr(args, "grid", False):
+    if args.grid:
         from repro.backends.batch import eligibility_grid, format_grid, topology_grid
 
         print(format_grid(eligibility_grid(), topology_grid()), end="")
@@ -682,7 +652,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             full=args.full or None,
             seeds=seeds,
             campaign=campaign,
-            topology=getattr(args, "topology", None),
+            topology=args.topology,
         )
         stats = campaign.stats.summary()
     _note_telemetry(campaign)
@@ -716,6 +686,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # As in 'run': a bad name is bad input here, not N failed trials later.
+    make_adversary(args.adversary)
     spec = SweepSpec(
         protocol=args.protocol,
         adversary=args.adversary,
@@ -723,7 +695,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f_of_n=args.f_fraction,
         seeds=tuple(range(args.seeds)),
         environment=args.environment,
-        topology=getattr(args, "topology", None),
+        topology=args.topology,
     )
     supervisor = None
     with _make_campaign(args) as campaign:
@@ -758,6 +730,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
+    from repro.experiments.full_report import tradeoff_table
+
     points = run_tradeoff(
         args.protocol,
         n=args.n,
@@ -766,32 +740,7 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
         k_values=tuple(args.k),
         seeds=tuple(range(args.seeds)),
     )
-    rows = [
-        [
-            str(p.k),
-            str(p.alpha),
-            f"{p.time_under_isolation.median:.3g}",
-            f"{p.steps_under_isolation.median:.4g}",
-            f"{p.bounds.time_bound:.3g}",
-            f"{p.messages_under_delay.median:.4g}",
-            f"{p.bounds.message_bound:.4g}",
-        ]
-        for p in points
-    ]
-    print(
-        format_table(
-            [
-                "k",
-                "alpha",
-                "T @ 2.k.0",
-                "T_end steps",
-                "T bound",
-                "M @ 2.k.1",
-                "M bound",
-            ],
-            rows,
-        )
-    )
+    print(tradeoff_table(points))
     return 0
 
 
@@ -815,10 +764,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.campaign import default_cache_dir
     from repro.check import audit_cache, theorem_table
-
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
 
     def show(record) -> None:
         if not record.ok:
@@ -828,7 +774,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             )
 
     audit = audit_cache(
-        cache_dir,
+        _cache_dir(args.cache_dir),
         replay=not args.no_replay,
         max_records=args.max_records,
         alpha=args.alpha,
@@ -842,11 +788,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    from repro.campaign import default_cache_dir
     from repro.chaos import diagnose
 
-    run_dir = args.run_dir if args.run_dir is not None else default_cache_dir()
-    report = diagnose(run_dir, repair=args.repair)
+    report = diagnose(_cache_dir(args.run_dir), repair=args.repair)
     for finding in report.findings:
         print(str(finding), file=sys.stderr)
     print(report.summary())
@@ -854,11 +798,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.campaign import default_cache_dir
     from repro.obs import load_run_stats, telemetry_path
     from repro.obs.stats import render_run_stats, run_stats_json
 
-    run_dir = args.run_dir if args.run_dir is not None else default_cache_dir()
+    run_dir = _cache_dir(args.run_dir)
     try:
         stats = load_run_stats(run_dir)
     except FileNotFoundError:
@@ -879,14 +822,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.analysis.timeline import build_timeline
-    from repro.core.registry import make_adversary as _mk_adv
-    from repro.protocols.registry import make_protocol as _mk_proto
+    from repro.protocols.registry import make_protocol
     from repro.sim.engine import simulate
     from repro.viz.ascii_chart import render_series
 
     report = simulate(
-        _mk_proto(args.protocol),
-        _mk_adv(args.adversary),
+        make_protocol(args.protocol),
+        make_adversary(args.adversary),
         n=args.n,
         f=args.f,
         seed=args.seed,
@@ -894,24 +836,15 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     )
     print(report.outcome.summary())
     timeline = build_timeline(report)
-    rows = [
-        [
-            str(s.step),
-            str(s.sends),
-            str(s.deliveries),
-            str(s.drops),
-            str(s.sleeps),
-            str(s.wakes),
-            str(s.crashes),
-            str(s.awake_after),
-        ]
-        for s in timeline.steps
-    ]
-    headers = ["step", "sends", "delivs", "drops", "sleeps", "wakes", "crashes", "awake"]
+    columns = {  # header -> timeline-step field
+        "step": "step", "sends": "sends", "delivs": "deliveries", "drops": "drops",
+        "sleeps": "sleeps", "wakes": "wakes", "crashes": "crashes", "awake": "awake_after",
+    }
+    rows = [[str(getattr(s, f)) for f in columns.values()] for s in timeline.steps]
     if len(rows) > args.rows:
         shown = args.rows // 2
-        rows = rows[:shown] + [["..."] * len(headers)] + rows[-shown:]
-    print(format_table(headers, rows))
+        rows = rows[:shown] + [["..."] * len(columns)] + rows[-shown:]
+    print(format_table(list(columns), rows))
     gaps = timeline.quiet_gaps
     if gaps:
         longest = max(gaps, key=lambda g: g[1] - g[0])
@@ -928,21 +861,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from repro.experiments.decomposition import dominant_strategy, run_decomposition
+    from repro.experiments.full_report import decomposition_table
 
-    f = args.f if args.f is not None else round(0.3 * args.n)
     groups = run_decomposition(
-        args.protocol, n=args.n, f=f, seeds=tuple(range(args.seeds))
+        args.protocol, n=args.n, f=_crash_budget(args), seeds=tuple(range(args.seeds))
     )
-    rows = [
-        [
-            g.label,
-            str(g.runs),
-            f"{g.messages.median:.4g}",
-            f"{g.time.median:.4g}",
-        ]
-        for g in groups
-    ]
-    print(format_table(["strategy", "runs", "M median", "T median"], rows))
+    print(decomposition_table(groups))
     worst_t = dominant_strategy(groups, "time")
     worst_m = dominant_strategy(groups, "messages")
     print()
@@ -977,23 +901,18 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.campaign import Campaign, default_cache_dir
+    from repro.campaign import Campaign
     from repro.service.server import (
         DAEMON_MEMO_LIMIT,
         DEFAULT_MAX_PENDING,
         serve_forever,
     )
 
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
+    cache_dir = _cache_dir(args.cache_dir)
     port = args.port
     unix_path = args.unix
     if port is None and unix_path is None:
         port = 7341
-    fault_plan = None
-    if getattr(args, "fault_plan", None) is not None:
-        from repro.chaos import FaultPlan
-
-        fault_plan = FaultPlan.load(args.fault_plan)
     idle_timeout = args.idle_timeout if args.idle_timeout > 0 else None
     max_pending = (
         args.max_pending if args.max_pending is not None else DEFAULT_MAX_PENDING
@@ -1004,12 +923,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     campaign = Campaign(
         cache_dir=cache_dir,
         workers=args.workers,
-        sanitize=_sanitize_spec(args),
-        metrics=getattr(args, "metrics", None),
-        backend=getattr(args, "backend", "auto"),
+        sanitize=args.sanitize,
+        metrics=args.metrics,
+        backend=args.backend,
         store_backend="sharded",
         memo_limit=DAEMON_MEMO_LIMIT,
-        fault_plan=fault_plan,
+        fault_plan=_fault_plan(args),
     )
     print(f"campaign service: store at {cache_dir}", file=sys.stderr)
     try:
@@ -1034,61 +953,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    f = args.f if args.f is not None else round(0.3 * args.n)
+    from repro.experiments.full_report import cells_table
+
     seeds = tuple(range(args.seeds))
     if args.which == "f":
         cells = run_f_sweep(args.protocol, n=args.n, seeds=seeds)
     elif args.which == "q":
-        cells = run_q_grid(args.protocol, n=args.n, f=f, seeds=seeds)
+        cells = run_q_grid(args.protocol, n=args.n, f=_crash_budget(args), seeds=seeds)
     else:
-        cells = run_adversary_comparison(args.protocol, n=args.n, f=f, seeds=seeds)
-    rows = [
-        [
-            c.label,
-            str(c.n),
-            str(c.f),
-            f"{c.messages.median:.4g}",
-            f"{c.time.median:.4g}",
-        ]
-        for c in cells
-    ]
-    print(format_table(["setting", "N", "F", "M median", "T median"], rows))
+        cells = run_adversary_comparison(
+            args.protocol, n=args.n, f=_crash_budget(args), seeds=seeds
+        )
+    print(cells_table(cells))
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "backends":
-        return _cmd_backends(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "tradeoff":
-        return _cmd_tradeoff(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "doctor":
-        return _cmd_doctor(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    if args.command == "decompose":
-        return _cmd_decompose(args)
-    if args.command == "plot":
-        return _cmd_plot(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "ablate":
-        return _cmd_ablate(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:
+        # Bad input, not a bug or a failed run: argparse's usage-error code,
+        # one line. Everything else (SimulationError, CampaignError) tracebacks.
+        print(f"repro-ugf {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,9 +22,10 @@ from repro.experiments.ablation import (
     run_adversary_comparison,
     run_f_sweep,
 )
+from repro.experiments.config import f_fraction
 from repro.experiments.decomposition import StrategyGroup, run_decomposition
 from repro.experiments.figure3 import PANELS, PanelResult, run_figure3_panel
-from repro.experiments.report import format_table
+from repro.experiments.report import _stat_cell, format_table, panel_table
 from repro.experiments.tradeoff import TradeoffPoint, run_tradeoff
 from repro.experiments.verdicts import PanelVerdict, check_panel
 
@@ -33,6 +34,9 @@ __all__ = [
     "SCALES",
     "ReproductionReport",
     "run_full_reproduction",
+    "cells_table",
+    "decomposition_table",
+    "tradeoff_table",
     "render_markdown",
 ]
 
@@ -147,24 +151,18 @@ def run_full_reproduction(
 
     say("F-fraction sweep ...")
     f_sweep = {
-        "push-pull": run_f_sweep(
-            "push-pull",
+        protocol: run_f_sweep(
+            protocol,
             n=scale.ablation_n,
             seeds=scale.ablation_seeds,
-            adversary="str-1",
+            adversary=adversary,
             campaign=campaign,
-        ),
-        "ears": run_f_sweep(
-            "ears",
-            n=scale.ablation_n,
-            seeds=scale.ablation_seeds,
-            adversary="str-2.1.0",
-            campaign=campaign,
-        ),
+        )
+        for protocol, adversary in (("push-pull", "str-1"), ("ears", "str-2.1.0"))
     }
 
     say("adversary comparison ...")
-    comparison_f = round(0.3 * scale.ablation_n)
+    comparison_f = f_fraction(scale.ablation_n, 0.3)
     adversary_comparison = {
         protocol: run_adversary_comparison(
             protocol,
@@ -214,39 +212,44 @@ def run_full_reproduction(
 
 
 # ------------------------------------------------------------------ rendering
+# One definition per table: `repro-ugf ablate / decompose / tradeoff` print
+# exactly the text the report embeds.
 
 
-def _stat(stat) -> str:
-    return f"{stat.median:.4g} [{stat.q1:.4g}..{stat.q3:.4g}]"
-
-
-def _panel_section(report: ReproductionReport, panel: str) -> str:
-    result = report.panels[panel]
-    verdict = report.verdicts[panel]
-    spec = result.spec
-    curve_names = list(result.curves)
-    headers = ["N", "F"] + curve_names
-    first = result.curves[curve_names[0]]
-    rows = []
-    for i, point in enumerate(first.points):
-        row = [str(point.n), str(point.f)]
-        for name in curve_names:
-            p = result.curves[name].points[i]
-            row.append(_stat(p.messages if spec.quantity == "messages" else p.time))
-        rows.append(row)
-    lines = [
-        f"### Figure {panel} — {spec.protocol}, {spec.quantity} complexity",
-        "",
-        "```",
-        format_table(headers, rows),
-        "```",
-        "",
-        "```",
-        verdict.summary(),
-        "```",
-        "",
+def cells_table(cells: list[AblationCell]) -> str:
+    """Ablation or adversary-comparison cells, median [q1..q3] per setting."""
+    rows = [
+        [c.label, str(c.n), str(c.f), _stat_cell(c.messages), _stat_cell(c.time)]
+        for c in cells
     ]
-    return "\n".join(lines)
+    return format_table(["setting", "N", "F", "M", "T"], rows)
+
+
+def decomposition_table(groups: list[StrategyGroup]) -> str:
+    """UGF runs grouped by the strategy the mixture drew."""
+    rows = [
+        [g.label, str(g.runs), _stat_cell(g.messages), _stat_cell(g.time)]
+        for g in groups
+    ]
+    return format_table(["strategy", "runs", "M", "T"], rows)
+
+
+def tradeoff_table(points: list[TradeoffPoint]) -> str:
+    """Measured T and M against Theorem 1's bounds, one row per k."""
+    rows = [
+        [
+            str(p.k),
+            str(p.alpha),
+            _stat_cell(p.time_under_isolation),
+            _stat_cell(p.steps_under_isolation),
+            f"{p.bounds.time_bound:.3g}",
+            _stat_cell(p.messages_under_delay),
+            f"{p.bounds.message_bound:.4g}",
+        ]
+        for p in points
+    ]
+    headers = ["k", "alpha", "T @ 2.k.0", "T_end steps", "T bound", "M @ 2.k.1", "M bound"]
+    return format_table(headers, rows)
 
 
 def render_markdown(report: ReproductionReport) -> str:
@@ -260,71 +263,27 @@ def render_markdown(report: ReproductionReport) -> str:
         "",
         f"Overall: **{'all shape claims reproduced' if report.all_reproduced else 'SHAPE MISMATCHES — see panels'}**.",
         "",
-        "## Figure 3",
-        "",
     ]
-    for panel in sorted(report.panels):
-        lines.append(_panel_section(report, panel))
-
-    lines += ["## F-fraction sweep (§V-A.1)", ""]
-    for protocol, cells in report.f_sweep.items():
-        rows = [
-            [c.label, _stat(c.time), _stat(c.messages)] for c in cells
-        ]
-        lines += [
-            f"### {protocol}",
-            "",
-            "```",
-            format_table(["F", "T", "M"], rows),
-            "```",
-            "",
-        ]
-
-    lines += ["## Adversary comparison (§VI)", ""]
-    for protocol, cells in report.adversary_comparison.items():
-        rows = [[c.label, _stat(c.time), _stat(c.messages)] for c in cells]
-        lines += [
-            f"### {protocol}",
-            "",
-            "```",
-            format_table(["adversary", "T", "M"], rows),
-            "```",
-            "",
-        ]
-
-    lines += ["## UGF mixture decomposition", ""]
-    for protocol, groups in report.decomposition.items():
-        rows = [
-            [g.label, str(g.runs), _stat(g.messages), _stat(g.time)] for g in groups
-        ]
-        lines += [
-            f"### {protocol}",
-            "",
-            "```",
-            format_table(["strategy", "runs", "M", "T"], rows),
-            "```",
-            "",
-        ]
-
-    lines += ["## Theorem 1 trade-off (EARS)", ""]
-    rows = [
-        [
-            str(p.k),
-            str(p.alpha),
-            _stat(p.time_under_isolation),
-            _stat(p.steps_under_isolation),
-            _stat(p.messages_under_delay),
-            f"{p.bounds.time_bound:.3g}",
-            f"{p.bounds.message_bound:.4g}",
-        ]
-        for p in report.tradeoff
-    ]
-    lines += [
-        "```",
-        format_table(
-            ["k", "alpha", "T@2.k.0", "T_end", "M@2.k.1", "T bound", "M bound"], rows
-        ),
-        "```",
-        "",
-    ]
+    sections = {
+        "Figure 3": {
+            f"Figure {panel}": f"{panel_table(result)}\n\n{report.verdicts[panel].summary()}"
+            for panel, result in sorted(report.panels.items())
+        },
+        "F-fraction sweep (§V-A.1)": {
+            protocol: cells_table(cells) for protocol, cells in report.f_sweep.items()
+        },
+        "Adversary comparison (§VI)": {
+            protocol: cells_table(cells)
+            for protocol, cells in report.adversary_comparison.items()
+        },
+        "UGF mixture decomposition": {
+            protocol: decomposition_table(groups)
+            for protocol, groups in report.decomposition.items()
+        },
+        "Theorem 1 trade-off": {"ears": tradeoff_table(report.tradeoff)},
+    }
+    for title, tables in sections.items():
+        lines += [f"## {title}", ""]
+        for heading, table in tables.items():
+            lines += [f"### {heading}", "", "```", table, "```", ""]
     return "\n".join(lines)

@@ -1,12 +1,53 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import json
 import pathlib
 import re
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SURFACE = ROOT / "tests" / "data" / "cli_surface.json"
+
+
+def _subcommands(parser):
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _surface(parser):
+    """Everything about every subcommand's arguments except help text, as
+    plain data: {command: {flag: {dest, default, type, ...}}}. Regenerate
+    the pinned copy with ``python tests/test_cli.py`` (PYTHONPATH=src)."""
+
+    def kind(type_):
+        if type_ is None:
+            return None
+        return type_.__name__ if type_ in (int, float, pathlib.Path) else "validator"
+
+    def plain(value):
+        return str(value) if isinstance(value, pathlib.Path) else value
+
+    return {
+        command: {
+            (a.option_strings[0] if a.option_strings else a.dest): {
+                "dest": a.dest,
+                "default": plain(a.default),
+                "type": kind(a.type),
+                "choices": None if a.choices is None else list(a.choices),
+                "nargs": a.nargs,
+                "required": a.required,
+                "const": a.const,
+                "metavar": a.metavar,
+            }
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for command, sub in _subcommands(parser).items()
+    }
 
 
 def test_list(capsys):
@@ -383,25 +424,47 @@ def test_sweep_accepts_trial_timeout(capsys):
 
 
 def test_every_documented_command_exists():
-    # A subcommand removed from the parser must leave no `repro-ugf <cmd>`
-    # behind in the user-facing docs (or the reverse: a typo'd example).
+    # A subcommand or flag removed from the parser must leave no
+    # `repro-ugf <cmd> ... --flag` behind in the user-facing docs or CI
+    # (or the reverse: a typo'd example).
     import repro.cli
 
-    root = pathlib.Path(__file__).resolve().parents[1]
     texts = {"src/repro/cli.py": repro.cli.__doc__}
-    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
-        texts[str(path.relative_to(root))] = path.read_text()
-    named = {
-        (cmd, where)
-        for where, text in texts.items()
-        for cmd in re.findall(r"(?<![/\w-])repro-ugf\s+([a-z][a-z0-9-]*)", text)
-    }
-    assert len({cmd for cmd, _ in named}) >= 15  # the scan still finds them
-    (sub,) = (
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    for path in [
+        ROOT / "README.md",
+        *sorted((ROOT / "docs").glob("*.md")),
+        ROOT / "CONTRIBUTING.md",
+        ROOT / ".github" / "workflows" / "ci.yml",
+    ]:
+        texts[str(path.relative_to(ROOT))] = path.read_text()
+    # An invocation runs to the end of its (backslash-continued) line or to
+    # the first character that ends a shell word list or a markdown span.
+    invocation = re.compile(
+        r"(?<![/\w-])(?:repro-ugf|python -m repro)[ \t]+([a-z][a-z0-9-]*)([^\n`|;&)]*)"
     )
-    unknown = sorted((c, w) for c, w in named if c not in sub.choices)
+    named = [
+        (where, match.group(1), match.group(2))
+        for where, text in texts.items()
+        for match in invocation.finditer(re.sub(r"\\\n\s*", " ", text))
+    ]
+    commands = _subcommands(build_parser())
+    assert len({cmd for _, cmd, _ in named}) >= 15  # the scan still finds them
+    unknown = sorted({(cmd, where) for where, cmd, _ in named if cmd not in commands})
     assert not unknown, f"docs name commands the parser lacks: {unknown}"
+    flags = [
+        (cmd, flag, where)
+        for where, cmd, rest in named
+        for flag in re.findall(r"(?<![\w-])(--[a-z][a-z-]*|-[nf])(?![\w-])", rest)
+    ]
+    assert len(flags) >= 50  # ditto
+    stale = sorted(
+        {
+            (cmd, flag, where)
+            for cmd, flag, where in flags
+            if all(flag not in a.option_strings for a in commands[cmd]._actions)
+        }
+    )
+    assert not stale, f"docs pass flags the subcommand lacks: {stale}"
 
 
 def test_environment_fingerprint_keeps_the_fields_the_suite_records():
@@ -413,3 +476,136 @@ def test_environment_fingerprint_keeps_the_fields_the_suite_records():
     env = environment_fingerprint()
     assert {"python", "numpy", "git", "cpu_count", "wire_version", "key_version"} <= set(env)
     assert env["cpu_count"] >= 1
+
+
+def test_option_surface_is_pinned():
+    # "Same CLI" as a diff, not a claim: a flag added, dropped, or given
+    # another default / type / choices must show up as an edit to the
+    # pinned file (help text is free to change).
+    assert _surface(build_parser()) == json.loads(SURFACE.read_text())
+
+
+CELL = ["--protocol", "round-robin", "--n", "6", "--seeds", "2", "--workers", "1"]
+CLEAN = [*CELL, "--adversary", "none", "--no-cache"]
+ONE = ["--protocol", "round-robin", "-n", "8", "-f", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["sweep", *CLEAN, "--topology", "ring:2"], "round-robin,none,6,2,"),
+        (["run", *ONE, "--topology", "ring:2"], "OUT-OF-MODEL"),
+        (["sweep", *CLEAN, "--supervise", "--max-retries", "0"], "round-robin,none,6,2,"),
+        (["run", *ONE, "--seed", "1", "--max-steps", "3"], "TRUNCATED"),
+    ],
+)
+def test_flag_reaches_its_layer(argv, needle, capsys):
+    assert main(argv) == 0
+    assert needle in capsys.readouterr().out
+
+
+def test_sweep_backends_print_identical_csv(capsys):
+    csv = {}
+    for backend in ("scalar", "batch"):
+        # Forced batch declines a sanitized trial; CI reruns this file
+        # under REPRO_SANITIZE=strict.
+        assert main(["sweep", *CLEAN, "--backend", backend, "--sanitize", "off"]) == 0
+        csv[backend] = capsys.readouterr().out
+    assert csv["scalar"].count("\n") == 2
+    assert csv["scalar"] == csv["batch"]
+
+
+def test_sweep_store_backend_auto_detects_a_sharded_cache(tmp_path, capsys):
+    args = ["sweep", *CELL, "--adversary", "none", "--cache-dir", str(tmp_path / "c")]
+    assert main([*args, "--store-backend", "sharded"]) == 0
+    assert "2 executed, 0 cached" in capsys.readouterr().err
+    assert main(args) == 0
+    assert "0 executed, 2 cached" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--protocol", "flood", "-n", "0", "-f", "0"],
+        ["run", *ONE, "--environment", "bogus"],
+        ["sweep", *CELL, "--no-cache", "--adversary", "nope"],
+        ["sweep", *CLEAN, "--f-fraction", "1.5"],
+        ["sweep", *CLEAN, "--fault-plan", "/nonexistent.json"],
+        ["sweep", *CLEAN, "--supervise", "--max-retries", "-1"],
+    ],
+)
+def test_bad_input_is_one_line_and_exit_2(argv, capsys):
+    # ConfigurationError is the program's "parameter outside its domain":
+    # reported like an argparse usage error, never as a traceback.
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-ugf {argv[0]}: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "3a"],
+        ["sweep", *CLEAN],
+        ["tradeoff", *ONE],
+        ["decompose", "--protocol", "flood"],
+        ["ablate", "f", "--protocol", "flood"],
+    ],
+)
+def test_zero_seeds_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--seeds", "0"])
+    assert exit_.value.code == 2
+    assert "--seeds: must be >= 1" in capsys.readouterr().err
+
+
+def test_table_commands_print_what_the_report_embeds(capsys, monkeypatch):
+    import repro.cli
+    from repro.experiments.full_report import (
+        ReproductionScale,
+        render_markdown,
+        run_full_reproduction,
+    )
+
+    scale = ReproductionScale(
+        label="tiny",
+        n_values=(8, 12, 16),
+        seeds=(0,),
+        ablation_n=10,
+        ablation_seeds=(0,),
+        decomposition_seeds=(0, 1, 2),
+        tradeoff={"n": 8, "f": 2, "tau": 2, "k_values": (1,), "seeds": (0,)},
+    )
+    report = run_full_reproduction(scale, workers=1)
+    text = render_markdown(report)
+    # The report compares seven adversaries where the command defaults to
+    # three: hand 'ablate' the report's own cells.
+    monkeypatch.setattr(
+        repro.cli,
+        "run_adversary_comparison",
+        lambda *args, **kwargs: report.adversary_comparison["ears"],
+    )
+    ears = ["--protocol", "ears"]
+    for argv in (
+        ["tradeoff", *ears, "-n", "8", "-f", "2", "--tau", "2", "--k", "1", "--seeds", "1"],
+        ["decompose", *ears, "-n", "10", "--seeds", "3"],
+        ["ablate", "adversaries", *ears, "-n", "10", "--seeds", "1"],
+    ):
+        assert main(argv) == 0
+        table = capsys.readouterr().out.split("\n\n")[0].rstrip("\n")
+        assert table.count("\n") >= 2 and table in text, argv
+
+
+if __name__ == "__main__":  # regenerate the pinned surface, one flag per line
+    SURFACE.parent.mkdir(exist_ok=True)
+    blocks = [
+        f" {json.dumps(command)}: {{\n"
+        + ",\n".join(
+            f"  {json.dumps(flag)}: {json.dumps(spec, sort_keys=True)}"
+            for flag, spec in sorted(flags.items())
+        )
+        + "\n }"
+        for command, flags in sorted(_surface(build_parser()).items())
+    ]
+    SURFACE.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
