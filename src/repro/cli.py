@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         _cmd_report,
         [g["campaign"], g["cache"], g["service"], g["sanitize"], g["metrics"]],
-        "run the complete evaluation and write a markdown report",
+        "measure and judge every paper claim, write a markdown report "
+        "(exit 1 unless every claim reproduces)",
     )
     p.add_argument("--scale", default="laptop", choices=["smoke", "laptop", "paper"])
     p.add_argument("--out", type=pathlib.Path, default=pathlib.Path("report.md"))
@@ -756,10 +757,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(text)
     print(f"wrote {args.out}")
-    print(
-        "verdict: "
-        + ("all shape claims reproduced" if report.all_reproduced else "MISMATCHES")
-    )
+    print(f"verdict: {report.overall}")
     return 0 if report.all_reproduced else 1
 
 

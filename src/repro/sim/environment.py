@@ -10,7 +10,8 @@ before the adversary's setup.
 
 This enables the robustness experiment the paper's model invites but
 its evaluation omits: does UGF still disrupt when the substrate itself
-is already heterogeneous? (``benchmarks/bench_heterogeneity.py``.)
+is already heterogeneous? (The ``heterogeneity`` claim of ``repro-ugf
+report``.)
 
 Note on Algorithm 1's ``d_rho <- 1; delta_rho <- 1`` line: in the
 paper that line *initialises* the homogeneous experimental setting; it

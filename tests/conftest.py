@@ -46,3 +46,15 @@ def _isolated_trial_cache(tmp_path_factory, monkeypatch):
     # Metrics default to off in tests regardless of the outer shell;
     # the obs battery turns them on explicitly.
     monkeypatch.delenv("REPRO_METRICS", raising=False)
+
+
+def pytest_collection_modifyitems(config, items):
+    """``deep`` cases (benchmark-scale differential cells, the laptop-scale
+    reproduction) cost tens of seconds: skipped unless selected with
+    ``-m deep``, which the CI ``backend-differential`` legs do."""
+    if "deep" in (config.getoption("-m") or ""):
+        return
+    skip = pytest.mark.skip(reason="benchmark-scale case: run with -m deep")
+    for item in items:
+        if "deep" in item.keywords:
+            item.add_marker(skip)

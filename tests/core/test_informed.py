@@ -32,13 +32,19 @@ def test_requires_rng():
 
 def test_probe_classifies_paper_protocols():
     # Traffic profiles: EARS ~1 msg/proc/step (terse), SEARS ~fanout
-    # (chatty), Push-Pull in between (bursty-interactive).
-    adv, _ = attack("ears")
-    assert adv.committed == "str-2.1.0"
-    adv, _ = attack("sears")
-    assert adv.committed == "str-2.1.1"
-    adv, _ = attack("push-pull")
-    assert adv.committed == "str-1"
+    # (chatty), Push-Pull in between (bursty-interactive). From volume
+    # alone the probe recovers the paper's per-protocol worst-case
+    # strategy in a clear majority of seeds. (``committed`` lives on the
+    # adversary, not the Outcome, so this half of the §VII claim is
+    # checked here; the `informed` row of experiments/claims.py holds
+    # the damage half.)
+    for protocol, worst in (
+        ("ears", "str-2.1.0"),
+        ("sears", "str-2.1.1"),
+        ("push-pull", "str-1"),
+    ):
+        commits = [attack(protocol, seed=seed)[0].committed for seed in range(7)]
+        assert commits.count(worst) * 2 > len(commits), (protocol, commits)
 
 
 def test_measured_rate_recorded():

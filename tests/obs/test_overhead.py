@@ -7,7 +7,8 @@ overhead stays under 5% on one representative attacked trial. The
 engine's inlined span timing and the network's int accumulators exist
 precisely to keep this margin wide. The gate logic itself lives in
 ``benchmarks/overhead_gate.py`` and is checked once, through each of
-the three scripts built on it.
+the four scripts built on it (``bench_service.py`` gates its retry-policy
+overhead with it, beside a latency bound of its own).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ def _load(name: str):
 
 @pytest.fixture(scope="module")
 def gate_scripts():
-    return {name: _load(name) for name in ("bench_obs", "bench_chaos", "bench_check")}
+    names = ("bench_obs", "bench_chaos", "bench_check", "bench_service")
+    return {name: _load(name) for name in names}
 
 
 def _can_rounds(monkeypatch, script, ratio: float) -> None:

@@ -16,7 +16,8 @@ import json
 
 import pytest
 
-from repro.campaign import Campaign
+from repro.campaign import Campaign, trial_key
+from repro.campaign.store import TrialStore
 from repro.chaos import RetryPolicy, shipped_service_plans
 from repro.experiments.config import TrialSpec
 from repro.obs.registry import MetricsRegistry
@@ -55,11 +56,8 @@ def baseline(tmp_path_factory):
 _CLIENT_SIDE = ["conn-refuse", "conn-drop", "frame-tear", "slow-peer"]
 
 
-@pytest.mark.parametrize("plan_name", _CLIENT_SIDE)
-def test_client_side_fault_converges_byte_identical(plan_name, tmp_path, baseline):
-    """The transport dies on the client once; the retry loop resubmits
-    (idempotently — the daemon dedups by content address) and the sweep
-    finishes byte-identical to the fault-free run, never falling back."""
+def _sweep_through_faulted_client(plan_name, tmp_path, baseline):
+    """One client-side-faulted sweep; returns (client metrics, daemon counters)."""
     plan = shipped_service_plans()[plan_name]
     daemon_campaign = Campaign(
         cache_dir=tmp_path / "shared", workers=0, store_backend="sharded"
@@ -80,19 +78,45 @@ def test_client_side_fault_converges_byte_identical(plan_name, tmp_path, baselin
             results = campaign.run_trials(SPECS)
             assert all(r.ok for r in results)
             assert wire_image(results) == baseline
-        server_counters = dict(host.service.counters)
+        return metrics, dict(host.service.counters)
+
+
+@pytest.mark.parametrize("plan_name", _CLIENT_SIDE)
+def test_client_side_fault_converges_byte_identical(plan_name, tmp_path, baseline):
+    """The transport dies on the client once; the retry loop resubmits
+    (idempotently — the daemon dedups by content address) and the sweep
+    finishes byte-identical to the fault-free run, never falling back."""
+    metrics, _ = _sweep_through_faulted_client(plan_name, tmp_path, baseline)
 
     # The fault fired (anti-vacuous) and the retry absorbed it: no
-    # fallback, and the daemon — not the local path — computed trials.
+    # fallback, and the daemon — not the local path — computed the
+    # trials. Judged on where the records are, not on a daemon counter:
+    # the daemon's store holds exactly the SPECS addresses and the
+    # client's holds no trial record.
     assert metrics.counters["service.injected_faults"] >= 1
     assert metrics.counters["service.retries"] >= 1
     assert "service.fallbacks" not in metrics.counters
-    assert server_counters["computed"] == len(SPECS)
+    shared = TrialStore(tmp_path / "shared")
+    assert len(shared) == len(SPECS) and all(trial_key(s) in shared for s in SPECS)
+    assert len(TrialStore(tmp_path / "local")) == 0
 
     # Every retry and injected fault is auditable in telemetry.
     telemetry = (tmp_path / "local" / "telemetry.jsonl").read_text()
     assert '"injected_fault"' in telemetry
     assert '"retry"' in telemetry
+
+
+@pytest.mark.xfail(strict=False, reason="ROADMAP item 1: counted at stream-back")
+@pytest.mark.parametrize("plan_name", ["conn-drop", "frame-tear"])
+def test_daemon_counts_trials_a_cancelled_request_computed(
+    plan_name, tmp_path, baseline
+):
+    """The two plans that cut a request off mid-stream: the daemon has
+    computed all four trials but bumped ``computed`` only for the frames
+    it got to send, and the retry reads the rest as hits. XPASS here
+    means the counters moved to the compute site."""
+    _, server_counters = _sweep_through_faulted_client(plan_name, tmp_path, baseline)
+    assert server_counters["computed"] == len(SPECS)
 
 
 # -- server-side injection -----------------------------------------------------

@@ -467,6 +467,28 @@ def test_every_documented_command_exists():
     assert not stale, f"docs pass flags the subcommand lacks: {stale}"
 
 
+def test_every_documented_path_exists():
+    # A file deleted or moved must leave no pointer behind in the docs, CI
+    # or packaging config (`benchmarks/bench_*.py` style globs must match).
+    top = "README.md DESIGN.md EXPERIMENTS.md CONTRIBUTING.md pyproject.toml"
+    sources = [
+        *(ROOT / name for name in top.split()),
+        *sorted((ROOT / "docs").glob("*.md")),
+        ROOT / ".github" / "workflows" / "ci.yml",
+    ]
+    named = re.compile(
+        r"(?<![\w/.*-])((?:src|tests|benchmarks|examples|docs)/[\w./*-]*)"
+    )
+    paths = {
+        (match.group(1).rstrip(".,/"), source.name)
+        for source in sources
+        for match in named.finditer(source.read_text())
+    }
+    assert len(paths) >= 100  # the scan still finds them
+    stale = sorted(pair for pair in paths if not any(ROOT.glob(pair[0])))
+    assert not stale, f"docs point at files that do not exist: {stale}"
+
+
 def test_environment_fingerprint_keeps_the_fields_the_suite_records():
     # Its only consumer, benchmarks/suite/__main__.py, is frozen by
     # BENCHMARK.json: a rename here must fail in tier-1, not in a
@@ -584,7 +606,7 @@ def test_table_commands_print_what_the_report_embeds(capsys, monkeypatch):
     monkeypatch.setattr(
         repro.cli,
         "run_adversary_comparison",
-        lambda *args, **kwargs: report.adversary_comparison["ears"],
+        lambda *args, **kwargs: report.evidence["oblivious/ears"],
     )
     ears = ["--protocol", "ears"]
     for argv in (
