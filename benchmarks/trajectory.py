@@ -4,7 +4,9 @@
 summarises every ``results.json`` under each directory (an ``--out`` of
 ``python -m benchmarks.suite run``) and writes ``BENCH_<UTC stamp>.json``
 at the repo root: one set per directory, labelled by the directory's
-name (``parent``, ``change``). Layout: docs/PERFORMANCE.md.
+name (``parent``, ``change``), so two directories of one name are an
+error, not a point that silently keeps the second. Layout:
+docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -28,8 +30,12 @@ def _summaries(directory: pathlib.Path) -> dict:
 def main(argv: list[str]) -> None:
     if not argv:
         raise SystemExit(__doc__)
+    directories = [pathlib.Path(arg) for arg in argv]
+    labels = [directory.name for directory in directories]
+    if len(set(labels)) < len(labels):
+        raise SystemExit(f"trajectory: two directories share a label (their last component): {labels}")
     env = environment_fingerprint()
-    sets = {directory.name: _summaries(directory) for directory in map(pathlib.Path, argv)}
+    sets = {directory.name: _summaries(directory) for directory in directories}
     point = {"schema": 2, "instrument": "benchmarks/suite", "git": env["git"], "environment": env, "sets": sets}
     path = ROOT / f"BENCH_{time.strftime('%Y%m%dT%H%M%SZ', time.gmtime())}.json"
     path.write_text(json.dumps(point, indent=1) + "\n")

@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Theorem 1 trade-off frontier",
     )
     p.add_argument("--tau", type=int, default=3)
-    p.add_argument("--k", type=int, nargs="+", default=[1, 2, 3])
+    p.add_argument("--k", type=_positive_int, nargs="+", default=[1, 2, 3])
 
     p = command(
         "report",
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         [_protocol(), g["adversary"], _size(), g["seed"]],
         "run one trial and show its activity timeline",
     )
-    p.add_argument("--rows", type=int, default=20, help="max timeline rows shown")
+    p.add_argument("--rows", type=_positive_int, default=20, help="max timeline rows shown")
 
     command(
         "decompose",
@@ -771,6 +771,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
+    if args.cache_dir is not None and not args.cache_dir.is_dir():
+        # A mistyped path must not audit clean; an existing empty cache does.
+        raise ConfigurationError(f"no cache directory at {args.cache_dir}")
     audit = audit_cache(
         _cache_dir(args.cache_dir),
         replay=not args.no_replay,
@@ -840,8 +843,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     }
     rows = [[str(getattr(s, f)) for f in columns.values()] for s in timeline.steps]
     if len(rows) > args.rows:
-        shown = args.rows // 2
-        rows = rows[:shown] + [["..."] * len(columns)] + rows[-shown:]
+        tail = args.rows // 2  # rows[-0:] would be every row, so slice from the front
+        rows = rows[: args.rows - tail] + [["..."] * len(columns)] + rows[len(rows) - tail :]
     print(format_table(list(columns), rows))
     gaps = timeline.quiet_gaps
     if gaps:
@@ -878,7 +881,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     from repro.experiments.serialization import loads
     from repro.viz.ascii_chart import render_panel, render_series
 
-    result = loads(args.file.read_text())
+    try:
+        result = loads(args.file.read_text())
+    except (OSError, ValueError) as exc:  # missing or unreadable file, not JSON
+        raise ConfigurationError(f"cannot read {args.file}: {exc}") from exc
     if isinstance(result, PanelResult):
         print(render_panel(result, width=args.width, height=args.height))
         return 0

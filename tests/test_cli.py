@@ -347,6 +347,15 @@ def test_inspect_command(capsys):
     assert "quiet gap" in out  # the delay attack fast-forwards dead air
 
 
+@pytest.mark.parametrize("rows", [1, 4, 5])
+def test_inspect_rows_caps_the_timeline(rows, capsys):
+    # `--rows 1` used to slice rows[-0:], every step, after the ellipsis.
+    cell = ["--protocol", "push-pull", "--adversary", "ugf", "-n", "30", "-f", "9"]
+    assert main(["inspect", *cell, "--rows", str(rows)]) == 0
+    summary, header, rule, *shown = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    assert len(shown) == rows + 1 and sum("..." in line for line in shown) == 1
+
+
 def test_decompose_command(capsys):
     assert (
         main(["decompose", "--protocol", "flood", "-n", "12", "--seeds", "6"]) == 0
@@ -489,6 +498,28 @@ def test_every_documented_path_exists():
     assert not stale, f"docs point at files that do not exist: {stale}"
 
 
+def test_ci_runs_every_row_of_the_gates_table():
+    # The gates are one table with one entry point; CI must reach every row
+    # (no name = all of them) and no gate may live in a script beside it.
+    from benchmarks.gates import GATES
+
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert not re.search(r"bench_\w*\.py", ci)
+    runs = re.findall(r"python -m benchmarks\.gates\b([^\n|;&]*)", ci)
+    assert runs, "ci.yml never invokes benchmarks.gates"
+    named = [run.split() for run in runs]
+    reached = set(GATES) if [] in named else {name for names in named for name in names}
+    assert reached == set(GATES)
+
+
+def test_trajectory_refuses_two_directories_of_one_label(tmp_path):
+    # `trajectory s1/parent s2/parent` used to keep only the second set.
+    from benchmarks import trajectory
+
+    with pytest.raises(SystemExit, match="share a label"):
+        trajectory.main([str(tmp_path / "s1" / "parent"), str(tmp_path / "s2" / "parent")])
+
+
 def test_environment_fingerprint_keeps_the_fields_the_suite_records():
     # Its only consumer, benchmarks/suite/__main__.py, is frozen by
     # BENCHMARK.json: a rename here must fail in tier-1, not in a
@@ -554,15 +585,22 @@ def test_sweep_store_backend_auto_detects_a_sharded_cache(tmp_path, capsys):
         ["sweep", *CLEAN, "--f-fraction", "1.5"],
         ["sweep", *CLEAN, "--fault-plan", "/nonexistent.json"],
         ["sweep", *CLEAN, "--supervise", "--max-retries", "-1"],
+        ["plot", "/nonexistent.json"],
+        ["tradeoff", *ONE, "--k", "0"],
+        ["check", "/nonexistent-cache"],
     ],
 )
 def test_bad_input_is_one_line_and_exit_2(argv, capsys):
     # ConfigurationError is the program's "parameter outside its domain":
     # reported like an argparse usage error, never as a traceback.
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"repro-ugf {argv[0]}: error: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    try:
+        code = main(argv)
+    except SystemExit as rejected_at_parse_time:  # argparse prints its usage first
+        code = rejected_at_parse_time.code
+    assert code == 2
+    *usage, error = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"repro-ugf {argv[0]}: error: ")
+    assert all(line.startswith(("usage: ", " ")) for line in usage)
 
 
 @pytest.mark.parametrize(
