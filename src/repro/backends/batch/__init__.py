@@ -5,12 +5,13 @@ whose dynamics one vectorized engine can replay *exactly*:
 :func:`~repro.backends.batch.engine.run_cell` runs every batch cell —
 the deterministic reference protocols (``flood``, ``round-robin``) and
 the randomized ones (``push``, ``pull``, ``push-pull``, ``ears``,
-``sears``) alike, under the full replayable adversary set (including
-``ugf`` and the ``str-2.<k>.<l>`` family). Protocols are kernels
+``sears``) alike, under every registered adversary (``ugf`` and the
+``str-2.<k>.<l>`` family replayed at setup, the observers ``informed``
+and ``greedy-oracle`` as mid-run hooks over the live grids). Protocols are kernels
 (:mod:`~repro.backends.batch.kernels`); per-step protocol draws go
 through the RNG replay plane (:mod:`~repro.backends.batch.rng`) in
 scalar draw order, seeded only when a kernel first draws; adversary
-setup draws and retimes are compiled into plans
+setup draws, retimes and mid-run hooks are compiled into plans
 (:mod:`~repro.backends.batch.adversaries`); in-flight messages live in
 one COO pool (:mod:`~repro.backends.batch.waves`) where an all-send is
 a single broadcast entry. Zero-draw kernels sustain the ≥10× floor
@@ -43,6 +44,7 @@ from repro.backends.batch.eligibility import (
     why_ineligible,
 )
 from repro.backends.batch.engine import run_cell
+from repro.backends.batch.kernels import trial_bytes
 from repro.errors import SimulationError
 from repro.experiments.config import TrialSpec
 from repro.sim.outcome import Outcome
@@ -57,6 +59,11 @@ __all__ = [
     "format_grid",
     "topology_grid",
 ]
+
+
+#: What one ``run_cell`` call may hold (see ``kernels.trial_bytes``): a
+#: cell with more seeds than fit runs as consecutive sub-batches.
+_RUN_BYTES = 1 << 30
 
 
 class BatchBackend(Backend):
@@ -80,7 +87,9 @@ class BatchBackend(Backend):
                 )
         t0 = time.perf_counter() if metrics is not None else 0.0
         # Group by cell: trials of a cell differ only by seed and share
-        # every state array; distinct cells vectorize independently.
+        # every state array; distinct cells vectorize independently, and
+        # so do the trials of one — which is what lets a cell too large
+        # for the byte budget run as sub-batches, wires unchanged.
         groups: dict[tuple, list[tuple[int, TrialSpec]]] = {}
         for idx, spec in enumerate(specs):
             key = (spec.protocol, spec.adversary, spec.n, spec.f, spec.max_steps)
@@ -88,9 +97,12 @@ class BatchBackend(Backend):
         results: list[Outcome | None] = [None] * len(specs)
         for members in groups.values():
             spec0 = members[0][1]
-            seeds = [spec.seed for _, spec in members]
-            for (idx, _), outcome in zip(members, run_cell(spec0, seeds)):
-                results[idx] = outcome
+            step = max(1, _RUN_BYTES // trial_bytes(spec0.protocol, spec0.n))
+            for lo in range(0, len(members), step):
+                part = members[lo : lo + step]
+                seeds = [spec.seed for _, spec in part]
+                for (idx, _), outcome in zip(part, run_cell(spec0, seeds)):
+                    results[idx] = outcome
         if metrics is not None:
             metrics.observe_span("backend.batch.run", time.perf_counter() - t0)
             metrics.count("backend.batch.trials", len(specs))

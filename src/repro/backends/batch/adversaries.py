@@ -1,11 +1,11 @@
-"""Adversary replay plans: every batchable attack as timing/crash grids.
+"""Adversary replay plans: setup replay + scripted or state-driven mid-run hooks.
 
-Every batchable adversary draws its entire attack from
-``stream("adversary")`` at setup; the only *mid-run* behaviours are
-scripted (oblivious crash schedules) or a deterministic function of
-the step's sends (Strategy 2.k.0's survivor reaction). A plan replays
-the setup draws per trial — in the exact scalar draw order — and
-compiles the result into grids the vectorized engine consumes:
+A plan is one cell's adversary compiled for the vectorized engine. It
+has two halves.
+
+**Setup replay.** Every batchable adversary draws from
+``stream("adversary")`` at setup; the plan replays those draws per
+trial — in the exact scalar draw order — into grids the engine reads:
 
 - ``delta``/``d``: per-(trial, process) local-step and delivery times
   (``tau^k`` / ``tau^(k+l)`` on the controlled group, 1 elsewhere),
@@ -15,11 +15,31 @@ compiles the result into grids the vectorized engine consumes:
   script plus its next-wakeup step (it must force visited steps even
   when nothing else is pending);
 - ``survivor``/``budget_used``: Strategy 2.k.0's isolated survivor and
-  the crash budget already spent at setup, driving the per-step
-  adaptive reaction in :meth:`AdversaryPlan.after_step`;
+  the crash budget already spent;
 - ``labels``: UGF's sampled strategy per trial (``Outcome.
-  strategy_label``); None for the standalone strategies, like the
-  scalar engine's ``adversary.chosen`` probe.
+  strategy_label``); None for everything else, like the scalar
+  engine's ``adversary.chosen`` probe.
+
+**Mid-run hooks.** ``before_step`` / ``after_step`` are the scalar
+hooks of the same names, called once per visited step for the whole
+cell. They are either *scripted* (oblivious crash schedules) or a
+deterministic function of what the engine hands them — this step's
+frozen wave, the status grid, each trial's ``now`` and liveness, the
+packed knowledge grid ``K``:
+
+- Strategy 2.k.0 crashes the receivers of its survivor's sends while
+  budget lasts (:meth:`AdversaryPlan.after_step`);
+- ``greedy-oracle`` (:class:`_GreedyPlan`) crashes, from step 1 on, the
+  best-informed correct awake process of every trial with budget left
+  — one masked argmax over the knowledge popcounts, ties to the lowest
+  pid as the scalar ``np.argmax`` over ascending candidates;
+- ``informed`` (:class:`_InformedPlan`) samples its group at setup,
+  counts sends over the first ``probe_steps`` visited steps, and then
+  runs one of the setup replays above *at the commit step*, on the
+  same generator: retimes reach only decisions taken after it (this
+  step's ``next_action`` and arrival steps are already computed, as in
+  the scalar engine), crashes are stamped with the commit step, and
+  the 2.k.0 scan starts on the next one.
 
 UGF replay follows Algorithm 1 exactly: group sample, the ``q1``
 branch draw, the fixed ``k = l = 1`` exponents (default ``kl_mode``),
@@ -37,8 +57,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.backends.batch.rng import adversary_stream
-from repro.backends.batch.waves import _CRASHED, _NEVER, BROADCAST, Wave
+from repro.backends.batch.waves import _AWAKE, _CRASHED, _NEVER, BROADCAST, Wave
 from repro.core.fixed import ObliviousAdversary
+from repro.core.informed import InformedGossipFighter
 from repro.core.strategies import sample_group
 from repro.core.ugf import UniversalGossipFighter
 from repro.errors import SimulationError
@@ -123,6 +144,9 @@ class AdversaryPlan:
         wave: Wave | None,
         status: np.ndarray,
         crash: Callable[[int, int], None],
+        now: np.ndarray,
+        live: np.ndarray,
+        K: np.ndarray,
     ) -> None:
         """Strategy 2.k.0's adaptive reaction, replayed on the wave COO.
 
@@ -231,6 +255,70 @@ def _setup_str2(k: int, l: int):
     return setup
 
 
+def _setup_informed(plan, i, rng, n, f):
+    plan.groups[i] = sample_group(rng, n, f)
+    plan.rngs[i] = rng  # the commit's survivor pick continues this stream
+
+
+class _GreedyPlan(AdversaryPlan):
+    """``greedy-oracle``: no setup, one crash per visited step from step 1."""
+
+    __slots__ = ()
+
+    def after_step(self, wave, status, crash, now, live, K):
+        ti = np.flatnonzero(live & (now >= 1) & (self.budget_used < self.f))
+        if ti.size == 0:
+            return
+        state = status[ti]
+        awake = state == _AWAKE  # correct and not asleep
+        correct = state != _CRASHED  # never empty: F < N
+        cand = np.where(awake.any(axis=1)[:, None], awake, correct)
+        known = np.unpackbits(K[ti], axis=2, count=status.shape[1]).sum(
+            axis=2, dtype=np.int64
+        )
+        crash(ti, np.where(cand, known, -1).argmax(axis=1))  # first max: lowest pid
+        self.budget_used[ti] += 1
+
+
+class _InformedPlan(AdversaryPlan):
+    """``informed``: probe the send rate, then commit one strategy on
+    the group sampled at setup. Every live trial visits a step per
+    engine iteration, so the whole cell commits in the same call."""
+
+    __slots__ = ("groups", "rngs", "_probe", "_seen", "_sends")
+
+    def __init__(self, name: str, T: int, n: int, f: int):
+        super().__init__(name, T, n, f)
+        self.groups: list[np.ndarray | None] = [None] * T
+        self.rngs: list[np.random.Generator | None] = [None] * T
+        self._probe = InformedGossipFighter()  # probe_steps 3, thresholds 3.0 / 1.2
+        self._seen = 0
+        self._sends = np.zeros(T, dtype=np.int64)
+
+    def after_step(self, wave, status, crash, now, live, K):
+        probe = self._probe
+        if self._seen >= probe.probe_steps:
+            return super().after_step(wave, status, crash, now, live, K)
+        self._seen += 1
+        if wave is not None:  # only live trials send; an all-send is N - 1
+            weight = np.where(wave.ri == BROADCAST, status.shape[1] - 1, 1)
+            np.add.at(self._sends, wave.ti, weight)
+        if self._seen < probe.probe_steps:
+            return
+        tau = max(2, self.f)
+        for i in np.flatnonzero(live).tolist():
+            alive = max(1, int((status[i] != _CRASHED).sum()))
+            rate = int(self._sends[i]) / (self._seen * alive)
+            if rate >= probe.chatty_threshold:
+                _apply_group_timing(self, i, self.groups[i], tau, 1, 1)
+            elif rate <= probe.terse_threshold:
+                _isolate_survivor(self, i, self.rngs[i], self.groups[i], tau, 1)
+            else:
+                _crash_at_setup(self, i, self.groups[i])
+            crash(i, self.setup_crashes[i])  # stamped with the commit step
+        self.seal()  # the survivor scan starts on the next step
+
+
 #: Named adversaries with a setup replay (None: nothing to replay); the
 #: ``str-2.<k>.<l>`` family is matched by :data:`_STR2` on top.
 _SETUPS = {
@@ -239,8 +327,12 @@ _SETUPS = {
     "oblivious": _setup_oblivious,
     "omission": _setup_omission,
     "ugf": _setup_ugf,
+    "informed": _setup_informed,
+    "greedy-oracle": None,
 }
 BATCH_ADVERSARIES = tuple(_SETUPS)
+#: The plans whose mid-run hooks read live state (observers).
+_PLANS = {"informed": _InformedPlan, "greedy-oracle": _GreedyPlan}
 
 
 def can_replay(adversary: str) -> bool:
@@ -261,7 +353,7 @@ def build_plan(
                 f"batch backend cannot set up adversary {adversary!r}"
             )
         setup = _setup_str2(int(m.group(1)), int(m.group(2)))
-    plan = AdversaryPlan(adversary, len(seeds), n, f)
+    plan = _PLANS.get(adversary, AdversaryPlan)(adversary, len(seeds), n, f)
     if setup is not None:
         for i, seed in enumerate(seeds):
             setup(plan, i, adversary_stream(seed), n, f)

@@ -7,11 +7,15 @@ draw-for-draw against the scalar oracle:
   zero-draw ``flood``/``round-robin``, and the randomized protocols
   drawing through the RNG replay plane, :mod:`repro.backends.batch.rng`);
 - the adversary has a replay plan
-  (:func:`repro.backends.batch.adversaries.can_replay`): its
+  (:func:`repro.backends.batch.adversaries.can_replay`), which is a
+  setup replay plus scripted or state-driven mid-run hooks: its
   ``stream("adversary")`` draws are replayed at setup, its retimes
   (``tau^k`` local steps, ``tau^(k+l)`` delays) become per-(trial,
-  process) timing grids, and Strategy 2.k.0's per-step adaptive crash
-  loop is mirrored by the plan;
+  process) timing grids, and what it does mid-run is either a script
+  (oblivious) or a deterministic function of state the engine hands
+  the plan's hooks — this step's sends (Strategy 2.k.0's crash loop,
+  ``informed``'s traffic probe and its commit to one of the setup
+  replays) or the live status and knowledge grids (``greedy-oracle``);
 - default protocol/adversary kwargs, homogeneous environment,
   sanitizer off (monitors attach to the scalar engine only), and the
   clique contact graph (the batch kernels' all-to-all assumption is

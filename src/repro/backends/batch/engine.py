@@ -27,6 +27,9 @@ Scalar-fidelity notes, each load-bearing:
 - the step-0 pass runs before the main loop and is followed by the
   adversary's ``after_step`` (Strategy 2.k.0 can spend budget at step
   0) and a ``steps_simulated`` tick for every trial;
+- ``after_step`` runs once the step's wave is frozen — arrival steps
+  and ``next_action`` already computed — so a plan that retimes or
+  crashes there (the observer plans) reaches later decisions only;
 - quiescence is checked before exhaustion: an all-asleep grid with no
   correct-bound traffic completes even when crashed-bound messages
   are still pending (those only force visited steps);
@@ -180,7 +183,9 @@ class _CellRun:
         check_stream_contract()  # raises on a numpy the plane cannot replay
         return ReplayPlane(self.seeds, self.n, record=self._record_draws)
 
-    def _crash(self, t: int, p: int) -> None:
+    def _crash(self, t, p) -> None:
+        """Crash process *p* of trial *t*: scalars, or index arrays
+        (aligned, or one trial and its victims), stamped with ``now``."""
         self.status[t, p] = _CRASHED
         self.next_action[t, p] = _NEVER
         self.crash_step[t, p] = self.now[t]
@@ -387,7 +392,9 @@ class _CellRun:
 
     def run(self) -> list[Outcome]:
         wave = self._local_pass()  # step 0: everyone acts
-        self.plan.after_step(wave, self.status, self._crash)
+        self.plan.after_step(
+            wave, self.status, self._crash, self.now, self.live, self.K
+        )
         self.steps_sim += 1
 
         guard = 0
@@ -422,7 +429,9 @@ class _CellRun:
             self.plan.before_step(self.now, self.live, self.status, self._crash)
             self._deliver()
             wave = self._local_pass()
-            self.plan.after_step(wave, self.status, self._crash)
+            self.plan.after_step(
+                wave, self.status, self._crash, self.now, self.live, self.K
+            )
             self.steps_sim[self.live] += 1
 
         return self._finalize()

@@ -38,10 +38,11 @@ import math
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.protocols.bitset import packed_size
 from repro.protocols.ears import ears_timeout
 from repro.protocols.sears import DEFAULT_PATIENCE, sears_fanout
 
-__all__ = ["BATCH_PROTOCOLS", "make_kernel"]
+__all__ = ["BATCH_PROTOCOLS", "make_kernel", "trial_bytes"]
 
 
 def _draw_other_targets(g, sti, spi) -> np.ndarray:
@@ -301,3 +302,14 @@ def make_kernel(protocol: str, n: int, f: int, T: int):
             f"no vectorized kernel for protocol {protocol!r}"
         ) from None
     return cls(n, f, T)
+
+
+def trial_bytes(protocol: str, n: int) -> int:
+    """Roughly what one trial of a cell holds at its peak, from the two
+    things that decide it: N and whether snapshots carry the relation.
+    A process's snapshot row is W bytes, or (1 + N) * W with ``I``; a
+    trial keeps 2N of them as state and pending grids, up to ~4N more
+    in the in-flight table under the delay strategies (N=500 EARS: 2000
+    rows of 31.5 KB per trial), and the merge's gathered copies."""
+    row = packed_size(n) * (1 + n if _KERNELS[protocol].relational else 1)
+    return max(1, 8 * n * row)  # N < 1 is the engine's to reject, not a division's

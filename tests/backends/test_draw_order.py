@@ -8,6 +8,12 @@ every (trial, process) generator in the batch engine's replay plane
 must issue exactly the method calls — same kind, same bound, same
 values, same per-process order — that the scalar engine's protocol
 generators issue, recorded by proxying ``sim.protocol.rngs``.
+
+The ``informed`` plan adds a second stream with a mid-run draw: the
+group comes out of ``stream("adversary")`` at setup and — under the
+terse commit only, and only for a non-empty group — the survivor pick
+comes out of the *same* generator at the commit step. Its log is
+compared the same way, through the same proxy.
 """
 
 import random
@@ -27,14 +33,17 @@ ADVERSARIES = (
     "ugf",
     "str-2.1.0",
     "str-2.1.1",
+    "informed",
+    "greedy-oracle",
 )
 
 PAIRS_PER_PROTOCOL = 50
 
 
-def scalar_draw_log(spec: TrialSpec) -> list[list[tuple]]:
+def scalar_draw_log(spec: TrialSpec, adversary_log=None) -> list[list[tuple]]:
     """Run the reference engine with recording proxies on the protocol's
-    per-process generators; return the per-process draw logs."""
+    per-process generators; return the per-process draw logs. With
+    *adversary_log* (a list) the adversary's stream is proxied into it."""
     from repro.core.registry import make_adversary
     from repro.protocols.registry import make_protocol
     from repro.sim.engine import Simulator
@@ -49,6 +58,8 @@ def scalar_draw_log(spec: TrialSpec) -> list[list[tuple]]:
         seed=spec.seed,
         max_steps=spec.max_steps,
     )
+    if adversary_log is not None:
+        adversary.rng = RecordingGenerator(adversary.rng, adversary_log)
     logs: list[list[tuple]] = [[] for _ in range(spec.n)]
     protocol.rngs = [
         RecordingGenerator(gen, log) for gen, log in zip(protocol.rngs, logs)
@@ -101,3 +112,40 @@ def test_vectorised_prefetch_is_draw_exact_across_refills(protocol, monkeypatch)
         free += sum(len(log) - w for log, w in zip(expected, words))
     assert crossed >= 10  # the boundary was really exercised
     assert free >= 10 or "pull" not in protocol  # and so was high == 1
+
+
+#: (protocol, n, f) -> the adversary-stream draws of one ``informed``
+#: trial: the group always (none when F < 2), the survivor pick only
+#: after a terse commit on a non-empty group.
+INFORMED_STREAMS = {
+    ("sears", 9, 4): ["choice"],  # chatty: 2.1.1 draws nothing
+    ("push-pull", 9, 4): ["choice"],  # in between: str-1 draws nothing
+    ("ears", 9, 4): ["choice", "integers"],  # terse: the survivor pick
+    ("push", 16, 7): ["choice", "integers"],
+    ("push", 12, 1): [],  # terse, empty group: no draw at all
+    ("flood", 9, 4): ["choice"],  # quiesces inside the probe
+}
+
+
+@pytest.mark.parametrize("protocol,n,f", INFORMED_STREAMS)
+def test_informed_adversary_stream_is_draw_exact(protocol, n, f, monkeypatch):
+    from repro.backends.batch import adversaries
+
+    seeds = [3, 4, 5]
+    batch_logs: dict[int, list[tuple]] = {seed: [] for seed in seeds}
+    real_stream = adversaries.adversary_stream
+    monkeypatch.setattr(
+        adversaries,
+        "adversary_stream",
+        lambda seed: RecordingGenerator(real_stream(seed), batch_logs[seed]),
+    )
+    spec = TrialSpec(protocol=protocol, adversary="informed", n=n, f=f, seed=seeds[0])
+    run_cell(spec, seeds)
+    for seed in seeds:
+        expected: list[tuple] = []
+        scalar_draw_log(
+            TrialSpec(protocol=protocol, adversary="informed", n=n, f=f, seed=seed),
+            expected,
+        )
+        assert batch_logs[seed] == expected, seed
+        assert [entry[0] for entry in expected] == INFORMED_STREAMS[protocol, n, f]

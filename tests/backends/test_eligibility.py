@@ -43,8 +43,12 @@ def test_eligibility_truthiness():
             "protocol 'coordinator'",
         ),
         (
-            TrialSpec(protocol="flood", adversary="informed", n=8, f=2, seed=0),
-            "adversary 'informed'",
+            # The plan replays the default probe (3 steps, 3.0 / 1.2).
+            TrialSpec(
+                protocol="flood", adversary="informed", n=8, f=2, seed=0,
+                adversary_kwargs=(("probe_steps", 5),),
+            ),
+            "kwargs (probe_steps)",
         ),
         (
             TrialSpec(protocol="flood", adversary="str-3.1", n=8, f=2, seed=0),
@@ -90,7 +94,9 @@ def test_rejections_carry_their_reason(spec, needle):
 def test_eligible_cells_have_no_reason(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     for protocol in ("flood", "round-robin"):
-        for adversary in ("none", "str-1", "oblivious", "omission"):
+        for adversary in (
+            "none", "str-1", "oblivious", "omission", "informed", "greedy-oracle",
+        ):
             spec = TrialSpec(protocol=protocol, adversary=adversary, n=8, f=2, seed=0)
             verdict = BATCH.eligible(spec)
             assert verdict and verdict.reason is None

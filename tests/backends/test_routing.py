@@ -80,6 +80,25 @@ def test_routing_never_changes_outcomes():
         assert json.dumps(a.outcome.to_wire()) == json.dumps(s.outcome.to_wire())
 
 
+def test_observer_cells_route_to_batch_with_scalar_outcomes():
+    """`informed` and `greedy-oracle` were the last clique columns of
+    the kernel protocols that fell back (ISSUE 21)."""
+    specs = [
+        TrialSpec(protocol="ears", adversary=adversary, n=10, f=4, seed=s)
+        for adversary in ("informed", "greedy-oracle")
+        for s in range(2)
+    ]
+    metrics = MetricsRegistry()
+    with Campaign(workers=1, metrics=metrics, use_cache=False) as campaign:
+        auto = campaign.run_trials(specs)
+    assert [r.backend for r in auto] == ["batch"] * 4
+    assert counter(metrics, "campaign.backend_fallbacks") == 0
+    with Campaign(workers=1, backend="scalar", use_cache=False) as campaign:
+        forced = campaign.run_trials(specs)
+    for a, s in zip(auto, forced):
+        assert json.dumps(a.outcome.to_wire()) == json.dumps(s.outcome.to_wire())
+
+
 def test_forced_scalar_uses_no_batch():
     metrics = MetricsRegistry()
     with Campaign(workers=1, metrics=metrics, backend="scalar") as campaign:
