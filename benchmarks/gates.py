@@ -166,6 +166,10 @@ RANDOMIZED_CELLS = (
     # commits to 2.1.0 under the costliest kernel, and the per-step argmax.
     {"protocol": "ears", "adversary": "informed", "n": 48},
     {"protocol": "push-pull", "adversary": "greedy-oracle", "n": 48},
+    # The candidate mask: a pull width sampled without replacement on raw
+    # words, and an adjacency row ANDed into every candidate set.
+    {"protocol": "hedged-push-pull", "adversary": "ugf", "n": 48},
+    {"protocol": "push-pull", "adversary": "ugf", "n": 48, "topology": "expander"},
 )
 
 
@@ -203,7 +207,7 @@ def worst_speedup(cells) -> Reading:
     """The smallest batch-vs-scalar speedup over *cells*; every cell's is reported."""
     measured = [measure_speedup(cell) for cell in cells]
     notes = [
-        f"{cell['protocol']} vs {cell['adversary']} (N={cell['n']}): "
+        f"{cell['protocol']} vs {cell['adversary']} (N={cell['n']}{', ' + cell['topology'] if 'topology' in cell else ''}): "
         f"scalar {scalar:.1f}/s, batch {batch:.1f}/s, speedup {speedup:.1f}x"
         for cell, (scalar, batch, speedup) in zip(cells, measured)
     ]

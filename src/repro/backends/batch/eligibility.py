@@ -17,15 +17,23 @@ draw-for-draw against the scalar oracle:
   ``informed``'s traffic probe and its commit to one of the setup
   replays) or the live status and knowledge grids (``greedy-oracle``);
 - default protocol/adversary kwargs, homogeneous environment,
-  sanitizer off (monitors attach to the scalar engine only), and the
-  clique contact graph (the batch kernels' all-to-all assumption is
-  baked into their partner-draw vectorization; any non-complete
-  :mod:`repro.sim.topology` spec routes scalar).
+  sanitizer off (monitors attach to the scalar engine only);
+- the contact graph is the clique, or a *static* graph
+  (``kernels.STATIC_TOPOLOGIES``: ``ring``, ``random-regular``,
+  ``expander``) under a kernel that draws every partner through a
+  candidate mask (``kernels.TOPOLOGY_PROTOCOLS``, the kernels that say
+  ``topology = True``): the engine binds each trial's
+  :mod:`repro.sim.topology` graph at setup and ANDs its adjacency row
+  into the mask. ``dynamic:*`` changes the graph every step and would
+  need a legality check when a pull is answered; flood, round-robin
+  and sears address pids without a mask. Both stay scalar, each named.
 
 **Narrowest-reason discipline.** ``why_ineligible`` names the most
 specific failing condition: an unknown protocol/adversary is reported
 as such, but a *batchable* protocol with pinned kwargs reports the
-offending kwarg keys — the verdict a user can actually act on.
+offending kwarg keys, a graph the reach mask cannot hold is named
+before the kernel, and a kernel that cannot go off the clique is named
+on a graph that could — the verdict a user can actually act on.
 
 **Memoization.** The campaign router asks for every cache-miss spec of
 a sweep; eligibility only depends on the spec's cell (protocol,
@@ -40,7 +48,11 @@ from __future__ import annotations
 import os
 
 from repro.backends.batch.adversaries import BATCH_ADVERSARIES, can_replay
-from repro.backends.batch.kernels import BATCH_PROTOCOLS
+from repro.backends.batch.kernels import (
+    BATCH_PROTOCOLS,
+    STATIC_TOPOLOGIES,
+    TOPOLOGY_PROTOCOLS,
+)
 from repro.experiments.config import TrialSpec
 
 __all__ = [
@@ -62,10 +74,10 @@ _MEMO_MAX = 4096
 def _canonical_topology_or_spec(topology: "str | None") -> "str | None":
     """Canonical non-clique topology, or None for the clique.
 
-    A *malformed* spec is returned verbatim (still non-None): the cell
-    routes scalar, where the engine raises the real
-    :class:`~repro.errors.ConfigurationError` — eligibility only
-    routes, it does not validate.
+    A *malformed* spec is returned verbatim (still non-None): whichever
+    engine the cell routes to calls ``make_topology`` on it and raises
+    the real :class:`~repro.errors.ConfigurationError` — eligibility
+    only routes, it does not validate.
     """
     from repro.errors import ConfigurationError
     from repro.sim.topology import canonical_topology
@@ -109,10 +121,18 @@ def _derive(spec: TrialSpec) -> str | None:
         )
     topology = _canonical_topology_or_spec(spec.topology)
     if topology is not None:
-        return (
-            f"topology {topology!r} restricts the contact graph; the "
-            "batch kernels assume the all-to-all clique"
-        )
+        if topology.split(":")[0] not in STATIC_TOPOLOGIES:
+            return (
+                f"topology {topology!r} changes the contact graph mid-run; the "
+                "batch reach mask is one adjacency per trial, bound at setup "
+                f"(batchable: {', '.join(STATIC_TOPOLOGIES)})"
+            )
+        if spec.protocol not in TOPOLOGY_PROTOCOLS:
+            return (
+                f"topology {topology!r}: the {spec.protocol!r} kernel assumes "
+                "the all-to-all clique (batchable off it: "
+                f"{', '.join(TOPOLOGY_PROTOCOLS)})"
+            )
     from repro.check.config import resolve_config
 
     mode = resolve_config(spec.sanitize).mode

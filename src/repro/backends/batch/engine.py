@@ -1,7 +1,7 @@
 """The vectorized wave engine: every batch kernel, replayed adversaries.
 
 One :func:`run_cell` call simulates every trial of one (protocol,
-adversary, n, f, max_steps) cell on a shared (T, N) grid. It assumes
+adversary, n, f, max_steps, topology) cell on a shared (T, N) grid. It assumes
 neither unit timings nor scripted draws: per-trial *visited steps* are
 fast-forwarded exactly like the scalar event loop (min over awake
 wake-ups, pending arrivals and the adversary's scheduled wake-ups),
@@ -67,6 +67,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import TrialSpec
 from repro.protocols.bitset import packed_size
 from repro.sim.outcome import Outcome
+from repro.sim.rng import RandomSource
 
 __all__ = ["run_cell"]
 
@@ -99,6 +100,35 @@ def _scatter_or(targets, tables, dest, uid, unique=False) -> None:
             target[d] |= table[u]
 
 
+def _bind_topology(spec: str | None, seeds: Sequence[int], n: int):
+    """The cell's canonical topology spec and its reach mask: None on
+    the clique, else a (T, n, n) bool adjacency, each trial's graph
+    bound from its own ``stream("topology")`` as the scalar engine
+    binds it (and raising what it raises). A family that draws nothing
+    binds once, every trial a view of the one table. Static graphs are
+    symmetric, so whoever was sent a pull request can answer it:
+    nothing checks an edge at answer time."""
+    if spec is None:
+        return None, None
+    from repro.sim.topology import make_topology  # off-clique cells only
+
+    if make_topology(spec).is_complete:
+        return None, None
+    tables = []
+    for seed in seeds:
+        rng = RandomSource(seed).stream("topology")
+        fresh = rng.bit_generator.state
+        topo = make_topology(spec)
+        topo.bind(n, rng)
+        adj = np.zeros((n, n), dtype=bool)
+        for rho in range(n):
+            adj[rho, topo.neighbors(rho)] = True
+        tables.append(adj)
+        if rng.bit_generator.state == fresh:  # deterministic: one graph for all
+            return topo.spec, np.broadcast_to(adj, (len(seeds), n, n))
+    return topo.spec, np.stack(tables)
+
+
 class _CellRun:
     def __init__(self, spec0: TrialSpec, seeds: Sequence[int], record_draws: bool):
         n, f, max_steps = spec0.n, spec0.f, spec0.max_steps
@@ -125,6 +155,7 @@ class _CellRun:
         self._snap_kind = KIND_RELATION if self.relational else KIND_GOSSIP
         self._snap_nbytes = W + n * W if self.relational else W
 
+        self.topology, self.adj = _bind_topology(spec0.topology, seeds, n)
         self.plan = build_plan(spec0.adversary, seeds, n, f)
         self._any_omitted = bool(self.plan.omitted.any())
 
@@ -238,11 +269,20 @@ class _CellRun:
             )
 
     def send_pulls_block(
-        self, sti: np.ndarray, spi: np.ndarray, targets: np.ndarray
+        self,
+        sti: np.ndarray,
+        spi: np.ndarray,
+        targets: np.ndarray,
+        counts: np.ndarray | None = None,
     ) -> None:
-        """Bulk pull-request sends (unique senders, 1 byte each)."""
-        self.sent[sti, spi] += 1
-        self.bytes_sent[sti, spi] += 1
+        """Bulk pull-request sends (unique senders, 1 byte each): one
+        target per sender, or with *counts* sender i's next
+        ``counts[i]`` entries of *targets*."""
+        k = 1 if counts is None else counts
+        self.sent[sti, spi] += k
+        self.bytes_sent[sti, spi] += k
+        if counts is not None:
+            sti, spi = np.repeat(sti, counts), np.repeat(spi, counts)
         if self._any_omitted:
             keep = ~self.plan.omitted[sti, spi]
             if not keep.all():
@@ -477,6 +517,7 @@ class _CellRun:
                     wake_counts=self.wake_counts[i].copy(),
                     steps_simulated=int(self.steps_sim[i]),
                     strategy_label=self.plan.labels[i],
+                    topology=self.topology,
                 )
             )
         return outcomes

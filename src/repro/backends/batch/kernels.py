@@ -10,15 +10,36 @@ replay generator in one ``plane.bounded`` call per draw position
 (``np.nonzero`` on the due mask is row-major: trials ascending, pid
 ascending — the scalar engine's heap-pop order for one step), and the
 resulting send sets are registered as whole blocks
-(``grid.send_snapshots_grouped`` / ``grid.send_pulls_block``). push
-and ears draw with the fixed bound N - 1; the pull family's bounds are
-its per-row candidate-set sizes, its draw order per process stays
-pull then push, and its sends leave as three category blocks (answers
-— ``grid.answer_pulls`` — pull requests, eager pushes). SEARS alone
-still calls a ``Generator`` per sender (``choice``). flood and
-round-robin never draw, so their cell runs never seed a replay plane;
-an all-send (flood, SEARS at full fanout) is ``targets=None``, one
-broadcast entry per sender.
+(``grid.send_snapshots_grouped`` / ``grid.send_pulls_block``).
+
+**The candidate mask.** Every partner a process draws is the
+``(draw + 1)``-th set bit of a boolean row over pids (:func:`_pick`),
+and what varies between protocols and graphs is how that row is built:
+
+- the pull family's is ``unknown & ~pulled`` for the request and
+  ``~pushed`` for the eager push, bound = the row's popcount, draw
+  order per process pull then push; its sends leave as three category
+  blocks (answers — ``grid.answer_pulls`` — pull requests, pushes);
+- a **reach mask**: off the clique ``grid.adj[ti, pi]``, the trial's
+  adjacency row, is ANDed into both, which also closes the sleep rule
+  (no reachable candidate left); push and ears, whose clique draw is
+  the fixed bound ``N - 1`` shifted past the sender, pick over the
+  adjacency row itself, bound = degree, as the scalar ``pick_other``
+  indexes sorted neighbours. With ``grid.adj is None`` the clique path
+  runs the array operations it always ran. A kernel whose every draw
+  goes through such a row says ``topology = True``;
+- a **pull width**: ``hedged-push-pull`` asks
+  ``min(8, 1 + max(0, outstanding - 4))`` of its candidates at once,
+  one ``Generator.choice(c, size=w, replace=False)`` that
+  ``plane.sample`` replays on raw words; the requests leave
+  sender-major in pick order, and a process sleeps when the picks
+  cover every candidate.
+
+SEARS alone still calls a ``Generator`` per sender (``choice``). flood
+and round-robin never draw, so their cell runs never seed a replay
+plane; an all-send (flood, SEARS at full fanout) is ``targets=None``,
+one broadcast entry per sender. Those three address pids without a
+mask, so off the clique they stay on the scalar engine.
 
 Knowledge-merge bookkeeping note: the grids merge pending payloads
 with a single OR per drain and compute ``learned`` as "the pending
@@ -42,13 +63,33 @@ from repro.protocols.bitset import packed_size
 from repro.protocols.ears import ears_timeout
 from repro.protocols.sears import DEFAULT_PATIENCE, sears_fanout
 
-__all__ = ["BATCH_PROTOCOLS", "make_kernel", "trial_bytes"]
+__all__ = [
+    "BATCH_PROTOCOLS", "STATIC_TOPOLOGIES", "TOPOLOGY_PROTOCOLS", "make_kernel",
+    "trial_bytes",
+]
+
+
+def _pick(g, ti, pi, avail, counts):
+    """One uniform draw among each row's ``counts[i]`` set bits of
+    ``avail[i]``; rows without a candidate draw nothing. Returns the
+    drawing rows' (ti, pi) and the pid each picked — that of its
+    (draw + 1)-th set bit."""
+    some = counts > 0
+    ti, pi, avail = ti[some], pi[some], avail[some]
+    j = g.plane.bounded(ti, pi, counts[some])
+    return ti, pi, (avail.cumsum(axis=1) <= j[:, None]).sum(axis=1)
 
 
 def _draw_other_targets(g, sti, spi) -> np.ndarray:
-    """One ``pick_other`` draw per sender; (S, 1) targets."""
-    v = g.plane.bounded(sti, spi, g.n - 1)
-    return (v + (v >= spi))[:, None]
+    """One ``pick_other`` draw per sender; (S, 1) targets. Off the
+    clique the scalar draw indexes the sender's sorted neighbours with
+    bound = degree; no static graph family leaves a process isolated,
+    so every row draws."""
+    if g.adj is None:
+        v = g.plane.bounded(sti, spi, g.n - 1)
+        return (v + (v >= spi))[:, None]
+    reach = g.adj[sti, spi]
+    return _pick(g, sti, spi, reach, reach.sum(axis=1))[2][:, None]
 
 
 class PushKernel:
@@ -57,6 +98,7 @@ class PushKernel:
     name = "push"
     relational = False
     uses_pull = False
+    topology = True
 
     def __init__(self, n: int, f: int, T: int):
         self.patience = math.ceil(2 * math.log2(max(2, n))) + 4
@@ -78,7 +120,11 @@ class PullKernel:
     name = "pull"
     relational = False
     uses_pull = True
+    topology = True
     push = False
+    #: Most pull requests a process sends per step; a kernel that
+    #: raises it supplies ``_pull_wide``.
+    max_width = 1
 
     def __init__(self, n: int, f: int, T: int):
         eye = np.arange(n)
@@ -101,30 +147,32 @@ class PullKernel:
         # wave stays scalar-ordered everywhere it matters.
         g.answer_pulls(due)
         known = np.unpackbits(g.K[dti, dpi], axis=1, count=g.n).astype(bool)
+        asked = self.pulled[dti, dpi]
         avail = ~known
-        avail &= ~self.pulled[dti, dpi]
+        avail &= ~asked
+        reach = None
+        if g.adj is not None:  # unknown but unreachable: nobody to ask
+            reach = g.adj[dti, dpi]
+            avail &= reach
         counts = avail.sum(axis=1)
-        sleep[dti, dpi] = counts <= 1  # covered, or this pull covers it
-        ti, pi, targets = self._pick(g, dti, dpi, avail, counts)
-        g.send_pulls_block(ti, pi, targets)
-        self.pulled[ti, pi, targets] = True
+        if self.max_width == 1:
+            sleep[dti, dpi] = counts <= 1  # covered, or this pull covers it
+            ti, pi, targets = _pick(g, dti, dpi, avail, counts)
+            g.send_pulls_block(ti, pi, targets)
+            self.pulled[ti, pi, targets] = True
+        else:
+            silent = (asked & ~known).sum(axis=1)  # before this step's pulls
+            sleep[dti, dpi], ti, pi = self._pull_wide(
+                g, dti, dpi, avail, counts, silent
+            )
         if self.push:  # only those that pulled draw again
             avail = ~self.pushed[ti, pi]
-            ti, pi, targets = self._pick(g, ti, pi, avail, avail.sum(axis=1))
+            if reach is not None:
+                avail &= reach[counts > 0]
+            ti, pi, targets = _pick(g, ti, pi, avail, avail.sum(axis=1))
             g.send_snapshots_grouped(ti, pi, targets[:, None])
             self.pushed[ti, pi, targets] = True
         return sleep
-
-    @staticmethod
-    def _pick(g, ti, pi, avail, counts):
-        """One uniform draw among each row's ``counts[i]`` set bits of
-        ``avail[i]``; rows without a candidate draw nothing. Returns the
-        drawing rows' (ti, pi) and the pid each picked — that of its
-        (draw + 1)-th set bit."""
-        some = counts > 0
-        ti, pi, avail = ti[some], pi[some], avail[some]
-        j = g.plane.bounded(ti, pi, counts[some])
-        return ti, pi, (avail.cumsum(axis=1) <= j[:, None]).sum(axis=1)
 
 
 class PushPullKernel(PullKernel):
@@ -134,6 +182,35 @@ class PushPullKernel(PullKernel):
     push = True
 
 
+class HedgedPushPullKernel(PushPullKernel):
+    """``hedged-push-pull``: push-pull whose pull widens by one for each
+    outstanding request (asked, still unknown) beyond ``rtt_allowance``,
+    up to ``max_width`` distinct candidates per step."""
+
+    name = "hedged-push-pull"
+    max_width = 8
+    rtt_allowance = 4
+
+    def _pull_wide(self, g, ti, pi, avail, counts, silent):
+        """Each row asks ``min(width, counts[i])`` candidates, sampled
+        without replacement in one ``choice``; the block leaves
+        sender-major in pick order. Returns the sleep verdicts (the
+        picks covered every candidate) and the rows that pulled."""
+        wide = np.minimum(
+            1 + np.maximum(0, silent - self.rtt_allowance), self.max_width
+        )
+        some = counts > 0
+        ti, pi, avail = ti[some], pi[some], avail[some]
+        widths = np.minimum(wide, counts)[some]
+        picks = g.plane.sample(ti, pi, counts[some], widths)
+        drawn = picks >= 0
+        rows, _ = np.nonzero(drawn)  # row-major: sender, then pick order
+        targets = (avail.cumsum(axis=1)[rows] <= picks[drawn][:, None]).sum(axis=1)
+        g.send_pulls_block(ti, pi, targets, widths)
+        self.pulled[ti[rows], pi[rows], targets] = True
+        return counts <= wide, ti, pi
+
+
 class _RelationalKernel:
     """Shared EARS/SEARS machinery: quiet counters, the two-stage
     completion rule (dissemination proof, then give-up), relational
@@ -141,6 +218,7 @@ class _RelationalKernel:
 
     relational = True
     uses_pull = False
+    topology = False
     patience: int
     give_up: int
 
@@ -191,6 +269,7 @@ class EarsKernel(_RelationalKernel):
     """``ears``: one uniform relational send per step."""
 
     name = "ears"
+    topology = True
 
     def __init__(self, n: int, f: int, T: int):
         super().__init__(n, f, T)
@@ -244,6 +323,7 @@ class FloodKernel:
     name = "flood"
     relational = False
     uses_pull = False
+    topology = False
 
     def __init__(self, n: int, f: int, T: int):
         self.done = np.zeros((T, n), dtype=bool)
@@ -262,6 +342,7 @@ class RoundRobinKernel:
     name = "round-robin"
     relational = False
     uses_pull = False
+    topology = False
 
     def __init__(self, n: int, f: int, T: int):
         self.sent_count = np.zeros((T, n), dtype=np.int64)
@@ -285,12 +366,19 @@ _KERNELS = {
         PushKernel,
         PullKernel,
         PushPullKernel,
+        HedgedPushPullKernel,
         EarsKernel,
         SearsKernel,
     )
 }
 #: Protocols with a vectorized kernel (what eligibility accepts).
 BATCH_PROTOCOLS = tuple(_KERNELS)
+#: Those whose every partner draw goes through :func:`_pick`, so an
+#: adjacency row in the candidate mask replays them off the clique.
+TOPOLOGY_PROTOCOLS = tuple(name for name, k in _KERNELS.items() if k.topology)
+#: Graph families the reach mask holds: bound once per trial at setup
+#: and symmetric from then on (``dynamic:*`` is neither).
+STATIC_TOPOLOGIES = ("ring", "random-regular", "expander")
 
 
 def make_kernel(protocol: str, n: int, f: int, T: int):
@@ -310,6 +398,10 @@ def trial_bytes(protocol: str, n: int) -> int:
     A process's snapshot row is W bytes, or (1 + N) * W with ``I``; a
     trial keeps 2N of them as state and pending grids, up to ~4N more
     in the in-flight table under the delay strategies (N=500 EARS: 2000
-    rows of 31.5 KB per trial), and the merge's gathered copies."""
-    row = packed_size(n) * (1 + n if _KERNELS[protocol].relational else 1)
-    return max(1, 8 * n * row)  # N < 1 is the engine's to reject, not a division's
+    rows of 31.5 KB per trial), and the merge's gathered copies. On top
+    come the (N, N) bool tables: the pull family's ``pulled`` and
+    ``pushed``, and the adjacency a cell off the clique may hold."""
+    kernel = _KERNELS[protocol]
+    row = packed_size(n) * (1 + n if kernel.relational else 1)
+    tables = kernel.topology + (1 + kernel.push if kernel.uses_pull else 0)
+    return max(1, 8 * n * row + tables * n * n)  # N < 1 is the engine's to reject

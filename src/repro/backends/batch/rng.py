@@ -17,17 +17,26 @@ step's draws for exactly the processes that are due.
 
 The plane holds a (trial × process) matrix of real
 ``numpy.random.Generator`` objects seeded exactly like ``bind`` seeds
-them. Every ``integers(high)`` draw — push, ears, and the pull family's
-data-dependent candidate-set bounds alike — goes through
-:meth:`ReplayPlane.bounded`, which never calls ``integers``: it
-prefetches each generator's *raw* PCG64 output with
+them, and (SEARS's fanout ``choice`` apart) never calls their draw
+methods. It prefetches each generator's *raw* PCG64 output with
 ``bit_generator.random_raw`` into a (T, n, 2·BLOCK) buffer of 32-bit
-words with a (T, n) cursor and replays numpy's bounded draw on those
-words as array arithmetic, so a pass costs a fixed number of array
-operations whatever its bounds and a ``Generator`` is touched only on
-refill. Three numpy facts make that exact (docs/BACKENDS.md, "Bounded
-draws from raw words"); they carry no cross-version guarantee, so the
-engine checks them once per process before it builds its first plane
+words with a (T, n) cursor and replays numpy's draws on those words as
+array arithmetic, so a pass costs a fixed number of array operations
+whatever its bounds and a ``Generator`` is touched only on refill:
+
+- :meth:`ReplayPlane.bounded` is ``integers(high)`` with one bound per
+  row — push, ears, the pull family's data-dependent candidate-set
+  sizes, degrees off the clique;
+- :meth:`ReplayPlane.sample` is ``choice(c, size=w, replace=False)``
+  with one ``(c, w)`` per row — hedged-push-pull's pull width — which
+  numpy draws as ``2w - 1`` of those same bounded draws: Floyd's
+  sampling, then a shuffle of the picks. The generators it drew from
+  go on to ``bounded`` for the push.
+
+The numpy facts that make both exact (docs/BACKENDS.md, "Bounded draws
+from raw words" and "Sampling without replacement from raw words")
+carry no cross-version guarantee, so the engine checks them once per
+process before it builds its first plane
 (:func:`check_stream_contract`) and declines loudly.
 
 With ``record=True`` every draw is logged per (trial, process), from
@@ -60,10 +69,11 @@ def adversary_stream(seed: int) -> np.random.Generator:
 class ReplayPlane:
     """Per-(trial, process) generator matrix mirroring ``bind``'s seeding.
 
-    A plane's generators must be driven through :meth:`bounded` only or
-    through :meth:`choice` only (SEARS): a refill advances a generator
-    past the draws consumed so far, which would corrupt any interleaved
-    call on the ``Generator`` itself.
+    A plane's generators must be driven through :meth:`bounded` and
+    :meth:`sample` (which is ``bounded`` calls) only, or through
+    :meth:`choice` only (SEARS): a refill advances a generator past the
+    draws consumed so far, which would corrupt any interleaved call on
+    the ``Generator`` itself.
     """
 
     #: 64-bit outputs fetched per refill, i.e. 2*BLOCK buffered 32-bit
@@ -139,6 +149,40 @@ class ReplayPlane:
                 self.log[t][p].append(("integers", h, v))
         return values
 
+    def sample(self, ti, pi, counts, widths) -> np.ndarray:
+        """One ``Generator.choice(counts[i], size=widths[i], replace=False)``
+        draw (``1 <= widths[i] <= counts[i]``) for each (ti[i], pi[i]) —
+        distinct generators — as ``2 * widths[i] - 1`` :meth:`bounded`
+        draws: numpy samples with Floyd's algorithm (for ``j`` from
+        ``c - w`` to ``c - 1`` draw ``v < j + 1`` and take ``j`` if ``v``
+        was already taken, else ``v``) and then shuffles the ``w`` picks
+        (for ``i`` from ``w - 1`` down to 1 swap pick ``i`` with pick
+        ``bounded(i + 1)``). Returns the picks in that final order, one
+        row each, padded with -1 to the widest row.
+        """
+        log, self.log = self.log, None  # one "choice" entry, not its words
+        picks = np.full((ti.size, int(widths.max(initial=0))), -1, dtype=np.int64)
+        for k in range(picks.shape[1]):
+            rows = np.flatnonzero(widths > k)
+            j = counts[rows] - widths[rows] + k
+            v = self.bounded(ti[rows], pi[rows], j + 1)
+            taken = (picks[rows, :k] == v[:, None]).any(axis=1)
+            picks[rows, k] = np.where(taken, j, v)
+        for i in range(picks.shape[1] - 1, 0, -1):
+            rows = np.flatnonzero(widths > i)
+            other = self.bounded(ti[rows], pi[rows], i + 1)
+            mine = picks[rows, i]
+            picks[rows, i] = picks[rows, other]
+            picks[rows, other] = mine
+        self.log = log
+        if log is not None:
+            for t, p, c, w, row in zip(
+                ti.tolist(), pi.tolist(), counts.tolist(), widths.tolist(),
+                picks.tolist(),
+            ):
+                log[t][p].append(("choice", c, w, tuple(row[:w])))
+        return picks
+
     def choice(self, t: int, p: int, high: int, size: int) -> np.ndarray:
         """One ``Generator.choice(high, size, replace=False)`` draw.
 
@@ -157,18 +201,30 @@ def check_stream_contract() -> None:
     """Compare :meth:`ReplayPlane.bounded` with ``Generator.integers`` on
     a throw-away generator across a refill: word order, scaling, the
     rejection rule (``3 * 2**30`` rejects a quarter of its words), the
-    free ``high == 1``. ``Generator`` streams may change between numpy
+    free ``high == 1``. Then, on the same generator, :meth:`ReplayPlane.
+    sample` with ``Generator.choice``, an ``integers`` draw after each:
+    Floyd's order, its collision rule (9-choose-8 collides on this
+    stream), the shuffle pass, ``w == c``, the one-pick draw that is a
+    plain ``integers``. ``Generator`` streams may change between numpy
     versions; a mismatch sends this process's batches to the scalar
     engine rather than produce different outcomes."""
     highs = [6, 1, 3 * 2**30, 2, 2**32, 1, 47, 2**31 + 1] * 5
     plane, reference = ReplayPlane([0], 1), ReplayPlane([0], 1).gens[0][0]
     at = np.zeros(1, dtype=np.int64)
     got = [int(plane.bounded(at, at, high)[0]) for high in highs]
-    if got != [int(reference.integers(high)) for high in highs]:
+    want = [int(reference.integers(high)) for high in highs]
+    cases = [(9, 8), (5, 5), (220, 3), (1, 1), (12, 8), (7, 2)]
+    for c, w in cases if got == want else ():  # sample stands on bounded
+        got += plane.sample(at, at, np.array([c]), np.array([w]))[0].tolist()
+        got.append(int(plane.bounded(at, at, 47)[0]))
+        want += reference.choice(c, size=w, replace=False).tolist()
+        want.append(int(reference.integers(47)))
+    if got != want:
         raise SimulationError(
-            f"numpy {np.__version__}: Generator.integers does not draw the way "
-            "the batch replay plane replays it (32-bit Lemire on PCG64 raw "
-            "words, low half first)"
+            f"numpy {np.__version__}: Generator.integers / Generator.choice do "
+            "not draw the way the batch replay plane replays them (32-bit "
+            "Lemire on PCG64 raw words, low half first; Floyd's sampling, "
+            "then a shuffle)"
         )
 
 

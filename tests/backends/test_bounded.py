@@ -1,4 +1,5 @@
-"""``ReplayPlane.bounded`` against per-call ``Generator.integers``.
+"""``ReplayPlane.bounded`` against per-call ``Generator.integers``, and
+``ReplayPlane.sample`` against per-call ``Generator.choice``.
 
 The batch engine never calls ``integers``: it replays numpy's 32-bit
 bounded draw on raw PCG64 words (rng.py). These tests hold that replay
@@ -6,8 +7,14 @@ to the real thing on twin generators — random per-row bounds over the
 whole admitted range, a bound that rejects a quarter of its words, the
 free ``high == 1``, refills that hit some rows of a call and not
 others, calls on a subset of the grid — and pin the loud decline when
-the two disagree (a numpy whose streams differ).
+the two disagree (a numpy whose streams differ). ``sample`` is
+``choice(c, size=w, replace=False)`` rebuilt from those draws (Floyd's
+pass, then a shuffle): ragged widths in one call, ``w == c``, collisions,
+refills mid-draw, ``integers`` before and after on the same generators,
+and its own loud decline.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -113,6 +120,122 @@ def test_record_logs_the_returned_arrays_in_the_scalar_entry_format():
     assert sum(len(log) for row in plane.log for log in row) == 4
 
 
+#: One ``sample`` call: which generators draw, from how many, how many.
+samples = st.lists(
+    st.tuples(
+        st.integers(0, len(SEEDS) - 1),
+        st.integers(0, N - 1),
+        st.integers(1, 220).flatmap(
+            lambda c: st.tuples(st.just(c), st.integers(1, min(c, 9)))
+        ),
+    ),
+    unique_by=lambda row: row[:2],
+    min_size=1,
+    max_size=len(SEEDS) * N,
+)
+
+
+def reference_choice(gens, ti, pi, counts, widths) -> list[list[int]]:
+    return [
+        gens[t][p].choice(int(c), size=int(w), replace=False).tolist()
+        for t, p, c, w in zip(ti, pi, counts, widths)
+    ]
+
+
+def rows_of(picks, widths) -> list[list[int]]:
+    assert (picks[np.arange(picks.shape[1]) >= widths[:, None]] == -1).all()
+    return [row[:w] for row, w in zip(picks.tolist(), widths.tolist())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(samples, bounds), min_size=1, max_size=12))
+def test_sample_equals_per_call_choice_with_integers_in_between(passes):
+    """Ragged widths in one call, ``integers`` draws before and after on
+    the same generators, refills wherever the 2w - 1 words put them."""
+    plane, gens = twins()
+    for rows, high in passes:
+        ti, pi = np.array([r[:2] for r in rows], dtype=np.int64).T
+        counts, widths = np.array([r[2] for r in rows], dtype=np.int64).T
+        got = rows_of(plane.sample(ti, pi, counts, widths), widths)
+        assert got == reference_choice(gens, ti, pi, counts, widths)
+        assert plane.bounded(ti, pi, high).tolist() == reference(gens, ti, pi, high)
+
+
+def test_sample_takes_every_candidate_and_one_candidate():
+    """``w == c`` starts Floyd at a bound of 1, a draw that takes no
+    word; ``w == 1`` is a plain ``integers(c)`` and no shuffle."""
+    plane, gens = twins()
+    ti, pi = GRID
+    for c in (1, 2, 5, 8):
+        counts = widths = np.full(ti.shape, c)
+        got = rows_of(plane.sample(ti, pi, counts, widths), widths)
+        assert got == reference_choice(gens, ti, pi, counts, widths)
+        assert all(sorted(row) == list(range(c)) for row in got)
+    one = np.ones(ti.shape, dtype=np.int64)
+    assert plane.sample(ti, pi, 7 * one, one)[:, 0].tolist() == reference(gens, ti, pi, 7)
+
+
+def test_sample_crosses_refills_and_replays_collisions(monkeypatch):
+    monkeypatch.setattr(ReplayPlane, "BLOCK", 2)  # 4 words: every wide draw refills
+    plane, gens = twins()
+    ti, pi = GRID
+    counts = np.full(ti.shape, 9)
+    widths = np.arange(ti.size) % 8 + 1
+    shuffled = collided = 0
+    for _ in range(20):
+        for gen, w in zip(np.ravel(gens), widths.tolist()):
+            twin, seen = copy.deepcopy(gen), []  # Floyd's pass, by hand
+            for j in range(9 - w, 9):
+                v = int(twin.integers(j + 1))
+                collided += v in seen
+                seen.append(j if v in seen else v)
+        got = rows_of(plane.sample(ti, pi, counts, widths), widths)
+        assert got == reference_choice(gens, ti, pi, counts, widths)
+        # Floyd alone never puts a value above c - w + k at position k.
+        shuffled += sum(
+            any(v > 9 - len(row) + k for k, v in enumerate(row)) for row in got
+        )
+    assert shuffled >= 20 and collided >= 20
+
+
+def test_record_logs_one_choice_entry_per_sample_row():
+    plane, _ = twins(record=True)
+    ti, pi = np.array([0, 2]), np.array([1, 3])
+    picks = plane.sample(ti, pi, np.array([9, 4]), np.array([3, 4]))
+    pushed = plane.bounded(ti, pi, 5).tolist()
+    assert plane.log[0][1] == [
+        ("choice", 9, 3, tuple(picks[0, :3].tolist())), ("integers", 5, pushed[0]),
+    ]
+    assert plane.log[2][3] == [
+        ("choice", 4, 4, tuple(picks[1].tolist())), ("integers", 5, pushed[1]),
+    ]
+    assert all(type(x) is int for x in plane.log[2][3][0][3])
+
+
+def test_a_numpy_that_samples_differently_is_declined_loudly(monkeypatch):
+    """``integers`` replays but ``choice`` does not — here a ``sample``
+    without the shuffle pass, what a numpy that dropped it would need:
+    the contract check must notice although every ``bounded`` is right."""
+    honest = ReplayPlane.sample
+
+    def unshuffled(self, ti, pi, counts, widths):
+        picks = np.full((ti.size, int(widths.max())), -1, dtype=np.int64)
+        for k in range(picks.shape[1]):
+            rows = np.flatnonzero(widths > k)
+            j = counts[rows] - widths[rows] + k
+            v = self.bounded(ti[rows], pi[rows], j + 1)
+            taken = (picks[rows, :k] == v[:, None]).any(axis=1)
+            picks[rows, k] = np.where(taken, j, v)
+        return picks
+
+    check_stream_contract.cache_clear()
+    monkeypatch.setattr(ReplayPlane, "sample", unshuffled)
+    with pytest.raises(SimulationError, match="numpy .* Generator.choice"):
+        check_stream_contract()
+    monkeypatch.setattr(ReplayPlane, "sample", honest)
+    check_stream_contract()
+
+
 def test_a_numpy_that_draws_differently_is_declined_loudly(monkeypatch):
     """Stand-in for a foreign numpy: a plane whose draws are not
     ``Generator.integers``'s. A cell that draws must raise — every time,
@@ -121,6 +244,7 @@ def test_a_numpy_that_draws_differently_is_declined_loudly(monkeypatch):
     from repro.campaign import Campaign
     from repro.experiments.config import TrialSpec
 
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # the cell must route batch
     honest = ReplayPlane.bounded
 
     def foreign(self, ti, pi, high):

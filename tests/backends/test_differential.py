@@ -11,7 +11,7 @@ truncation edges — exactly the bugs a rewrite introduces.
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import BatchBackend, ScalarBackend
@@ -115,10 +115,11 @@ def test_some_cells_are_eligible():
         for p, a in GRID
         if BATCH.eligible(TrialSpec(protocol=p, adversary=a, n=5, f=2, seed=0))
     ]
-    # 7 vectorized protocols x all 9 columns (7 concrete adversaries +
-    # 2 str-2 probes): 8 cells, then the 49 of PR 8, then the observer
-    # columns (informed, greedy-oracle) of ISSUE 21.
-    assert len(eligible) >= 63
+    # 8 vectorized protocols x all 9 columns (7 concrete adversaries +
+    # 2 str-2 probes): 8 cells, then the 49 of PR 8, the observer
+    # columns (informed, greedy-oracle) of ISSUE 21, the
+    # hedged-push-pull row of ISSUE 22.
+    assert len(eligible) >= 72
 
 
 @pytest.mark.parametrize("max_steps", [1, 2, 3, 5, 64, 70])
@@ -261,7 +262,7 @@ def test_batch_validates_like_the_engine():
 def test_run_batch_rejects_ineligible_specs():
     from repro.errors import SimulationError
 
-    spec = TrialSpec(protocol="hedged-push-pull", adversary="ugf", n=5, f=1, seed=0)
+    spec = TrialSpec(protocol="coordinator", adversary="ugf", n=5, f=1, seed=0)
     with pytest.raises(SimulationError, match="not batch-eligible"):
         BATCH.run_batch([spec])
 
@@ -416,29 +417,347 @@ def test_observer_edges_are_wire_identical(edge):
     assert any(reached(*scalar_observer_run(spec)) for spec in specs)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# The candidate mask (ISSUE 22): `hedged-push-pull` samples a pull
+# *width* of candidates in one ``choice`` that the plane replays on raw
+# words, and a static topology ANDs each trial's adjacency into every
+# candidate set. Each edge is wire-identical over its seeds and carries
+# a predicate over a scalar run instrumented at the protocol's local
+# step — its draws, the width it asked for, what it still could not
+# reach — proving that some seed gets there.
+
+
+def scalar_pick_run(spec):
+    """The scalar oracle on *spec* with every local step recorded:
+    returns ``(outcome, steps, sim)`` — *steps* one dict per local step
+    (who and when, the ``integers`` bounds drawn, the ``choice`` as
+    ``(c, w, Floyd collided)``, the uncapped ``width``, pull requests
+    found in the inbox, sends, whether it slept, unknown gossips out of
+    reach), *sim* the simulator, for its adversary and bound topology."""
+    import copy
+
+    from repro.core.registry import make_adversary
+    from repro.protocols.push_pull import PullRequest
+    from repro.protocols.registry import make_protocol
+    from repro.sim.engine import Simulator
+
+    protocol = make_protocol(spec.protocol)
+    sim = Simulator(
+        protocol,
+        make_adversary(spec.adversary),
+        n=spec.n,
+        f=spec.f,
+        seed=spec.seed,
+        max_steps=spec.max_steps,
+        topology=spec.topology,
+    )
+    steps, current = [], {}
+
+    class Spy:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def integers(self, high):
+            current["integers"].append(int(high))
+            return self._gen.integers(high)
+
+        def choice(self, high, size=None, replace=True):
+            # Floyd's pass on a twin: a draw already taken is a collision.
+            twin, seen, collided = copy.deepcopy(self._gen), [], False
+            for j in range(high - size, high):
+                v = int(twin.integers(j + 1))
+                collided |= v in seen
+                seen.append(j if v in seen else v)
+            current["choice"] = (int(high), int(size), collided)
+            return self._gen.choice(high, size=size, replace=replace)
+
+    protocol.rngs = [Spy(gen) for gen in protocol.rngs]
+    if hasattr(protocol, "_pull_width"):
+        real_width = protocol._pull_width
+
+        def width(rho, unknown):
+            current["width"] = real_width(rho, unknown)
+            return current["width"]
+
+        protocol._pull_width = width
+    real_step = protocol.on_local_step
+
+    def step(ctx):
+        current.clear()
+        current.update(
+            rho=ctx.rho, now=ctx.now, integers=[], choice=None, width=None,
+            asked=sum(isinstance(m.payload, PullRequest) for m in ctx.inbox),
+        )
+        slept = real_step(ctx)
+        unknown = ~protocol.knowledge_of(ctx.rho)
+        reach = protocol.neighbor_mask(ctx.rho, ctx.now)
+        steps.append(
+            dict(
+                current, slept=slept, sends=ctx.sends,
+                out_of_reach=int((unknown & ~reach).sum()),
+            )
+        )
+        return slept
+
+    protocol.on_local_step = step
+    return sim.run(), steps, sim
+
+
+def _widths(steps):
+    return [s["choice"][1] for s in steps if s["choice"]]
+
+
+def _widens(o, steps, sim):
+    return max(_widths(steps)) >= 2
+
+
+def _degrees(sim):
+    return {sim.topology.degree(rho) for rho in range(sim.n)}
+
+
+HEDGED = "hedged-push-pull"
+PICK_EDGES = {
+    # name: (protocol, adversary, topology, n, f, seeds, reached)
+    # Nobody is silent: answers come back inside the allowance and the
+    # protocol is push-pull, one-pick choices and all.
+    "hedged-benign-width-1": (
+        HEDGED, "none", None, 16, 7, 4, lambda o, steps, sim: set(_widths(steps)) == {1},
+    ),
+    "hedged-escalates": (HEDGED, "str-1", None, 16, 7, 4, _widens),
+    "hedged-max-width": (
+        HEDGED, "str-1", None, 40, 30, 2, lambda o, steps, sim: max(_widths(steps)) == 8,
+    ),
+    # Fewer candidates left than the width asks for: all of them go, and
+    # the process sleeps on the re-check.
+    "hedged-capped-by-candidates": (
+        HEDGED, "str-1", None, 16, 12, 4,
+        lambda o, steps, sim: any(
+            s["choice"] and s["width"] > s["choice"][0] and s["slept"] for s in steps
+        ),
+    ),
+    # w == c: Floyd starts at j = 0, a draw below 1 that takes no word.
+    "hedged-takes-every-candidate": (
+        HEDGED, "str-1", None, 16, 12, 4,
+        lambda o, steps, sim: any(
+            s["choice"] and s["choice"][0] == s["choice"][1] >= 2 for s in steps
+        ),
+    ),
+    "hedged-floyd-collision": (
+        HEDGED, "str-1", None, 16, 12, 4,
+        lambda o, steps, sim: any(s["choice"] and s["choice"][2] for s in steps),
+    ),
+    # Covered, asleep, woken by a pull request: it answers, draws
+    # nothing, and goes back to sleep.
+    "hedged-woken-only-answers": (
+        HEDGED, "none", None, 16, 7, 4,
+        lambda o, steps, sim: o.wake_counts.any()
+        and any(
+            s["asked"] and s["slept"] and s["sends"] == s["asked"]
+            and not s["choice"] and not s["integers"]
+            for s in steps
+        ),
+    ),
+    "hedged-ugf": (HEDGED, "ugf", None, 24, 16, 4, _widens),
+    "hedged-str-2.1.0": (HEDGED, "str-2.1.0", None, 24, 16, 4, _widens),
+    # The survivor answers several requests in the step its budget runs
+    # out: who is crashed depends on the order they were delivered in,
+    # i.e. on the pull block leaving sender-major in pick order.
+    "hedged-survivor-answers-in-delivery-order": (
+        HEDGED, "str-2.1.0", None, 20, 15, 4,
+        lambda o, steps, sim: len(o.crashed) == o.f
+        and any(
+            s["rho"] == sim.adversary.survivor and s["asked"] >= 2
+            and s["now"] == max(o.crash_steps.values())
+            for s in steps
+        )
+        and max(_widths(steps)) >= 2,
+    ),
+    "hedged-informed": (HEDGED, "informed", None, 24, 16, 4, _widens),
+    "hedged-greedy-oracle": (HEDGED, "greedy-oracle", None, 40, 30, 2, _widens),
+    # Omitted pulls are paid for and never travel: the silence that
+    # widens the next one.
+    "hedged-omission": (HEDGED, "omission", None, 24, 16, 4, _widens),
+    # Both neighbours asked, most gossips unknown and nobody left to
+    # ask: ~reach closes the sleep rule.
+    "topology-ring-sleeps-with-unreachable-unknowns": (
+        "pull", "str-1", "ring:1", 9, 4, 3,
+        lambda o, steps, sim: any(s["slept"] and s["out_of_reach"] for s in steps),
+    ),
+    "topology-ring-push-draws-below-degree": (
+        "push", "none", "ring:1", 9, 4, 3,
+        lambda o, steps, sim: {h for s in steps for h in s["integers"]} == {2},
+    ),
+    # One graph per trial, from each seed's own "topology" stream.
+    "topology-random-regular-one-graph-per-seed": (
+        "push-pull", "ugf", "random-regular:4", 10, 4, 2,
+        lambda o, steps, sim: sim.topology.edges() != scalar_pick_run(
+            TrialSpec(
+                protocol="push", adversary="none", n=10, f=4, seed=o.seed + 1,
+                topology="random-regular:4",
+            )
+        )[2].topology.edges(),
+    ),
+    # 11 is no power of two: the chords 1, 2, 4 wrap unevenly.
+    "topology-expander-odd-n": (
+        "push-pull", "ugf", "expander", 11, 4, 3,
+        lambda o, steps, sim: _degrees(sim) == {6},
+    ),
+    "topology-ears-on-expander": (
+        "ears", "str-2.1.0", "expander", 12, 5, 3,
+        lambda o, steps, sim: {h for s in steps for h in s["integers"]} == {6},
+    ),
+    # A ring wide enough to be the clique's edge set is still a
+    # topology cell: own spec string, draws through the adjacency row.
+    "topology-ring-wide-as-the-clique": (
+        "push-pull", "ugf", "ring:40", 9, 4, 3,
+        lambda o, steps, sim: o.topology == "ring:40" and _degrees(sim) == {8},
+    ),
+    # Both features at once: the backlog can only grow to the degree.
+    "topology-hedged-on-ring": (HEDGED, "str-1", "ring:5", 24, 16, 4, _widens),
+}
+
+
+@pytest.mark.parametrize("edge", PICK_EDGES)
+def test_pick_edges_are_wire_identical(edge):
+    protocol, adversary, topology, n, f, seeds, reached = PICK_EDGES[edge]
+    # The longest of these runs ends at step 640: the limit only turns a
+    # rule that never lets anybody sleep into a truncated outcome.
+    specs = [
+        TrialSpec(
+            protocol=protocol, adversary=adversary, n=n, f=f, seed=seed,
+            topology=topology, max_steps=4000,
+        )
+        for seed in range(seeds)
+    ]
+    assert_wire_identical(specs)
+    assert any(reached(*scalar_pick_run(spec)) for spec in specs)
+
+
+@pytest.mark.parametrize(
+    "n,topology", [(9, "random-regular:3"), (6, "random-regular:6"), (4, "ring:0")]
+)
+def test_batch_binds_a_topology_like_the_engine(n, topology):
+    """N*d odd, d >= N, a spec that does not parse: the graph is bound
+    by the scalar engine's own classes, so the error is its error."""
+    from repro.errors import ConfigurationError
+
+    spec = TrialSpec(
+        protocol="push-pull", adversary="ugf", n=n, f=1, seed=0, topology=topology
+    )
+    if not BATCH.eligible(spec):
+        pytest.skip("cells not batch-eligible here")
+    with pytest.raises(ConfigurationError) as batch_error:
+        BATCH.run_batch([spec])
+    with pytest.raises(ConfigurationError) as scalar_error:
+        SCALAR.run_one(spec)
+    assert str(batch_error.value) == str(scalar_error.value)
+
+
+def test_topology_is_part_of_the_cell():
+    """A ring cell and a clique cell of one (protocol, adversary, N, F)
+    in one ``run_batch`` are two cells."""
+    specs = [
+        TrialSpec(
+            protocol="push-pull", adversary="ugf", n=12, f=4, seed=seed,
+            topology=topology,
+        )
+        for seed in range(2)
+        for topology in (None, "ring:2", "expander", "complete")
+    ]
+    if not all(BATCH.eligible(s) for s in specs):
+        pytest.skip("cells not batch-eligible here")
+    for spec, outcome in zip(specs, BATCH.run_batch(specs)):
+        assert wire(outcome) == wire(SCALAR.run_one(spec)), spec
+
+
+def test_memory_error_halves_the_sub_batch_inside_the_backend(monkeypatch):
+    """``run_cell`` running out of memory is retried on each half of its
+    seeds, down to one trial — never handed to the scalar engine, where
+    the cells that can do this (EARS at N=500) take hours."""
+    from repro.backends import batch
+
+    specs = [
+        TrialSpec(protocol="ears", adversary="ugf", n=12, f=5, seed=seed)
+        for seed in range(5)
+    ]
+    if not all(BATCH.eligible(s) for s in specs):
+        pytest.skip("cells not batch-eligible here")
+    whole = [wire(o) for o in BATCH.run_batch(specs)]
+    calls = []
+    real_run_cell = batch.run_cell
+
+    def small_run_cell(spec0, seeds):
+        calls.append(list(seeds))
+        if len(seeds) > 1:
+            raise MemoryError("Unable to allocate 2.93 GiB")
+        return real_run_cell(spec0, seeds)
+
+    monkeypatch.setattr(batch, "run_cell", small_run_cell)
+    assert [wire(o) for o in BATCH.run_batch(specs)] == whole
+    assert calls == [[0, 1, 2, 3, 4], [0, 1], [0], [1], [2, 3, 4], [2], [3, 4], [3], [4]]
+
+    def no_room(spec0, seeds):
+        raise MemoryError("not even one")
+
+    monkeypatch.setattr(batch, "run_cell", no_room)
+    with pytest.raises(MemoryError, match="not even one"):
+        BATCH.run_batch(specs)
+
+
+def test_trial_bytes_counts_the_pull_tables_and_the_adjacency():
+    from repro.backends.batch.kernels import trial_bytes
+
+    rows = 8 * 500 * 63  # what the snapshot rows come to at N = 500
+    assert trial_bytes("flood", 500) == rows
+    assert trial_bytes("push", 500) == rows + 250_000  # an adjacency
+    assert trial_bytes("pull", 500) == rows + 2 * 250_000  # ... and pulled
+    assert trial_bytes("push-pull", 500) == rows + 3 * 250_000  # ... and pushed
+    assert trial_bytes("hedged-push-pull", 500) == trial_bytes("push-pull", 500)
+
+
+topologies = st.one_of(
+    st.none(),
+    st.just("expander"),
+    st.integers(1, 6).map("ring:{}".format),
+    st.integers(1, 4).map("random-regular:{}".format),
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
 @given(
     protocol=st.sampled_from(BATCH_PROTOCOLS),
-    adversary=st.sampled_from(["informed", "greedy-oracle"]),
+    adversary=st.sampled_from(ADVERSARIES + ["str-2.2.0", "str-2.1.2"]),
+    topology=topologies,
     n=st.integers(2, 40),
     f_frac=st.floats(0.0, 1.0, exclude_max=True),
     seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3, unique=True),
     max_steps=st.one_of(st.none(), st.integers(1, 40)),
 )
-def test_observer_cells_are_wire_identical_on_random_specs(
-    protocol, adversary, n, f_frac, seeds, max_steps
+def test_eligible_cells_are_wire_identical_on_random_specs(
+    protocol, adversary, topology, n, f_frac, seeds, max_steps
 ):
-    """Generated, not hand-picked (ROADMAP item 3d, started where the
-    new code is): any kernel protocol x observer adversary, any legal
-    (N, F), any seed, any step limit — several seeds of one cell in one
-    ``run_batch``, so trials leave the grid at different times."""
+    """Generated, not hand-picked (ROADMAP item 3d): any kernel protocol
+    x replayable adversary x static topology the routing table accepts,
+    any legal (N, F), any seed, any step limit — several seeds of one
+    cell in one ``run_batch``, so trials leave the grid at different
+    times and ``random-regular`` trials each hold their own graph."""
+    import os
+
+    if os.environ.get("REPRO_SANITIZE"):
+        pytest.skip("sanitizer pinned by environment: all cells scalar")
+    if topology is not None and topology.startswith("random-regular"):
+        d = int(topology.split(":")[1])
+        assume(d < n and n * d % 2 == 0)  # what the family can be bound on
     limits = {} if max_steps is None else {"max_steps": max_steps}
-    assert_wire_identical(
-        [
-            TrialSpec(
-                protocol=protocol, adversary=adversary, n=n, f=int(f_frac * n), seed=seed,
-                **limits,
-            )
-            for seed in seeds
-        ]
-    )
+    specs = [
+        TrialSpec(
+            protocol=protocol, adversary=adversary, n=n, f=int(f_frac * n), seed=seed,
+            topology=topology, **limits,
+        )
+        for seed in seeds
+    ]
+    assume(BATCH.eligible(specs[0]))
+    assert_wire_identical(specs)

@@ -9,6 +9,10 @@ must issue exactly the method calls — same kind, same bound, same
 values, same per-process order — that the scalar engine's protocol
 generators issue, recorded by proxying ``sim.protocol.rngs``.
 
+``hedged-push-pull`` draws its pull width with one ``choice`` the
+plane rebuilds from word draws (logged as the one entry it is), and
+off the clique every bound is a degree or a reachable-candidate count.
+
 The ``informed`` plan adds a second stream with a mid-run draw: the
 group comes out of ``stream("adversary")`` at setup and — under the
 terse commit only, and only for a non-empty group — the survivor pick
@@ -21,10 +25,11 @@ import random
 import pytest
 
 from repro.backends.batch.engine import run_cell
+from repro.backends.batch.kernels import TOPOLOGY_PROTOCOLS
 from repro.backends.batch.rng import RecordingGenerator, ReplayPlane
 from repro.experiments.config import TrialSpec
 
-PROTOCOLS = ("push", "pull", "push-pull", "ears", "sears")
+PROTOCOLS = ("push", "pull", "push-pull", "hedged-push-pull", "ears", "sears")
 ADVERSARIES = (
     "none",
     "str-1",
@@ -57,6 +62,7 @@ def scalar_draw_log(spec: TrialSpec, adversary_log=None) -> list[list[tuple]]:
         f=spec.f,
         seed=spec.seed,
         max_steps=spec.max_steps,
+        topology=spec.topology,
     )
     if adversary_log is not None:
         adversary.rng = RecordingGenerator(adversary.rng, adversary_log)
@@ -83,6 +89,47 @@ def test_replay_plane_matches_scalar_draw_order(protocol):
         expected = scalar_draw_log(spec)
         _, plane = run_cell(spec, [spec.seed], record_draws=True)
         assert plane.log[0] == expected, spec
+
+
+@pytest.mark.parametrize("protocol", TOPOLOGY_PROTOCOLS)
+def test_replay_plane_matches_scalar_draw_order_off_the_clique(protocol):
+    """The same law with a reach mask in every candidate set: bounds
+    are degrees and reachable-candidate counts, and a ``random-regular``
+    trial's graph comes out of its own ``"topology"`` stream — a stream
+    the protocol plane never touches, so a wrong graph shows up here as
+    a wrong bound."""
+    picker = random.Random(f"draw-order:topology:{protocol}")
+    for _ in range(PAIRS_PER_PROTOCOL):
+        n = picker.randint(2, 14)
+        even = [d for d in (1, 2, 3, 4) if d < n and n * d % 2 == 0]
+        spec = TrialSpec(
+            protocol=protocol,
+            adversary=picker.choice(ADVERSARIES),
+            n=n,
+            f=picker.randint(0, n - 1),
+            seed=picker.randrange(2**31),
+            topology=picker.choice(
+                ["ring:1", "ring:2", "ring:7", "expander"]
+                + [f"random-regular:{d}" for d in even]
+            ),
+        )
+        expected = scalar_draw_log(spec)
+        _, plane = run_cell(spec, [spec.seed], record_draws=True)
+        assert plane.log[0] == expected, spec
+
+
+def test_hedged_pull_logs_one_choice_then_the_push_draw():
+    """A widened pull is one ``("choice", c, w, picks)`` entry — not the
+    ``2w - 1`` word draws the plane makes it from — and the push draw
+    that follows it on the same generator is an ``integers`` entry."""
+    spec = TrialSpec(protocol="hedged-push-pull", adversary="str-1", n=16, f=12, seed=0)
+    _, plane = run_cell(spec, [0, 1], record_draws=True)
+    assert plane.log[0] == scalar_draw_log(spec)
+    kinds = {entry[0] for log in plane.log[0] for entry in log}
+    assert kinds == {"choice", "integers"}
+    wide = [entry for log in plane.log[0] for entry in log if entry[0] == "choice"]
+    assert max(size for _, _, size, _ in wide) >= 2
+    assert all(len(picks) == size == len(set(picks)) for _, _, size, picks in wide)
 
 
 @pytest.mark.parametrize("protocol", ["push", "ears", "pull", "push-pull"])

@@ -35,8 +35,10 @@ def test_eligibility_truthiness():
     "spec,needle",
     [
         (
-            TrialSpec(protocol="hedged-push-pull", adversary="none", n=8, f=2, seed=0),
-            "protocol 'hedged-push-pull'",
+            TrialSpec(
+                protocol="recursive-doubling", adversary="none", n=8, f=2, seed=0
+            ),
+            "protocol 'recursive-doubling'",
         ),
         (
             TrialSpec(protocol="coordinator", adversary="ugf", n=8, f=2, seed=0),
@@ -82,6 +84,14 @@ def test_eligibility_truthiness():
             ),
             "adversary kwargs",
         ),
+        (
+            # The hedged kernel replays the default widths (8, 4, 1).
+            TrialSpec(
+                protocol="hedged-push-pull", adversary="none", n=8, f=2, seed=0,
+                protocol_kwargs=(("max_width", 3),),
+            ),
+            "kwargs (max_width)",
+        ),
     ],
 )
 def test_rejections_carry_their_reason(spec, needle):
@@ -89,6 +99,51 @@ def test_rejections_carry_their_reason(spec, needle):
     assert not verdict
     assert needle in verdict.reason
     assert why_ineligible(spec) == verdict.reason
+
+
+# Off the clique the reason is the narrowest that applies: a protocol
+# without a kernel is still that; a kernel protocol on a graph the reach
+# mask cannot hold names the graph; a kernel that never draws through
+# the mask names itself on an otherwise batchable graph.
+TOPOLOGY_REJECTIONS = [
+    ("flood", "ring:1", "the 'flood' kernel assumes the all-to-all clique"),
+    ("round-robin", "random-regular:3", "the 'round-robin' kernel assumes"),
+    ("sears", "expander", "the 'sears' kernel assumes the all-to-all clique"),
+    ("push", "dynamic:ring:1:0.1", "changes the contact graph mid-run"),
+    ("push", "dynamic:expander:0", "changes the contact graph mid-run"),
+    ("flood", "dynamic:ring:2:0.5", "changes the contact graph mid-run"),
+    ("coordinator", "ring:1", "protocol 'coordinator' has no vectorized kernel"),
+]
+
+
+@pytest.mark.parametrize("protocol,topology,needle", TOPOLOGY_REJECTIONS)
+def test_topology_rejections_name_the_narrowest_reason(
+    protocol, topology, needle, monkeypatch
+):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    spec = TrialSpec(
+        protocol=protocol, adversary="ugf", n=8, f=2, seed=0, topology=topology
+    )
+    reason = why_ineligible(spec)
+    assert reason is not None and needle in reason
+    if "vectorized kernel" not in reason:
+        assert repr(topology) in reason
+
+
+@pytest.mark.parametrize(
+    "protocol", ["push", "pull", "push-pull", "hedged-push-pull", "ears"]
+)
+@pytest.mark.parametrize(
+    "topology", ["ring", "ring:3", "random-regular:4", "expander", "complete"]
+)
+def test_static_topologies_route_batch_for_kernels_that_pick(
+    protocol, topology, monkeypatch
+):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    spec = TrialSpec(
+        protocol=protocol, adversary="ugf", n=8, f=2, seed=0, topology=topology
+    )
+    assert why_ineligible(spec) is None
 
 
 def test_eligible_cells_have_no_reason(monkeypatch):

@@ -56,11 +56,13 @@ def test_grid_covers_the_full_registries():
     assert adversaries == concrete | {"str-2.1.0", "str-2.1.1"}
 
 
-def test_topology_grid_declines_every_non_clique_family():
+def test_topology_grid_routes_static_families_and_declines_dynamic():
     rows = dict(topology_grid())
     assert rows.pop("complete") is None
-    assert rows  # at least one non-clique probe per family
-    for topology, reason in rows.items():
-        assert reason is not None, topology
-        assert topology in reason
-        assert "clique" in reason
+    dynamic = {t: reason for t, reason in rows.items() if t.startswith("dynamic:")}
+    static = rows.keys() - dynamic.keys()
+    assert {t.split(":")[0] for t in static} == {"ring", "random-regular", "expander"}
+    assert all(rows[t] is None for t in static)
+    assert dynamic
+    for topology, reason in dynamic.items():
+        assert topology in reason and "mid-run" in reason

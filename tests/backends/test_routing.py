@@ -15,7 +15,7 @@ BATCHABLE = [
     for s in range(4)
 ]
 SCALAR_ONLY = [
-    TrialSpec(protocol="hedged-push-pull", adversary="none", n=8, f=0, seed=s)
+    TrialSpec(protocol="coordinator", adversary="none", n=8, f=0, seed=s)
     for s in range(3)
 ]
 
@@ -97,6 +97,35 @@ def test_observer_cells_route_to_batch_with_scalar_outcomes():
         forced = campaign.run_trials(specs)
     for a, s in zip(auto, forced):
         assert json.dumps(a.outcome.to_wire()) == json.dumps(s.outcome.to_wire())
+
+
+def test_hedged_and_static_topology_cells_route_to_batch_with_scalar_outcomes():
+    """The last `cold_scalar` kinds (ISSUE 22): hedged-push-pull and
+    push-pull on the static graphs run inline on the wave engine; a
+    `dynamic:*` graph still falls back, silently and counted."""
+    specs = [
+        TrialSpec(
+            protocol=protocol, adversary="ugf", n=12, f=4, seed=s, topology=topology
+        )
+        for protocol, topology in (
+            ("hedged-push-pull", None),
+            ("push-pull", "ring:2"),
+            ("push-pull", "random-regular:4"),
+            ("push-pull", "expander"),
+            ("push-pull", "dynamic:ring:2:0.1"),
+        )
+        for s in range(2)
+    ]
+    metrics = MetricsRegistry()
+    with Campaign(workers=1, metrics=metrics, use_cache=False) as campaign:
+        auto = campaign.run_trials(specs)
+    assert [r.backend for r in auto] == ["batch"] * 8 + ["scalar"] * 2
+    assert counter(metrics, "campaign.backend_fallbacks") == 2
+    with Campaign(workers=1, backend="scalar", use_cache=False) as campaign:
+        forced = campaign.run_trials(specs)
+    for a, s in zip(auto, forced):
+        assert json.dumps(a.outcome.to_wire()) == json.dumps(s.outcome.to_wire())
+    assert [r.outcome.topology for r in auto[2:4]] == ["ring:2"] * 2
 
 
 def test_forced_scalar_uses_no_batch():

@@ -95,12 +95,12 @@ def test_campaign_modes_all_byte_identical(tmp_path):
 
 
 def test_parallel_campaign_merges_worker_registries(tmp_path):
-    # A scalar-only cell (no vectorized hedged-push-pull kernel): the
+    # A scalar-only cell (no vectorized coordinator kernel): the
     # point is that chunks run in *worker processes*, so the sweep must
     # not route to the in-process batch backend.
     specs = list(
         SweepSpec(
-            protocol="hedged-push-pull",
+            protocol="coordinator",
             adversary="ugf",
             n_values=(12, 20),
             seeds=(0, 1, 2),

@@ -14,7 +14,7 @@ from repro.obs import telemetry_path
 def metrics_run(tmp_path):
     """A tiny real campaign executed with --metrics; returns its dir.
 
-    Uses a scalar-only protocol (no vectorized hedged-push-pull
+    Uses a scalar-only protocol (no vectorized coordinator
     kernel): the assertions below read scalar-engine spans
     (engine.step, engine.trials), which a batch-routed cell would not
     emit.
@@ -24,7 +24,7 @@ def metrics_run(tmp_path):
         [
             "sweep",
             "--protocol",
-            "hedged-push-pull",
+            "coordinator",
             "--n",
             "12",
             "--seeds",
@@ -87,7 +87,7 @@ class TestRunMetricsFlag:
             [
                 "run",
                 "--protocol",
-                "hedged-push-pull",
+                "coordinator",
                 "--adversary",
                 "ugf",
                 "-n",

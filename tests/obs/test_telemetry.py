@@ -127,11 +127,11 @@ class TestReadTelemetry:
 
 class TestCampaignTelemetry:
     def test_metrics_campaign_streams_trial_phase_registry(self, tmp_path):
-        # Scalar-only cell (hedged-push-pull has no vectorized kernel):
+        # Scalar-only cell (coordinator has no vectorized kernel):
         # the registry assertion below reads the scalar engine's
         # engine.trials counter, which a batch-routed sweep won't bump.
         specs = [
-            TrialSpec(protocol="hedged-push-pull", adversary="ugf", n=16, f=4, seed=s)
+            TrialSpec(protocol="coordinator", adversary="ugf", n=16, f=4, seed=s)
             for s in (0, 1)
         ]
         with Campaign(cache_dir=tmp_path, workers=0, metrics=True) as campaign:
@@ -143,7 +143,7 @@ class TestCampaignTelemetry:
         assert len(trials) == 2
         assert {t.data["status"] for t in trials} == {"executed"}
         assert all(t.data["seconds"] > 0 for t in trials)
-        assert all(t.data["protocol"] == "hedged-push-pull" for t in trials)
+        assert all(t.data["protocol"] == "coordinator" for t in trials)
         phases = records_of_kind(records, "phase")
         assert len(phases) == 1
         assert phases[0].data["trials"] == 2
