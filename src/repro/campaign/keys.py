@@ -19,10 +19,16 @@ import hashlib
 import json
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
 
-__all__ = ["KEY_VERSION", "trial_key", "spec_fingerprint"]
+__all__ = [
+    "KEY_VERSION",
+    "trial_key",
+    "spec_fingerprint",
+    "fingerprint_key",
+    "spec_from_fingerprint",
+]
 
 #: Bump on any result-affecting change to the simulation semantics.
 KEY_VERSION = 1
@@ -67,19 +73,56 @@ def spec_fingerprint(spec: TrialSpec) -> dict[str, Any]:
     return payload
 
 
+def spec_from_fingerprint(fingerprint: dict[str, Any]) -> TrialSpec:
+    """Rebuild the :class:`TrialSpec` a stored fingerprint describes.
+
+    Raises :class:`~repro.errors.CampaignError` for fingerprints written
+    by a different ``KEY_VERSION`` — their semantics are not ours to
+    re-execute.
+    """
+    version = fingerprint.get("version")
+    if version != KEY_VERSION:
+        raise CampaignError(
+            f"fingerprint version {version!r} != supported {KEY_VERSION}"
+        )
+    try:
+        return TrialSpec(
+            protocol=fingerprint["protocol"],
+            adversary=fingerprint["adversary"],
+            n=int(fingerprint["n"]),
+            f=int(fingerprint["f"]),
+            seed=int(fingerprint["seed"]),
+            max_steps=int(fingerprint["max_steps"]),
+            protocol_kwargs=tuple(
+                (k, v) for k, v in fingerprint["protocol_kwargs"]
+            ),
+            adversary_kwargs=tuple(
+                (k, v) for k, v in fingerprint["adversary_kwargs"]
+            ),
+            environment=fingerprint.get("environment"),
+            topology=fingerprint.get("topology"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CampaignError(f"malformed spec fingerprint: {exc}") from exc
+
+
+def fingerprint_key(fingerprint: dict[str, Any]) -> str:
+    """The content address of a spec fingerprint: SHA-256 over its
+    canonical JSON (sorted keys, fixed separators)."""
+    text = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def trial_key(spec: TrialSpec) -> str:
     """Stable content address of one trial, identical across processes.
 
-    ``json.dumps`` with sorted keys and fixed separators is canonical
-    for the JSON-native types specs carry (str/int/float/bool/None);
-    non-JSON kwarg values are rejected rather than hashed by ``repr``,
+    Non-JSON kwarg values are rejected rather than hashed by ``repr``,
     which would be representation- not content-stable.
     """
     payload = spec_fingerprint(spec)
     try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return fingerprint_key(payload)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"spec kwargs must be JSON-serialisable to be cacheable: {exc}"
         ) from exc
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

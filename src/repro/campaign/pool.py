@@ -213,24 +213,16 @@ def run_trial_batch(
     trial_timeout: float | None = None,
     collect_metrics: bool = False,
     fault_plan: "FaultPlan | None" = None,
-) -> "list[tuple[str, Any]] | dict[str, Any]":
+) -> "tuple[list[tuple[str, Any]], list[float | None], Any]":
     """Worker entry point: run a chunk of trials in submission order.
 
-    Returns one ``("ok", wire)`` or ``("error", traceback)`` pair per
-    spec — the compact wire encoding keeps the result pickle small and
-    skips ndarray reconstruction on the worker side of the boundary.
-
-    With ``collect_metrics`` the chunk runs against a fresh per-chunk
-    :class:`~repro.obs.registry.MetricsRegistry` and the return value
-    becomes the extended chunk wire format::
-
-        {"v": 1, "results": [...pairs...], "seconds": [...],
-         "metrics": <registry wire>}
-
-    so the dispatching campaign can merge worker registries into its
-    session registry and attach per-trial wall times to telemetry.
-    The metrics-off shape is unchanged — byte-for-byte the pre-metrics
-    IPC payload — and consumers accept both (legacy tolerance).
+    Returns ``(results, seconds, registry)``: one ``("ok", wire)`` or
+    ``("error", traceback)`` pair per spec — the compact wire encoding
+    keeps the result pickle small and skips ndarray reconstruction on
+    the worker side of the boundary — plus per-trial wall times and the
+    chunk's :class:`~repro.obs.registry.MetricsRegistry` wire, for the
+    dispatching campaign to merge. Without ``collect_metrics`` the
+    times and the registry are None.
     """
     metrics = None
     if collect_metrics:
@@ -251,14 +243,7 @@ def run_trial_batch(
             results.append(("ok", result.outcome.to_wire()))
         else:
             results.append(("error", result.error))
-    if metrics is None:
-        return results
-    return {
-        "v": 1,
-        "results": results,
-        "seconds": seconds,
-        "metrics": metrics.to_wire(),
-    }
+    return results, seconds, (None if metrics is None else metrics.to_wire())
 
 
 def _warm_worker() -> None:
@@ -400,7 +385,11 @@ class WorkerPool:
                     batch, self.trial_timeout, collect, plan
                 )
             submit_next()
-            outcomes, seconds = self._unpack_chunk(payload, len(batch))
+            outcomes, seconds, wire = payload
+            if wire is not None:  # metrics on: merge the worker registry
+                from repro.obs.registry import MetricsRegistry
+
+                self.metrics.merge(MetricsRegistry.from_wire(wire))
             for spec, (tag, result), secs in zip(batch, outcomes, seconds):
                 if tag == "ok":
                     yield ExecutionResult(
@@ -410,26 +399,6 @@ class WorkerPool:
                     )
                 else:
                     yield ExecutionResult(spec=spec, outcome=None, error=result)
-
-    def _unpack_chunk(
-        self, payload: Any, n_specs: int
-    ) -> tuple[list[tuple[str, Any]], list[float | None]]:
-        """Accept both chunk wire shapes (see :func:`run_trial_batch`).
-
-        The plain-list legacy shape carries no timings; the extended
-        dict shape additionally delivers the worker's per-chunk
-        registry, merged into the session registry here.
-        """
-        if isinstance(payload, dict):
-            results = payload["results"]
-            seconds = payload.get("seconds") or [None] * n_specs
-            wire = payload.get("metrics")
-            if wire is not None and self.metrics is not None:
-                from repro.obs.registry import MetricsRegistry
-
-                self.metrics.merge(MetricsRegistry.from_wire(wire))
-            return results, seconds
-        return payload, [None] * n_specs
 
     def execute(self, specs: list[TrialSpec]) -> list[ExecutionResult]:
         """Run *specs*, returning results in submission order."""

@@ -43,8 +43,10 @@ from typing import Any
 from repro.campaign.store import (
     AppendFile,
     CompactionReport,
+    RecordDefect,
     compact_file,
     decode_record,
+    scan_records,
 )
 from repro.errors import CampaignError
 
@@ -100,9 +102,9 @@ class ShardedBackend:
         # bounds it from below (empty shards leave no file behind, so
         # *counting* files would under-estimate).
         existing = self._existing_shard_numbers()
-        persisted = self._peek_index_shards()
-        if persisted is not None:
-            self.shards = persisted
+        index = self._read_index()
+        if index is not None:
+            self.shards = index["shards"]
         elif existing:
             self.shards = existing[-1] + 1
         else:
@@ -144,16 +146,6 @@ class ShardedBackend:
         found.update(self._existing_shard_numbers())
         return sorted(found)
 
-    def _peek_index_shards(self) -> "int | None":
-        try:
-            raw = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(raw, dict) or raw.get("v") != INDEX_VERSION:
-            return None
-        count = raw.get("shards")
-        return count if isinstance(count, int) and count >= 1 else None
-
     def _file(self, shard: int) -> AppendFile:
         file = self._files.get(shard)
         if file is None:
@@ -186,12 +178,13 @@ class ShardedBackend:
         """The persisted index, or None when absent/unusable."""
         try:
             raw = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
             return None
         if (
             not isinstance(raw, dict)
             or raw.get("v") != INDEX_VERSION
-            or raw.get("shards") != self.shards
+            or not isinstance(raw.get("shards"), int)
+            or raw["shards"] < 1
             or not isinstance(raw.get("sizes"), dict)
             or not isinstance(raw.get("entries"), dict)
         ):
@@ -206,36 +199,24 @@ class ShardedBackend:
         start: int = 0,
         end: "int | None" = None,
     ) -> int:
-        """Index every complete record of one shard in ``[start, end)``
-        (*end* None = through EOF); returns the offset just past the
-        last complete record — the new synced watermark."""
+        """Index every record of one shard in ``[start, end)`` (*end*
+        None = through EOF); returns the offset just past the last
+        newline — the new synced watermark. A complete final record
+        without its newline is indexed but stays past the watermark,
+        so the next scan reads it again once it is terminated."""
         path = self._shard_path(shard)
         if not path.exists():
             return start
         with path.open("rb") as fh:
             fh.seek(start)
             data = fh.read() if end is None else fh.read(max(0, end - start))
-        cursor = 0  # position within the freshly read tail
-        done = 0  # position just past the last complete record
-        while cursor < len(data):
-            newline = data.find(b"\n", cursor)
-            if newline == -1:
-                # A trailing fragment is a torn tail: skipped (counted)
-                # exactly like the single-file reader does.
-                if data[cursor:].strip():
-                    self.skipped_lines += 1
-                break
-            raw = data[cursor:newline]
-            if raw.strip():
-                decoded = decode_record(raw)
-                if decoded is None:
-                    self.skipped_lines += 1
-                else:
-                    # Last write wins, same as the jsonl backend.
-                    entries[decoded[0]] = (shard, start + cursor, len(raw))
-            cursor = newline + 1
-            done = cursor
-        return start + done
+        for _line_no, offset, raw, item in scan_records(data, start):
+            if isinstance(item, RecordDefect):
+                self.skipped_lines += 1
+            else:
+                # Last write wins, same as the jsonl backend.
+                entries[item[0]] = (shard, offset, len(raw))
+        return start + data.rfind(b"\n") + 1
 
     def load(self) -> None:
         self.skipped_lines = 0
@@ -243,7 +224,7 @@ class ShardedBackend:
         self._synced = {}
         entries: dict[str, tuple[int, int, int]] = {}
         index = self._read_index()
-        if index is not None:
+        if index is not None and index["shards"] == self.shards:
             sizes: dict[int, int] = {}
             for raw_shard, size in index["sizes"].items():
                 try:
@@ -295,38 +276,29 @@ class ShardedBackend:
         entry = self._loaded().get(key)
         if entry is None:
             return None
-        shard, offset, length = entry
-        reader = self._readers.get(shard)
-        if reader is None:
-            try:
-                reader = self._shard_path(shard).open("rb")
-            except OSError:
-                return None
-            self._readers[shard] = reader
-        try:
-            reader.seek(offset)
-            raw = reader.read(length)
-        except (OSError, ValueError):
-            return None
-        decoded = decode_record(raw)
-        if decoded is None or decoded[0] != key:
+        wire = self._seek_read(key, entry)
+        if wire is None:
             # The bytes under this entry no longer hold this record —
             # the index went stale (external rewrite). Fall back to a
             # full reload once rather than serving garbage.
             self.load()
             entry = self._loaded().get(key)
-            if entry is None:
-                return None
-            shard, offset, length = entry
+            if entry is not None:
+                wire = self._seek_read(key, entry)
+        return wire
+
+    def _seek_read(self, key: str, entry: tuple[int, int, int]) -> Any | None:
+        """The wire stored at *entry*, or None unless it is *key*'s."""
+        shard, offset, length = entry
+        try:
             reader = self._readers.get(shard)
             if reader is None:
-                reader = self._shard_path(shard).open("rb")
-                self._readers[shard] = reader
+                reader = self._readers[shard] = self._shard_path(shard).open("rb")
             reader.seek(offset)
-            decoded = decode_record(reader.read(length))
-            if decoded is None or decoded[0] != key:
-                return None
-        return decoded[1]
+            found, _fingerprint, wire = decode_record(reader.read(length))
+        except (OSError, ValueError):  # RecordDefect is a ValueError
+            return None
+        return wire if found == key else None
 
     # -- writes ------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ The store is split in two layers (docs/SERVICE.md):
 
 - :class:`TrialStore` — the facade every consumer (campaign, doctor,
   auditor, the campaign service) talks to: outcome (de)serialisation,
-  metrics, corrupt-record quarantine. Its API is backend-agnostic.
+  metrics, corrupt-record accounting. Its API is backend-agnostic.
 - a :class:`StoreBackend` — the persistence engine behind it. Two
   ship: ``jsonl`` (one append-only ``trials.jsonl``, the original
   layout, still the default) and ``sharded``
@@ -13,26 +13,23 @@ The store is split in two layers (docs/SERVICE.md):
   the layout the long-lived campaign service daemon owns).
 
 Record framing is identical in every backend: one JSON record per
-line. New records use the compact wire encoding::
+line, in the compact wire encoding::
 
     {"key": "<sha256>", "spec": {...fingerprint...}, "wire": [...]}
 
-while records written before the wire format carried a full field-name
-dict instead::
-
-    {"key": "<sha256>", "spec": {...fingerprint...}, "outcome": {...}}
-
-Both shapes load transparently — the wire format is additive, and the
-content address hashes the *spec*, so a pre-wire cache keeps serving
-hits without rewrites. See :meth:`repro.sim.outcome.Outcome.to_wire`.
+(see :meth:`repro.sim.outcome.Outcome.to_wire`). Every reader — both
+backends, compaction, ``doctor`` and ``check`` — reads lines through
+:func:`scan_records` / :func:`decode_record`, so all agree on what a
+line is. Pre-wire ``"outcome"``-dict records are skipped like any
+unusable line until ``repro-ugf doctor --repair`` migrates them.
 
 Append-only makes the store crash-safe by construction — an
-interrupted run leaves at most one truncated final line per file,
-which the loader skips (with a warning count) instead of failing, so a
-restarted ``repro-ugf report`` resumes from every fully persisted
-trial. Records with an unknown shape are likewise skipped, which
-doubles as forward compatibility: a newer writer never breaks an older
-reader.
+interrupted run leaves at most one torn final line per file, which the
+reader skips (with a warning count) instead of failing, so a restarted
+``repro-ugf report`` resumes from every fully persisted trial. A final
+line that is a complete record merely missing its newline is served.
+Records with an unknown shape are likewise skipped, which doubles as
+forward compatibility: a newer writer never breaks an older reader.
 
 Each append is one ``write()`` of full lines (readers can never
 observe a half-record except after a crash mid-write), then ``flush``
@@ -53,13 +50,12 @@ short trials — while keeping the one-line-per-record framing.
 
 Backends additionally support :meth:`StoreBackend.compact`: rewrite
 each file keeping only the latest record per key, dropping superseded
-duplicates, corrupt/torn lines, and explicitly quarantined keys.
-:meth:`TrialStore.get` routes undecodable records through that path,
-so a hand-edited or bit-rotted record is removed from disk (and
-counted) instead of re-missing every future session. Compaction
-rewrites files in place (atomic tmp + rename) and therefore assumes no
-*concurrent* writer on the same directory — the campaign service,
-which owns its store exclusively, is the intended caller.
+duplicates, unusable lines, and explicitly dropped keys. It is the only
+code besides :class:`AppendFile` that writes a store file, and it
+rewrites in place (atomic tmp + rename), so it needs exclusive
+ownership of the directory — a concurrent writer's later appends would
+land in the unlinked file. Only the operator runs it, through
+``repro-ugf doctor --repair``.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ import pathlib
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Protocol
+from typing import Any, Iterable, Iterator, Protocol
 
 try:  # POSIX-only; elsewhere appends are unlocked (warned + counted).
     import fcntl
@@ -92,11 +88,11 @@ __all__ = [
     "resolve_store_backend",
     "encode_record",
     "decode_record",
+    "scan_records",
+    "RecordDefect",
 ]
 
 STORE_FILENAME = "trials.jsonl"
-#: Kept for callers that imported the private name.
-_FILENAME = STORE_FILENAME
 
 #: Shard files of the sharded backend (see repro.campaign.sharded).
 SHARD_GLOB = "trials-*.jsonl"
@@ -123,29 +119,81 @@ def encode_record(key: str, fingerprint: dict[str, Any], wire: list[Any]) -> str
     )
 
 
-def decode_record(line: "str | bytes") -> "tuple[str, Any] | None":
-    """``(key, payload)`` of one store line, or None if unusable.
+class RecordDefect(ValueError):
+    """Why a store line is not a servable record.
 
-    The payload is the raw wire list (or legacy outcome dict) —
-    deserialisation into an :class:`Outcome` stays lazy.
+    :attr:`kind` is the ``doctor`` finding: ``corrupt-line``,
+    ``torn-tail``, ``foreign-record`` or ``legacy-record`` — a pre-wire
+    record, whose ``(key, fingerprint, outcome dict)`` :attr:`legacy`
+    holds for the migration.
     """
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    line = line.strip()
-    if not line:
-        return None
+
+    def __init__(self, kind: str, detail: str, legacy: Any = None) -> None:
+        super().__init__(detail)
+        self.kind = kind
+        self.legacy = legacy
+
+
+def decode_record(line: "str | bytes") -> tuple[str, dict[str, Any], list[Any]]:
+    """``(key, fingerprint, wire)`` of one store line.
+
+    Raises :class:`RecordDefect` for anything else. One ``json.loads``
+    plus shape checks — no hashing and no outcome decode, so it stays
+    the whole per-record cost of a load or a sharded seek-read.
+    """
     try:
         record = json.loads(line)
-        key = record["key"]
-        payload = record.get("wire", record.get("outcome"))
-    except (json.JSONDecodeError, KeyError, TypeError):
-        return None
-    if not isinstance(key, str) or not isinstance(payload, (dict, list)):
-        return None
-    return key, payload
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        raise RecordDefect(
+            "corrupt-line", "not valid JSON; readers skip it (data lost)"
+        ) from None
+    if isinstance(record, dict):
+        key = record.get("key")
+        fingerprint = record.get("spec")
+        wire = record.get("wire")
+        if isinstance(key, str) and isinstance(fingerprint, dict):
+            if isinstance(wire, list):
+                return key, fingerprint, wire
+            outcome = record.pop("outcome", None)
+            if wire is None and isinstance(outcome, dict):
+                raise RecordDefect(
+                    "legacy-record",
+                    "pre-wire outcome-dict record; readers skip it until "
+                    "doctor --repair migrates it",
+                    (key, fingerprint, outcome),
+                )
+    raise RecordDefect("foreign-record", "not a trial record; readers skip it")
+
+
+def scan_records(data: bytes, start: int = 0) -> Iterator[tuple[int, int, bytes, Any]]:
+    """``(line_no, offset, raw, item)`` per non-blank line of *data*.
+
+    *offset* counts from *start* (where *data* was read from), *raw*
+    lacks the newline, and *item* is the :func:`decode_record` tuple or
+    the :class:`RecordDefect` it raised. The one tail rule: an
+    unterminated final line is a record if complete, else a torn tail.
+    """
+    line_no = 0
+    cursor = 0
+    size = len(data)
+    while cursor < size:
+        newline = data.find(b"\n", cursor)
+        end = size if newline < 0 else newline
+        line_no += 1
+        raw = data[cursor:end]
+        if raw.strip():
+            try:
+                item: Any = decode_record(raw)
+            except RecordDefect as defect:
+                item = defect
+                if newline < 0 and defect.kind == "corrupt-line":
+                    item = RecordDefect(
+                        "torn-tail",
+                        f"{len(raw)} trailing byte(s) at offset "
+                        f"{start + cursor} are a torn record (crash mid-append)",
+                    )
+            yield line_no, start + cursor, raw, item
+        cursor = end + 1
 
 
 def discover_store_files(run_dir: "str | os.PathLike") -> list[pathlib.Path]:
@@ -173,7 +221,7 @@ class CompactionReport:
     records_kept: int = 0
     #: Superseded rewrites of keys that survive (last write wins).
     duplicates_dropped: int = 0
-    #: Corrupt / torn / foreign lines removed from disk.
+    #: Unusable lines (corrupt, torn, foreign, legacy) removed from disk.
     corrupt_dropped: int = 0
     #: Records removed because their key was explicitly quarantined.
     quarantined_dropped: int = 0
@@ -345,8 +393,8 @@ def compact_file(
 
     Returns the per-file :class:`CompactionReport` and the surviving
     records' ``key -> (offset, length)`` map (for offset indexes).
-    Superseded duplicates, unusable lines (corrupt, torn, foreign) and
-    *drop_keys* records are removed. The rewrite is atomic — tmp file
+    Superseded duplicates, unusable lines (every :class:`RecordDefect`)
+    and *drop_keys* records are removed. The rewrite is atomic — tmp file
     in the same directory, fsync, rename — so a crash mid-compaction
     leaves the original untouched.
     """
@@ -357,14 +405,11 @@ def compact_file(
     duplicates = 0
     corrupt = 0
     quarantined = 0
-    for raw in data.split(b"\n"):
-        if not raw.strip():
-            continue
-        decoded = decode_record(raw)
-        if decoded is None:
+    for _line_no, _offset, raw, item in scan_records(data):
+        if isinstance(item, RecordDefect):
             corrupt += 1
             continue
-        key, _payload = decoded
+        key = item[0]
         if key in drop_keys:
             quarantined += 1
             continue
@@ -399,15 +444,14 @@ def compact_file(
 class StoreBackend(Protocol):
     """Persistence engine behind a :class:`TrialStore`.
 
-    Payloads are raw store payloads — wire lists or legacy outcome
-    dicts — never :class:`Outcome` objects; (de)serialisation is the
-    facade's job. Implementations: :class:`JsonlBackend`,
-    :class:`~repro.campaign.sharded.ShardedBackend`.
+    Payloads are raw outcome wire lists, never :class:`Outcome`
+    objects; (de)serialisation is the facade's job. Implementations:
+    :class:`JsonlBackend`, :class:`~repro.campaign.sharded.ShardedBackend`.
     """
 
     #: Registry name (``"jsonl"`` / ``"sharded"``).
     name: str
-    #: Lines dropped while loading (corrupt / truncated / foreign).
+    #: Lines dropped while loading (every :class:`RecordDefect`).
     skipped_lines: int
 
     @property
@@ -481,17 +525,15 @@ class JsonlBackend:
         index: dict[str, Any] = {}
         self.skipped_lines = 0
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    decoded = decode_record(line)
-                    if decoded is None:
-                        self.skipped_lines += 1
-                        continue
+            for _line_no, _offset, _raw, item in scan_records(
+                self.path.read_bytes()
+            ):
+                if isinstance(item, RecordDefect):
+                    self.skipped_lines += 1
+                else:
                     # Last write wins; duplicates are harmless (the
                     # trial is deterministic, so they are identical).
-                    index[decoded[0]] = decoded[1]
+                    index[item[0]] = item[2]
         self._index = index
 
     def _loaded(self) -> dict[str, Any]:
@@ -620,7 +662,7 @@ class TrialStore:
 
     @property
     def skipped_lines(self) -> int:
-        """Lines dropped while loading (corrupt / truncated / foreign)."""
+        """Lines dropped while loading (every :class:`RecordDefect`)."""
         return self.backend.skipped_lines
 
     def store_files(self) -> list[pathlib.Path]:
@@ -656,29 +698,21 @@ class TrialStore:
     def get(self, key: str) -> Outcome | None:
         """The cached outcome for *key*, or None on a miss.
 
-        A record that fails to deserialise (e.g. hand-edited) is
-        treated as a miss — and *removed from disk* through the
-        compaction path, counted as ``store.corrupt_records``, so it
-        costs one recompute ever instead of one per session.
+        A record whose wire fails to deserialise (e.g. hand-edited) is
+        a miss, forgotten in memory and counted as
+        ``store.corrupt_records``; the recompute's append wins on the
+        next load, and ``doctor --repair`` removes the bad line.
         """
         self._ensure_loaded()
-        record = self.backend.get_payload(key)
-        if record is None:
+        wire = self.backend.get_payload(key)
+        if wire is None:
             return None
         try:
-            if isinstance(record, list):
-                return Outcome.from_wire(record)
-            return Outcome.from_dict(record)
+            return Outcome.from_wire(wire)
         except (KeyError, TypeError, ValueError):
             self.backend.forget(key)
             if self.metrics is not None:
                 self.metrics.count("store.corrupt_records")
-            try:
-                self.compact(drop_keys={key})
-            except OSError:
-                # Quarantine-on-disk is best-effort: the in-memory
-                # forget above already guarantees the miss.
-                pass
             return None
 
     # -- writes ------------------------------------------------------------------
@@ -719,8 +753,8 @@ class TrialStore:
         """Rewrite the store dropping duplicate/torn/quarantined records.
 
         Requires exclusive ownership of the directory (no concurrent
-        writer): the campaign service compacts its own store; offline,
-        ``repro-ugf doctor --repair`` is the operator entry point.
+        writer); ``repro-ugf doctor --repair`` is the operator entry
+        point.
         """
         self._ensure_loaded()
         report = self.backend.compact(frozenset(drop_keys))

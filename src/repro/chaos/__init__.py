@@ -17,7 +17,7 @@ execution infrastructure (docs/ROBUSTNESS.md):
   failures end a campaign *degraded*, never aborted;
 - :mod:`repro.chaos.doctor` — ``repro-ugf doctor``: scan a run
   directory for torn tails, bad content addresses and undecodable
-  payloads; ``--repair`` truncates torn tails back to a clean store.
+  payloads (read-only); ``--repair`` heals, compacts and migrates.
 
 The headline contract, pinned by ``tests/chaos``: under every shipped
 fault plan (:func:`shipped_plans`) a supervised campaign converges to

@@ -2,45 +2,59 @@
 
 The trial store is append-only and crash-safe *by reader tolerance* —
 a torn tail is skipped, not fatal. ``doctor`` makes that tolerance
-auditable and reversible:
+auditable and reversible. It reads the store through the same line
+reader as every loader (:func:`~repro.campaign.store.scan_records`):
 
-- **torn tail**: a trailing fragment that is not a complete record
-  (the signature of ``kill -9`` mid-append). Detected with its byte
-  offset; ``--repair`` truncates the file back to the last complete
-  record, after which the store is byte-clean again.
+- **tails**: a torn fragment (``kill -9`` mid-append) with its byte
+  offset, or a complete final record missing its newline;
+- **skipped lines**: corrupt or foreign lines (warnings: the data is
+  already lost) and pre-wire ``legacy-record`` lines (errors until
+  ``--repair`` migrates them);
 - **content addresses**: every record's ``key`` is recomputed from its
-  stored spec fingerprint (the exact bytes :func:`~repro.campaign.keys.
-  trial_key` hashes). A mismatch means the record was edited or
-  corrupted in place — reported, never served silently.
-- **wire payloads**: every outcome payload must decode; undecodable
-  records are dead weight the reader will skip.
+  stored spec fingerprint; a mismatch means an edit in place;
+- **wire payloads**: every outcome wire must decode;
 - **cross-checks**: the quarantine ledger and telemetry stream beside
-  the store are validated, and quarantined trials that *also* have a
-  good store record are flagged as recovered (information, not error —
-  a later session healed them).
+  the store are validated, and quarantined trials whose latest record
+  is good are flagged as recovered (information, not error).
 
 Findings carry a severity: ``error`` (doctor exits non-zero),
-``warn`` (data already lost or ignorable), ``info``. Repair handles
-exactly the reversible finding — tail truncation; interior corrupt
-lines are reported but left in place, since the reader skips them and
-truncating interior bytes would destroy good records after them.
+``warn`` (data already lost or ignorable), ``info``. Without
+``--repair`` doctor only reads. ``--repair`` heals the tails, then —
+if anything else is left — compacts (dropping duplicates, skipped
+lines and every key whose latest record is mis-addressed or
+undecodable) and appends each legacy record's wire rewrite. Compaction
+renames store files, so repair needs exclusive ownership of the
+directory.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.campaign.keys import fingerprint_key
 from repro.campaign.store import STORE_FILENAME as _STORE_FILENAME
-from repro.campaign.store import discover_store_files
+from repro.campaign.store import (
+    RecordDefect,
+    TrialStore,
+    discover_store_files,
+    scan_records,
+)
 from repro.chaos.supervisor import read_quarantine
+from repro.obs.telemetry import read_telemetry, telemetry_path
 from repro.sim.outcome import Outcome
 
 __all__ = ["DoctorFinding", "DoctorReport", "diagnose"]
+
+#: Severity of each :class:`~repro.campaign.store.RecordDefect` kind.
+_DEFECT_SEVERITY = {
+    "corrupt-line": "warn",
+    "foreign-record": "warn",
+    "legacy-record": "error",
+    "torn-tail": "error",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +95,8 @@ class DoctorReport:
     #: Executed trials by producing backend, from the telemetry stream.
     #: Legacy records without a backend id count as "unrecorded".
     backend_counts: dict[str, int] = field(default_factory=dict)
+    #: Keys whose latest record is well-formed — what a loader serves.
+    record_keys: set[str] = field(default_factory=set, init=False)
 
     @property
     def errors(self) -> list[DoctorFinding]:
@@ -115,171 +131,78 @@ class DoctorReport:
         return "\n".join(lines)
 
 
-def _recompute_key(fingerprint: dict[str, Any]) -> str | None:
-    """The content address the stored fingerprint *should* have."""
+def _record_problem(
+    key: str, fingerprint: dict[str, Any], wire: list[Any]
+) -> "tuple[str, str] | None":
+    """``(kind, detail)`` of what is wrong with a decoded record, if any."""
+    expected = fingerprint_key(fingerprint)
+    if expected != key:
+        return "bad-address", (
+            f"stored key {key[:12]}… does not match its spec fingerprint "
+            f"({expected[:12]}…): record edited or corrupted in place"
+        )
     try:
-        text = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError):
-        return None
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        Outcome.from_wire(wire)
+    except (KeyError, TypeError, ValueError) as exc:
+        return "bad-wire", f"outcome payload does not decode ({exc})"
+    return None
 
 
-def _check_record(
-    line_no: int, line: bytes, report: DoctorReport, file: str | None = None
-) -> None:
-    """Validate one complete store line, appending findings."""
-    text = line.decode("utf-8", errors="replace").strip()
-    if not text:
-        return  # blank lines are legal framing (skipped by the reader)
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError:
-        report.findings.append(
-            DoctorFinding(
-                severity="warn",
-                kind="corrupt-line",
-                detail="not valid JSON; the reader skips it (data lost)",
-                line=line_no,
-                file=file,
-            )
-        )
-        return
-    if not isinstance(record, dict) or "key" not in record:
-        report.findings.append(
-            DoctorFinding(
-                severity="warn",
-                kind="foreign-record",
-                detail="valid JSON but not a trial record; the reader skips it",
-                line=line_no,
-                file=file,
-            )
-        )
-        return
-    key = record.get("key")
-    payload = record.get("wire", record.get("outcome"))
-    spec = record.get("spec")
-    if not isinstance(key, str) or not isinstance(payload, (dict, list)):
-        report.findings.append(
-            DoctorFinding(
-                severity="warn",
-                kind="foreign-record",
-                detail="record lacks a usable key/payload; the reader skips it",
-                line=line_no,
-                file=file,
-            )
-        )
-        return
-    if isinstance(spec, dict):
-        expected = _recompute_key(spec)
-        if expected is not None and expected != key:
+def _scan(store_files: list[pathlib.Path], report: DoctorReport):
+    """Scan every store file into *report*.
+
+    Returns ``(latest, legacy, tails)``: whether each key's latest
+    record is well-formed, each key's latest legacy record, and each
+    defective tail as ``path -> (byte offset, torn)``. The key tables
+    span all files, so duplicate accounting is store-wide.
+    """
+    latest: dict[str, bool] = {}
+    legacy: dict[str, tuple[str, dict[str, Any], dict[str, Any]]] = {}
+    tails: dict[pathlib.Path, tuple[int, bool]] = {}
+    decoded = 0
+    for path in store_files:
+        data = path.read_bytes()
+        line_no = 0
+        for line_no, offset, _raw, item in scan_records(data):
+            if isinstance(item, RecordDefect):
+                detail = str(item)
+                if item.kind == "torn-tail":
+                    detail += "; repair truncates them"
+                    tails[path] = (offset, True)
+                elif item.legacy is not None:
+                    legacy[item.legacy[0]] = item.legacy
+                severity = _DEFECT_SEVERITY[item.kind]
+                report.findings.append(
+                    DoctorFinding(severity, item.kind, detail, line_no, path.name)
+                )
+                continue
+            decoded += 1
+            problem = _record_problem(*item)
+            latest[item[0]] = problem is None
+            if problem is None:
+                report.records += 1
+            else:
+                report.findings.append(
+                    DoctorFinding("error", *problem, line_no, path.name)
+                )
+        if data and not data.endswith(b"\n") and path not in tails:
+            tails[path] = (len(data), False)
             report.findings.append(
                 DoctorFinding(
-                    severity="error",
-                    kind="bad-address",
-                    detail=(
-                        f"stored key {key[:12]}… does not match its spec "
-                        f"fingerprint ({expected[:12]}…): record edited or "
-                        "corrupted in place"
-                    ),
-                    line=line_no,
-                    file=file,
+                    "error",
+                    "unterminated-tail",
+                    "final record is complete but missing its newline; "
+                    "repair terminates it",
+                    line_no,
+                    path.name,
                 )
             )
-            return
-    try:
-        if isinstance(payload, list):
-            Outcome.from_wire(payload)
-        else:
-            Outcome.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        report.findings.append(
-            DoctorFinding(
-                severity="error",
-                kind="bad-wire",
-                detail=f"outcome payload does not decode ({exc})",
-                line=line_no,
-                file=file,
-            )
-        )
-        return
-    report.records += 1
-
-
-def _scan_store(
-    path: pathlib.Path, report: DoctorReport, keys_seen: set[str]
-) -> tuple[int, bool]:
-    """Scan one store file; returns ``(tail_offset, tail_torn)``.
-
-    *tail_offset* is the byte offset where a defective tail begins
-    (-1 when the tail is healthy); *tail_torn* distinguishes an
-    unparseable fragment (truncate to repair) from a complete final
-    record merely missing its newline (append one to repair).
-    *keys_seen* is shared across the files of a sharded store so the
-    duplicate count is store-wide.
-    """
-    data = path.read_bytes()
-    if not data:
-        return -1, False
-    file = path.name
-    offset = 0
-    line_no = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        line_no += 1
-        if newline == -1:
-            # Unterminated tail: complete record missing "\n", or torn.
-            fragment = data[offset:]
-            try:
-                record = json.loads(fragment.decode("utf-8"))
-                torn = not isinstance(record, dict)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                torn = True
-            if torn:
-                report.findings.append(
-                    DoctorFinding(
-                        severity="error",
-                        kind="torn-tail",
-                        detail=(
-                            f"{len(fragment)} trailing byte(s) at offset "
-                            f"{offset} are a torn record (crash mid-append); "
-                            "repair truncates them"
-                        ),
-                        line=line_no,
-                        file=file,
-                    )
-                )
-            else:
-                _check_record(line_no, fragment, report, file)
-                report.findings.append(
-                    DoctorFinding(
-                        severity="error",
-                        kind="unterminated-tail",
-                        detail=(
-                            "final record is complete but missing its "
-                            "newline; repair terminates it"
-                        ),
-                        line=line_no,
-                        file=file,
-                    )
-                )
-            return offset, torn
-        before = report.records
-        _check_record(line_no, data[offset:newline], report, file)
-        if report.records > before:
-            try:
-                keys_seen.add(json.loads(data[offset:newline])["key"])
-            except (json.JSONDecodeError, KeyError, TypeError):
-                pass
-        offset = newline + 1
-    return -1, False
-
-
-def _duplicate_findings(keys_seen: set[str], report: DoctorReport):
+    report.record_keys = {key for key, good in latest.items() if good}
     # Duplicates (last-write-wins rewrites) are normal for an
     # append-only store; surface the compaction opportunity as info.
-    dupes = report.records - len(keys_seen)
+    dupes = decoded - len(latest)
     if dupes > 0:
-        return [
+        report.findings.append(
             DoctorFinding(
                 severity="info",
                 kind="duplicate-keys",
@@ -288,15 +211,46 @@ def _duplicate_findings(keys_seen: set[str], report: DoctorReport):
                     "(harmless; last write wins)"
                 ),
             )
-        ]
-    return []
+        )
+    return latest, legacy, tails
+
+
+def _repair(run_dir: pathlib.Path, report: DoctorReport, scan) -> list[str]:
+    """Heal the tails, then compact and migrate; returns the actions."""
+    latest, legacy, tails = scan
+    actions: list[str] = []
+    for path, (offset, torn) in tails.items():
+        with open(path, "ab") as fh:
+            if torn:
+                fh.truncate(offset)
+                action = f"truncated torn tail at byte offset {offset}"
+            else:
+                fh.write(b"\n")
+                action = "terminated the final record with a newline"
+        actions.append(f"{path.name}: {action}")
+    if all(f.kind in ("torn-tail", "unterminated-tail") for f in report.findings):
+        return actions  # the heal cleared everything
+    migrated = []
+    for key, fingerprint, outcome in legacy.values():
+        if latest.get(key) or fingerprint_key(fingerprint) != key:
+            continue
+        try:
+            migrated.append((key, fingerprint, Outcome.from_dict(outcome)))
+        except (KeyError, TypeError, ValueError):
+            continue
+    with TrialStore(run_dir) as store:
+        dropped = {key for key, good in latest.items() if not good}
+        actions.append(store.compact(drop_keys=dropped).summary())
+        if migrated:
+            store.put_many(migrated)
+            actions.append(
+                f"migrated {len(migrated)} legacy record(s) to the wire format"
+            )
+    return actions
 
 
 def _cross_check(run_dir: pathlib.Path, report: DoctorReport) -> None:
     """Validate the ledgers beside the store against it."""
-    from repro.campaign.store import TrialStore
-    from repro.obs.telemetry import read_telemetry, telemetry_path
-
     quarantined, q_skipped = read_quarantine(run_dir)
     report.quarantine_records = len(quarantined)
     if q_skipped:
@@ -307,20 +261,18 @@ def _cross_check(run_dir: pathlib.Path, report: DoctorReport) -> None:
                 detail=f"{q_skipped} unreadable quarantine line(s)",
             )
         )
-    if quarantined:
-        store = TrialStore(run_dir)
-        recovered = [q for q in quarantined if store.get(q.key) is not None]
-        if recovered:
-            report.findings.append(
-                DoctorFinding(
-                    severity="info",
-                    kind="quarantine-recovered",
-                    detail=(
-                        f"{len(recovered)} quarantined trial(s) have good "
-                        "store records — a later session recovered them"
-                    ),
-                )
+    recovered = [q for q in quarantined if q.key in report.record_keys]
+    if recovered:
+        report.findings.append(
+            DoctorFinding(
+                severity="info",
+                kind="quarantine-recovered",
+                detail=(
+                    f"{len(recovered)} quarantined trial(s) have good "
+                    "store records — a later session recovered them"
+                ),
             )
+        )
     t_path = telemetry_path(run_dir)
     if t_path.exists():
         records, t_skipped = read_telemetry(t_path)
@@ -347,34 +299,6 @@ def _store_label(run_dir: pathlib.Path, store_files: list[pathlib.Path]) -> str:
     return f"{run_dir} ({len(store_files)} store files)"
 
 
-def _scan_all(
-    store_files: list[pathlib.Path], report: DoctorReport, *, repair: bool
-) -> list[str]:
-    """Scan every store file, healing defective tails when *repair*.
-
-    Returns the repair actions taken (the caller rescans after any).
-    """
-    actions: list[str] = []
-    keys_seen: set[str] = set()
-    for path in store_files:
-        tail_offset, tail_torn = _scan_store(path, report, keys_seen)
-        if repair and tail_offset >= 0:
-            if tail_torn:
-                with open(path, "ab") as fh:
-                    fh.truncate(tail_offset)
-                actions.append(
-                    f"{path.name}: truncated torn tail at byte offset {tail_offset}"
-                )
-            else:
-                with open(path, "ab") as fh:
-                    fh.write(b"\n")
-                actions.append(
-                    f"{path.name}: terminated the final record with a newline"
-                )
-    report.findings.extend(_duplicate_findings(keys_seen, report))
-    return actions
-
-
 def diagnose(run_dir: "str | os.PathLike", *, repair: bool = False) -> DoctorReport:
     """Scan (and with *repair*, heal) a run directory.
 
@@ -383,10 +307,9 @@ def diagnose(run_dir: "str | os.PathLike", *, repair: bool = False) -> DoctorRep
     every file :func:`~repro.campaign.store.discover_store_files`
     reports is scanned, and findings name the file they are in.
 
-    Repair is conservative: it truncates a torn tail, terminates an
-    unterminated-but-complete one, and touches nothing else. After a
-    successful repair the store is rescanned so the returned report —
-    and the CLI's exit code — describe the *healed* state.
+    Without *repair* nothing under *run_dir* is written. After a repair
+    the store is rescanned so the returned report — and the CLI's exit
+    code — describe the *healed* state.
     """
     run_dir = pathlib.Path(run_dir)
     store_files = discover_store_files(run_dir)
@@ -406,12 +329,13 @@ def diagnose(run_dir: "str | os.PathLike", *, repair: bool = False) -> DoctorRep
         )
         return report
 
-    actions = _scan_all(store_files, report, repair=repair)
+    scan = _scan(store_files, report)
+    actions = _repair(run_dir, report, scan) if repair else []
     if actions:
         # Rescan: the report (and exit code) must describe the healed
-        # store, and the tail repairs may not be the only findings.
+        # store.
         report = DoctorReport(run_dir=str(run_dir), store_path=label)
-        _scan_all(store_files, report, repair=False)
+        _scan(discover_store_files(run_dir), report)
         report.repairs.extend(actions)
     _cross_check(run_dir, report)
     return report

@@ -34,7 +34,6 @@ the retry coordinates.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
 import time
@@ -46,6 +45,7 @@ from repro.campaign.campaign import Campaign, TrialResult
 from repro.campaign.keys import spec_fingerprint, trial_key
 from repro.errors import ConfigurationError
 from repro.experiments.config import TrialSpec
+from repro.obs.telemetry import JsonlWriter, read_jsonl
 
 __all__ = [
     "DEFAULT_TRANSIENT_ERRORS",
@@ -185,65 +185,41 @@ class QuarantineRecord:
     plan: str | None = None
 
 
-class QuarantineLedger:
+class QuarantineLedger(JsonlWriter):
     """Append-only JSONL ledger of trials the supervisor gave up on.
 
-    Same durability posture as telemetry (flush per line, no fsync):
-    the ledger is diagnosis, not execution state — the authoritative
-    "this trial has no outcome" signal is its absence from the trial
-    store, which is what resume keys off.
+    The shared diagnostic-log writer (flush per line, no fsync): the
+    ledger is diagnosis, not execution state — the authoritative "this
+    trial has no outcome" signal is its absence from the trial store,
+    which is what resume keys off.
     """
 
-    def __init__(self, path: "str | os.PathLike") -> None:
-        self.path = pathlib.Path(path)
-        self._fh = None
-        self.records_written = 0
-
-    def record(
-        self,
-        spec: TrialSpec,
-        *,
-        error: str,
-        classification: str,
-        attempts: int,
-        ladder: Sequence[str],
-        plan: str | None = None,
-    ) -> None:
-        entry = {
+    def record(self, entry: QuarantineRecord) -> None:
+        line = {
             "v": QUARANTINE_VERSION,
-            "key": trial_key(spec),
-            "spec": spec_fingerprint(spec),
-            "classification": classification,
-            "attempts": attempts,
-            "ladder": list(ladder),
-            "error": error,
+            "key": entry.key,
+            "spec": entry.spec,
+            "classification": entry.classification,
+            "attempts": entry.attempts,
+            "ladder": list(entry.ladder),
+            "error": entry.error,
             "ts": round(time.time(), 3),
         }
-        if plan is not None:
-            entry["plan"] = plan
-        try:
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self.path.open("a", encoding="utf-8")
-            self._fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            self._fh.flush()
-            self.records_written += 1
-        except OSError:
-            self.close()
+        if entry.plan is not None:
+            line["plan"] = entry.plan
+        self.write(line)
 
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
 
-    def __enter__(self) -> "QuarantineLedger":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+def _quarantine_record(raw: dict[str, Any]) -> QuarantineRecord:
+    return QuarantineRecord(
+        key=str(raw["key"]),
+        spec=dict(raw["spec"]),
+        classification=str(raw["classification"]),
+        attempts=int(raw["attempts"]),
+        error=str(raw.get("error", "")),
+        ladder=tuple(raw.get("ladder", ())),
+        plan=raw.get("plan"),
+    )
 
 
 def read_quarantine(
@@ -258,31 +234,7 @@ def read_quarantine(
     target = pathlib.Path(path)
     if target.is_dir():
         target = quarantine_path(target)
-    records: list[QuarantineRecord] = []
-    skipped = 0
-    if not target.exists():
-        return records, skipped
-    with target.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                records.append(
-                    QuarantineRecord(
-                        key=str(raw["key"]),
-                        spec=dict(raw["spec"]),
-                        classification=str(raw["classification"]),
-                        attempts=int(raw["attempts"]),
-                        error=str(raw.get("error", "")),
-                        ladder=tuple(raw.get("ladder", ())),
-                        plan=raw.get("plan"),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                skipped += 1
-    return records, skipped
+    return read_jsonl(target, _quarantine_record)
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,31 +355,22 @@ class Supervisor:
         ladder: Sequence[str],
     ) -> None:
         plan = self.campaign.fault_plan
-        plan_name = plan.name if plan is not None else None
-        if self.ledger is not None:
-            self.ledger.record(
-                spec,
-                error=error,
-                classification=classification,
-                attempts=attempts,
-                ladder=ladder,
-                plan=plan_name,
-            )
-        self._quarantined.append(
-            QuarantineRecord(
-                key=trial_key(spec),
-                spec=spec_fingerprint(spec),
-                classification=classification,
-                attempts=attempts,
-                error=error,
-                ladder=tuple(ladder),
-                plan=plan_name,
-            )
+        record = QuarantineRecord(
+            key=trial_key(spec),
+            spec=spec_fingerprint(spec),
+            classification=classification,
+            attempts=attempts,
+            error=error,
+            ladder=tuple(ladder),
+            plan=plan.name if plan is not None else None,
         )
+        if self.ledger is not None:
+            self.ledger.record(record)
+        self._quarantined.append(record)
         self._count("supervisor.quarantined")
         self._emit(
             "quarantine",
-            key=trial_key(spec),
+            key=record.key,
             protocol=spec.protocol,
             adversary=spec.adversary,
             n=spec.n,

@@ -22,12 +22,8 @@ layers:
 See ``docs/SANITIZER.md`` for the invariant-by-invariant reference.
 """
 
-from repro.check.audit import (
-    CacheAudit,
-    RecordAudit,
-    audit_cache,
-    spec_from_fingerprint,
-)
+from repro.campaign.keys import spec_from_fingerprint
+from repro.check.audit import CacheAudit, RecordAudit, audit_cache
 from repro.check.config import (
     ENV_SANITIZE,
     MODES,

@@ -2,11 +2,11 @@
 
 ``repro-ugf check <cache-dir>`` makes the PR-1 campaign store auditable
 after the fact. For every record of every store file — the single
-``trials.jsonl`` or the sharded ``trials-NN.jsonl`` set — the auditor
+``trials.jsonl`` or the sharded ``trials-NN.jsonl`` set, read by the
+store's line reader — the auditor
 
-1. parses the record and rebuilds the :class:`TrialSpec` from the
-   stored spec fingerprint (the fingerprint was designed to be
-   sufficient for exactly this);
+1. rebuilds the :class:`TrialSpec` from the stored spec fingerprint
+   (the fingerprint was designed to be sufficient for exactly this);
 2. verifies the record's content address: ``key == trial_key(spec)``;
 3. optionally **replays** the trial through the full online monitor
    set (``warn`` mode, so every violation is collected rather than the
@@ -19,8 +19,8 @@ Statuses per record: ``ok``, ``violations`` (replay broke a model
 invariant), ``mismatch`` (replay no longer reproduces the cached
 outcome — simulation semantics drifted without a KEY_VERSION bump),
 ``bad-key`` (stored hash does not match the stored spec), ``error``
-(replay raised), ``unreadable`` (corrupt JSON / foreign shape; the
-loader-side skip, counted here too).
+(replay raised), ``unreadable`` (a line every store reader skips, or
+a fingerprint or wire that does not decode).
 
 The auditor also feeds every readable cached outcome into the
 Theorem 1 cell classifier (:mod:`repro.check.theorem`).
@@ -28,52 +28,19 @@ Theorem 1 cell classifier (:mod:`repro.check.theorem`).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.campaign.keys import KEY_VERSION, trial_key
+from repro.campaign.keys import spec_from_fingerprint, trial_key
+from repro.campaign.store import RecordDefect, discover_store_files, scan_records
 from repro.check.theorem import CellVerdict, audit_theorem1
 from repro.errors import CampaignError
 from repro.experiments.config import TrialSpec
 from repro.sim.outcome import Outcome
 
-__all__ = ["RecordAudit", "CacheAudit", "spec_from_fingerprint", "audit_cache"]
-
-
-def spec_from_fingerprint(fingerprint: dict[str, Any]) -> TrialSpec:
-    """Rebuild the :class:`TrialSpec` a stored fingerprint describes.
-
-    Raises :class:`~repro.errors.CampaignError` for fingerprints written
-    by a different ``KEY_VERSION`` — their semantics are not ours to
-    re-execute.
-    """
-    version = fingerprint.get("version")
-    if version != KEY_VERSION:
-        raise CampaignError(
-            f"fingerprint version {version!r} != supported {KEY_VERSION}"
-        )
-    try:
-        return TrialSpec(
-            protocol=fingerprint["protocol"],
-            adversary=fingerprint["adversary"],
-            n=int(fingerprint["n"]),
-            f=int(fingerprint["f"]),
-            seed=int(fingerprint["seed"]),
-            max_steps=int(fingerprint["max_steps"]),
-            protocol_kwargs=tuple(
-                (k, v) for k, v in fingerprint["protocol_kwargs"]
-            ),
-            adversary_kwargs=tuple(
-                (k, v) for k, v in fingerprint["adversary_kwargs"]
-            ),
-            environment=fingerprint.get("environment"),
-            topology=fingerprint.get("topology"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CampaignError(f"malformed spec fingerprint: {exc}") from exc
+__all__ = ["RecordAudit", "CacheAudit", "audit_cache"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,24 +152,16 @@ def audit_cache(
     content address), which is cheap enough for very large caches;
     ``max_records`` bounds the audit to the first K records.
     """
-    from repro.campaign.store import discover_store_files
-
     cache_dir = pathlib.Path(cache_dir)
     records: list[RecordAudit] = []
     outcomes: list[Outcome] = []
     for path in discover_store_files(cache_dir):
-        if max_records is not None and len(records) >= max_records:
-            break
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if max_records is not None and len(records) >= max_records:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                records.append(_audit_line(lineno, line, replay, outcomes))
-                if progress is not None:
-                    progress(records[-1])
+        for line_no, _offset, _raw, item in scan_records(path.read_bytes()):
+            if max_records is not None and len(records) >= max_records:
+                break
+            records.append(_audit_record(line_no, item, replay, outcomes))
+            if progress is not None:
+                progress(records[-1])
     verdicts = audit_theorem1(outcomes, alpha=alpha) if outcomes else []
     return CacheAudit(
         path=cache_dir,
@@ -212,24 +171,14 @@ def audit_cache(
     )
 
 
-def _audit_line(
-    lineno: int, line: str, replay: bool, outcomes: list[Outcome]
+def _audit_record(
+    lineno: int, item: Any, replay: bool, outcomes: list[Outcome]
 ) -> RecordAudit:
-    try:
-        record = json.loads(line)
-        key = record["key"]
-        fingerprint = record["spec"]
-        # PR-3 records store the compact wire list under "wire"; PR-1
-        # records store the field dict under "outcome". Both audit.
-        outcome_data = record.get("wire", record.get("outcome"))
-        if not isinstance(key, str) or not isinstance(
-            outcome_data, (dict, list)
-        ):
-            raise TypeError("key/outcome have the wrong shape")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    if isinstance(item, RecordDefect):
         return RecordAudit(
-            line=lineno, key="", status="unreadable", detail=str(exc)
+            line=lineno, key="", status="unreadable", detail=f"{item.kind}: {item}"
         )
+    key, fingerprint, wire = item
     try:
         spec = spec_from_fingerprint(fingerprint)
     except CampaignError as exc:
@@ -237,10 +186,7 @@ def _audit_line(
             line=lineno, key=key, status="unreadable", detail=str(exc)
         )
     try:
-        if isinstance(outcome_data, list):
-            cached = Outcome.from_wire(outcome_data)
-        else:
-            cached = Outcome.from_dict(outcome_data)
+        cached = Outcome.from_wire(wire)
         outcomes.append(cached)
     except (KeyError, TypeError, ValueError) as exc:
         return RecordAudit(

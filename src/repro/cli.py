@@ -377,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repair",
         action="store_true",
-        help="truncate a torn tail / newline-terminate an unterminated "
-        "final record, then rescan",
+        help="heal the tail, compact, migrate legacy records, then rescan "
+        "(needs exclusive ownership of the directory)",
     )
 
     p = command(

@@ -8,8 +8,8 @@ reproduction:
   across worker processes through a schema-versioned wire encoding;
 - :class:`~repro.obs.telemetry.TelemetrySink` — a structured
   ``telemetry.jsonl`` stream of per-trial and per-phase records
-  written alongside the campaign trial store (legacy-tolerant reader,
-  like the outcome wire format);
+  written alongside the campaign trial store (tolerant reader: bad
+  lines are skipped and counted);
 - :mod:`repro.obs.stats` — the aggregation and ASCII rendering behind
   ``repro-ugf stats <run-dir>``.
 

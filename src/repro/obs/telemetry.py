@@ -15,12 +15,13 @@ line into ``<cache_dir>/telemetry.jsonl``, next to the trial store:
 
 The file is append-only and sessions simply add more records, so a
 run directory accumulates its history the same way ``trials.jsonl``
-does. The reader is legacy-tolerant with the same posture as the
-outcome wire format: corrupt or truncated lines are skipped (and
-counted), records without a ``"v"`` tag are accepted as version 0
-(un-versioned writers predate the tag), and unknown kinds or newer
+does. Corrupt or truncated lines are skipped (and counted), and so are
+records without an integer ``"v"`` tag; unknown kinds or newer
 versions are surfaced as records rather than errors — a newer writer
 never breaks an older reader.
+
+:class:`JsonlWriter` / :func:`read_jsonl` write and read both
+diagnostic logs: this stream and the supervisor's ``quarantine.jsonl``.
 
 Telemetry is observability output, never an input: nothing reads it
 back into the execution path, so it cannot perturb outcomes.
@@ -32,13 +33,15 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "TELEMETRY_FILENAME",
     "TELEMETRY_VERSION",
+    "JsonlWriter",
     "TelemetryRecord",
     "TelemetrySink",
+    "read_jsonl",
     "read_telemetry",
     "telemetry_path",
 ]
@@ -71,13 +74,14 @@ class TelemetryRecord:
     data: dict[str, Any]
 
 
-class TelemetrySink:
-    """Append-only JSONL writer for telemetry records.
+class JsonlWriter:
+    """Append-only JSONL writer for a diagnostic log.
 
-    The file is opened lazily on the first emit (a metrics-on campaign
-    that runs zero trials leaves no artifact) and every line is
-    flushed when written — telemetry is diagnostic, so it trades the
-    store's fsync durability for negligible overhead.
+    The file is opened lazily on the first write (a session that writes
+    nothing leaves no artifact) and every line is flushed when written —
+    diagnosis trades the store's fsync durability for negligible
+    overhead. An ``OSError`` drops the line: observability must never
+    fail the run it observes.
     """
 
     def __init__(self, path: "str | os.PathLike") -> None:
@@ -85,11 +89,7 @@ class TelemetrySink:
         self._fh = None
         self.records_written = 0
 
-    def emit(self, kind: str, **fields: Any) -> None:
-        """Write one versioned record; silently drops on I/O failure
-        (observability must never fail the run it observes)."""
-        record = {"v": TELEMETRY_VERSION, "kind": kind}
-        record.update(fields)
+    def write(self, record: dict[str, Any]) -> None:
         try:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -108,11 +108,57 @@ class TelemetrySink:
                 pass
             self._fh = None
 
-    def __enter__(self) -> "TelemetrySink":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def read_jsonl(
+    path: pathlib.Path, parse: Callable[[dict[str, Any]], Any]
+) -> tuple[list[Any], int]:
+    """``(records, skipped)`` of a diagnostic log: *parse* of every
+    JSON-object line. Other lines (corrupt, crash-truncated) and
+    objects *parse* rejects with ``KeyError`` / ``TypeError`` /
+    ``ValueError`` count as skipped; a missing file is empty."""
+    records: list[Any] = []
+    skipped = 0
+    if not path.exists():
+        return records, skipped
+    with path.open("r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raise TypeError("not a JSON object")
+                records.append(parse(raw))
+            except (KeyError, TypeError, ValueError):
+                skipped += 1
+    return records, skipped
+
+
+class TelemetrySink(JsonlWriter):
+    """The ``telemetry.jsonl`` writer: versioned, kind-tagged records."""
+
+    def emit(self, kind: str, **fields: Any) -> None:
+        """Write one versioned record (dropped on I/O failure)."""
+        record = {"v": TELEMETRY_VERSION, "kind": kind}
+        record.update(fields)
+        self.write(record)
+
+
+def _telemetry_record(raw: dict[str, Any]) -> TelemetryRecord:
+    version = raw.get("v")
+    if not isinstance(version, int):
+        raise ValueError("telemetry record without an integer version")
+    kind = raw.get("kind")
+    if not isinstance(kind, str):
+        kind = "unknown"
+    data = {k: v for k, v in raw.items() if k not in ("v", "kind")}
+    return TelemetryRecord(version=version, kind=kind, data=data)
 
 
 def read_telemetry(
@@ -121,39 +167,12 @@ def read_telemetry(
     """Load every readable record of a telemetry stream.
 
     Returns ``(records, skipped)`` where *skipped* counts lines that
-    could not be decoded (corrupt, truncated by a crash, or not an
-    object). Legacy un-versioned records load as version 0; records
-    missing a ``kind`` load with kind ``"unknown"`` rather than being
-    dropped, so foreign-but-valid JSON stays inspectable.
+    could not be decoded (corrupt, truncated by a crash, not an object,
+    or without an integer ``"v"``). Records missing a ``kind`` load
+    with kind ``"unknown"`` rather than being dropped, so
+    foreign-but-valid JSON stays inspectable.
     """
-    records: list[TelemetryRecord] = []
-    skipped = 0
-    target = telemetry_path(path)
-    if not target.exists():
-        return records, skipped
-    with target.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(raw, dict):
-                skipped += 1
-                continue
-            version = raw.get("v", 0)
-            if not isinstance(version, int):
-                skipped += 1
-                continue
-            kind = raw.get("kind")
-            if not isinstance(kind, str):
-                kind = "unknown"
-            data = {k: v for k, v in raw.items() if k not in ("v", "kind")}
-            records.append(TelemetryRecord(version=version, kind=kind, data=data))
-    return records, skipped
+    return read_jsonl(telemetry_path(path), _telemetry_record)
 
 
 def records_of_kind(

@@ -347,6 +347,14 @@ class TrialService:
                 continue
             for (key, _spec, fut), result in zip(items, results):
                 self._inflight.pop(key, None)
+                # Once per claim, here: a request cut off mid-stream
+                # still counts what was computed for it.
+                if result.outcome is None:
+                    self.counters["failed"] += 1
+                elif result.cached:
+                    self.counters["hits"] += 1
+                else:
+                    self.counters["computed"] += 1
                 if not fut.done():
                     fut.set_result(result)
 
@@ -649,15 +657,10 @@ class TrialService:
                 if result.backend is not None:
                     out["backend"] = result.backend
                 counts[status] += 1
-                if status == "hit":
-                    self.counters["hits"] += 1
-                elif status == "computed":
-                    self.counters["computed"] += 1
             else:
                 out["status"] = "failed"
                 out["error"] = result.error
                 counts["failed"] += 1
-                self.counters["failed"] += 1
             if tear_rule is not None:
                 # The peer receives half an NDJSON line, then the
                 # transport dies: a torn frame, never a parseable one.

@@ -71,11 +71,20 @@ def test_error_carries_the_full_worker_traceback():
 
 
 def test_run_trial_batch_returns_tagged_wire_pairs():
-    batch = run_trial_batch([trial(0), trial(0, protocol="no-such-protocol")])
-    assert [tag for tag, _ in batch] == ["ok", "error"]
-    outcome = Outcome.from_wire(batch[0][1])
-    assert outcome.n == 8 and outcome.completed
-    assert "Traceback" in batch[1][1]
+    specs = [trial(0), trial(0, protocol="no-such-protocol")]
+    # One chunk shape whether metrics are on or off: (results, seconds,
+    # registry wire); only the timings and the registry differ.
+    for collect in (False, True):
+        results, seconds, registry = run_trial_batch(specs, None, collect)
+        assert [tag for tag, _ in results] == ["ok", "error"]
+        outcome = Outcome.from_wire(results[0][1])
+        assert outcome.n == 8 and outcome.completed
+        assert "Traceback" in results[1][1]
+        assert len(seconds) == len(specs)
+        if collect:
+            assert seconds[0] > 0 and registry is not None
+        else:
+            assert seconds == [None, None] and registry is None
 
 
 def test_trial_timeout_fails_the_trial_not_the_batch():

@@ -144,7 +144,9 @@ def test_new_records_are_wire_format(tmp_path):
     assert "outcome" not in record
 
 
-def test_legacy_dict_records_still_load(tmp_path):
+def test_legacy_dict_records_are_skipped_until_doctor_migrates_them(tmp_path):
+    from repro.chaos.doctor import diagnose
+
     spec = trial()
     key = trial_key(spec)
     outcome = run_trial(spec)
@@ -153,12 +155,28 @@ def test_legacy_dict_records_still_load(tmp_path):
         "spec": spec_fingerprint(spec),
         "outcome": outcome.to_dict(),
     }
-    (tmp_path / "trials.jsonl").write_text(
-        json.dumps(legacy, separators=(",", ":")) + "\n"
-    )
+    path = tmp_path / "trials.jsonl"
+    path.write_text(json.dumps(legacy, separators=(",", ":")) + "\n")
+
+    # The loader skips (and counts) the PR-1 shape like any unusable line.
+    store = TrialStore(tmp_path)
+    assert store.get(key) is None
+    assert store.skipped_lines == 1
+    report = diagnose(tmp_path)
+    assert [(f.severity, f.kind) for f in report.findings] == [
+        ("error", "legacy-record")
+    ]
+
+    # --repair rewrites it as the wire record a fresh put would write.
+    report = diagnose(tmp_path, repair=True)
+    assert report.ok and report.findings == []
+    assert any("migrated 1 legacy record" in action for action in report.repairs)
+    fresh = tmp_path / "fresh"
+    with TrialStore(fresh) as written:
+        written.put(key, spec_fingerprint(spec), outcome)
+    assert path.read_bytes() == (fresh / "trials.jsonl").read_bytes()
     got = TrialStore(tmp_path).get(key)
-    assert got is not None
-    assert got.to_dict() == outcome.to_dict()
+    assert got is not None and got.to_wire() == outcome.to_wire()
 
 
 def test_put_many_appends_every_record_atomically(tmp_path):

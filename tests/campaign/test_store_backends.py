@@ -1,9 +1,9 @@
 """Tests for the pluggable store backends (docs/SERVICE.md).
 
 Covers the sharded backend (round trip, offset-index tail scan,
-compaction), backend auto-detection, the corrupt-record quarantine
-path, the non-POSIX unlocked-append warning, and doctor/check against
-a sharded layout.
+compaction), backend auto-detection, corrupt records (a counted miss
+that no reader rewrites away), the non-POSIX unlocked-append warning,
+and doctor/check against a sharded layout.
 """
 
 import json
@@ -186,38 +186,72 @@ def test_compact_drop_keys_quarantines_records(tmp_path):
     assert TrialStore(tmp_path).get(keys[0]) is None  # gone from disk
 
 
-# -- satellite: corrupt records leave the disk through compaction --------------
+# -- corrupt records: a counted miss, removed from disk only by the operator ----
+
+
+def append_corrupt_record(path, spec: TrialSpec) -> bytes:
+    """Append to *path* a record of *spec* that is valid JSON with a good
+    key but whose wire no longer decodes; returns the line."""
+    record = {"key": trial_key(spec), "spec": spec_fingerprint(spec), "wire": []}
+    bad = json.dumps(record)
+    with path.open("a") as fh:
+        fh.write(bad + "\n")
+    return bad.encode()
 
 
 @pytest.mark.parametrize("backend", ["jsonl", "sharded"])
-def test_corrupt_record_is_quarantined_on_get(tmp_path, backend):
+def test_corrupt_record_is_a_counted_miss_until_repair(tmp_path, backend):
+    from repro.campaign import Campaign
+    from repro.chaos.doctor import diagnose
+
     spec = trial(0)
-    key = trial_key(spec)
-    metrics = MetricsRegistry()
     with TrialStore(tmp_path, backend=backend) as store:
         fill(store, [1])
-    # Corrupt the record *payload* in place: still valid JSON with a
-    # good key, but the wire no longer decodes into an Outcome.
-    bad = json.dumps({"key": key, "spec": spec_fingerprint(spec), "wire": []})
     target = discover_store_files(tmp_path)[0] if backend == "jsonl" else (
-        tmp_path / f"trials-{shard_of(key, 16):02d}.jsonl"
+        tmp_path / f"trials-{shard_of(trial_key(spec), 16):02d}.jsonl"
     )
-    with target.open("a") as fh:
-        fh.write(bad + "\n")
+    bad = append_corrupt_record(target, spec)
 
-    store = TrialStore(tmp_path, backend=backend, metrics=metrics)
-    assert key in store
-    assert store.get(key) is None  # corrupt = miss
-    assert metrics.counters["store.corrupt_records"] == 1
-    assert key not in store  # forgotten in memory...
+    # The campaign sees a miss, counts it, and recomputes; the file is
+    # not rewritten — the recompute's append is what the next load serves.
+    with Campaign(cache_dir=tmp_path, workers=1, metrics=True) as campaign:
+        (result,) = campaign.run_trials([spec])
+        assert result.ok and not result.cached
+        assert campaign.metrics.counters["store.corrupt_records"] == 1
+    assert any(bad in f.read_bytes() for f in discover_store_files(tmp_path))
+    with Campaign(cache_dir=tmp_path, workers=1) as campaign:
+        (result,) = campaign.run_trials([spec])
+        assert result.ok and result.cached
 
-    # ...and removed from disk via the compaction path: a future
-    # session never pays for it again.
-    reloaded = TrialStore(tmp_path, backend=backend)
-    assert key not in reloaded
-    assert all(key not in f.read_text() for f in discover_store_files(tmp_path))
-    # The good record survived the compaction.
-    assert reloaded.get(trial_key(trial(1))) is not None
+    # The bad line leaves disk on the operator's repair, nothing else does.
+    assert diagnose(tmp_path, repair=True).ok
+    assert not any(bad in f.read_bytes() for f in discover_store_files(tmp_path))
+    with TrialStore(tmp_path) as reloaded:
+        assert reloaded.get(trial_key(spec)) is not None
+        assert reloaded.get(trial_key(trial(1))) is not None
+        assert reloaded.skipped_lines == 0
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sharded"])
+def test_a_reader_never_loses_another_writers_append(tmp_path, backend):
+    # Writer A holds an open append handle; reader B meets a corrupt
+    # record. B must not rewrite the file under A, or A's next fsynced
+    # append lands in an unlinked inode and is lost.
+    corrupt, first, second = trial(0), trial(1), trial(2)
+    with TrialStore(tmp_path, backend=backend, shards=1) as store:
+        fill(store, [3])
+    (path,) = discover_store_files(tmp_path)
+    append_corrupt_record(path, corrupt)
+    writer = TrialStore(tmp_path, backend=backend)
+    fill(writer, [first.seed])
+    reader = TrialStore(tmp_path, backend=backend)
+    assert reader.get(trial_key(corrupt)) is None
+    fill(writer, [second.seed])
+    writer.close()
+    reader.close()
+    with TrialStore(tmp_path, backend=backend) as fresh:
+        assert fresh.get(trial_key(first)) is not None
+        assert fresh.get(trial_key(second)) is not None
 
 
 # -- satellite: non-POSIX platforms warn once ----------------------------------

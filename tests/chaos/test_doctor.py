@@ -1,12 +1,21 @@
 """Tests for ``repro-ugf doctor``: diagnosis and repair of run damage."""
 
 import json
+import shutil
+
+import pytest
 
 from repro.campaign.keys import spec_fingerprint, trial_key
-from repro.campaign.store import TrialStore
+from repro.campaign.sharded import INDEX_FILENAME
+from repro.campaign.store import TrialStore, discover_store_files
+from repro.check.audit import audit_cache
 from repro.chaos.doctor import diagnose
 from repro.chaos.inject import tear_tail
-from repro.chaos.supervisor import QuarantineLedger, quarantine_path
+from repro.chaos.supervisor import (
+    QuarantineLedger,
+    QuarantineRecord,
+    quarantine_path,
+)
 from repro.cli import main
 from repro.experiments.config import TrialSpec
 from repro.experiments.runner import run_trial
@@ -23,6 +32,21 @@ def seeded_store(tmp_path, count: int = 3) -> list[TrialSpec]:
             [(trial_key(s), spec_fingerprint(s), run_trial(s)) for s in specs]
         )
     return specs
+
+
+def quarantine(run_dir, spec: TrialSpec) -> None:
+    """Ledger *spec* as an exhausted transient, through the shared writer."""
+    with QuarantineLedger(quarantine_path(run_dir)) as ledger:
+        ledger.record(
+            QuarantineRecord(
+                key=trial_key(spec),
+                spec=spec_fingerprint(spec),
+                classification="transient-exhausted",
+                attempts=3,
+                error="InjectedTransientError: gone now",
+                ladder=("chunked-parallel", "inline"),
+            )
+        )
 
 
 def kinds(report, severity=None):
@@ -142,19 +166,144 @@ def test_superseded_rewrites_are_informational(tmp_path):
     assert kinds(report, "info") == {"duplicate-keys"}
 
 
+def snapshot(run_dir) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sharded"])
+def test_doctor_without_repair_writes_nothing(tmp_path, backend):
+    # A quarantined key whose latest wire does not decode, plus a
+    # superseded duplicate: plenty for a reader tempted to "fix" things.
+    specs = [trial(s) for s in range(3)]
+    with TrialStore(tmp_path, backend=backend, shards=1) as store:
+        store.put_many(
+            [(trial_key(s), spec_fingerprint(s), run_trial(s)) for s in specs]
+        )
+        store.put(trial_key(specs[1]), spec_fingerprint(specs[1]), run_trial(specs[1]))
+    (path,) = discover_store_files(tmp_path)
+    bad = {"key": trial_key(specs[0]), "spec": spec_fingerprint(specs[0]), "wire": []}
+    with path.open("a") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    quarantine(tmp_path, specs[0])
+    before = snapshot(tmp_path)
+
+    report = diagnose(tmp_path)
+    assert report.repairs == []
+    assert snapshot(tmp_path) == before
+    assert kinds(report) == {"bad-wire", "duplicate-keys"}
+    assert report.record_keys == {trial_key(s) for s in specs[1:]}
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sharded"])
+def test_every_reader_serves_an_unterminated_final_record(tmp_path, backend):
+    specs = [trial(s) for s in range(2)]
+    with TrialStore(tmp_path, backend=backend, shards=1) as store:
+        store.put_many(
+            [(trial_key(s), spec_fingerprint(s), run_trial(s)) for s in specs]
+        )
+    (path,) = discover_store_files(tmp_path)
+    path.write_bytes(path.read_bytes()[:-1])  # drop only the final newline
+
+    keys = {trial_key(s) for s in specs}
+    report = diagnose(tmp_path)
+    audited = audit_cache(tmp_path, replay=False)
+    with TrialStore(tmp_path) as store:
+        served = {k for k in keys if store.get(k) is not None}
+        assert store.skipped_lines == 0
+    assert served == report.record_keys == keys
+    assert audited.counts == {"ok": 2}
+    # One record per key: no phantom duplicate for the unterminated one.
+    assert kinds(report) == {"unterminated-tail"}
+    assert report.records == 2
+
+
+def store_layout(data: bytes) -> list[tuple[str, int]]:
+    """``(key, end offset)`` of every wire record line in *data*, read
+    without the store's reader (it is what the property tests)."""
+    layout, offset = [], 0
+    for line in data.split(b"\n"):
+        if line.strip():
+            record = json.loads(line)
+            if "wire" in record:
+                layout.append((record["key"], offset + len(line)))
+        offset += len(line) + 1
+    return layout
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sharded"])
+def test_kill_at_every_byte_offset_of_an_append(tmp_path, backend):
+    """ROADMAP 6(b), after arXiv:2311.08859: a property stated as a
+    predicate, and every byte offset of an append as a candidate
+    counterexample. At each cut the loader, doctor and ``check
+    --no-replay`` agree on the served keys, which are exactly the
+    records whose line was complete before the cut; ``doctor --repair``
+    then leaves a clean store that one more append extends."""
+    specs = [
+        TrialSpec(protocol="flood", adversary="none", n=6, f=0, seed=s)
+        for s in range(6)
+    ]
+    wire_specs, legacy_spec, late = specs[:4], specs[4], specs[5]
+    outcomes = {trial_key(s): run_trial(s) for s in specs}
+
+    def items(batch):
+        return [
+            (trial_key(s), spec_fingerprint(s), outcomes[trial_key(s)])
+            for s in batch
+        ]
+
+    built = tmp_path / "built"
+    with TrialStore(built, backend=backend, shards=1) as store:
+        store.put_many(items(wire_specs[:1]))
+    (path,) = discover_store_files(built)
+    legacy = {
+        "key": trial_key(legacy_spec),
+        "spec": spec_fingerprint(legacy_spec),
+        "outcome": outcomes[trial_key(legacy_spec)].to_dict(),
+    }
+    with path.open("a") as fh:
+        fh.write(json.dumps(legacy, separators=(",", ":")) + "\n")
+    with TrialStore(built, backend=backend) as store:
+        store.put_many(items(wire_specs[1:2]))
+    # A kill mid-append leaves the index the previous session closed with.
+    before_last = snapshot(built)
+    with TrialStore(built, backend=backend) as store:
+        store.put_many(items(wire_specs[2:]))
+    data = path.read_bytes()
+    layout = store_layout(data)
+    start = len(before_last[path.name])
+    every_key = {trial_key(s) for s in specs}
+
+    run = tmp_path / "run"
+    for cut in range(start, len(data) + 1):
+        shutil.rmtree(run, ignore_errors=True)
+        run.mkdir()
+        for name, content in before_last.items():
+            (run / name).write_bytes(content)
+        (run / path.name).write_bytes(data[:cut])
+        complete = {key for key, end in layout if end <= cut}
+
+        report = diagnose(run)
+        audited = {r.key for r in audit_cache(run, replay=False).records if r.ok}
+        with TrialStore(run) as store:
+            served = {k for k in every_key if store.get(k) is not None}
+        assert served == report.record_keys == audited == complete, cut
+
+        assert diagnose(run, repair=True).ok, cut
+        rescan = diagnose(run)
+        assert rescan.ok and rescan.findings == [], (cut, rescan.findings)
+        with TrialStore(run) as store:
+            store.put_many(items([late]))
+        with TrialStore(run) as store:
+            served = {k for k in every_key if store.get(k) is not None}
+        assert served == complete | {trial_key(legacy_spec), trial_key(late)}, cut
+
+
 # -- cross-checks ----------------------------------------------------------------
 
 
 def test_recovered_quarantine_entries_are_flagged(tmp_path):
     (spec, *_rest) = seeded_store(tmp_path, count=1)
-    with QuarantineLedger(quarantine_path(tmp_path)) as ledger:
-        ledger.record(
-            spec,
-            error="InjectedTransientError: gone now",
-            classification="transient-exhausted",
-            attempts=3,
-            ladder=["chunked-parallel", "inline"],
-        )
+    quarantine(tmp_path, spec)
     report = diagnose(tmp_path)
     assert report.ok
     assert report.quarantine_records == 1

@@ -1,12 +1,15 @@
 """Tests for supervised execution: classify, retry, degrade, quarantine."""
 
+import json
+
 import pytest
 
 from repro.campaign import Campaign
-from repro.campaign.keys import trial_key
+from repro.campaign.keys import spec_fingerprint, trial_key
 from repro.chaos.plan import FaultPlan, FaultRule, shipped_plans
 from repro.chaos.supervisor import (
     QuarantineLedger,
+    QuarantineRecord,
     RetryPolicy,
     Supervisor,
     exception_name,
@@ -85,35 +88,40 @@ def test_backoff_is_exponential_capped_and_deterministic():
 # -- quarantine ledger -----------------------------------------------------------
 
 
+def quarantined(spec: TrialSpec, **fields) -> QuarantineRecord:
+    entry = dict(classification="poison", attempts=1, error="E: x", ladder=())
+    entry.update(fields)
+    return QuarantineRecord(
+        key=trial_key(spec), spec=spec_fingerprint(spec), **entry
+    )
+
+
 def test_ledger_round_trips_with_full_traceback(tmp_path):
     error = "Traceback (most recent call last):\n...\nValueError: poisoned"
+    written = quarantined(
+        trial(1),
+        error=error,
+        attempts=2,
+        ladder=("chunked-parallel", "inline"),
+        plan="poison",
+    )
     with QuarantineLedger(quarantine_path(tmp_path)) as ledger:
-        ledger.record(
-            trial(1),
-            error=error,
-            classification="poison",
-            attempts=2,
-            ladder=["chunked-parallel", "inline"],
-            plan="poison",
-        )
+        ledger.record(written)
         assert ledger.records_written == 1
+    line = json.loads(quarantine_path(tmp_path).read_text())
+    assert list(line) == [
+        "v", "key", "spec", "classification", "attempts", "ladder", "error",
+        "ts", "plan",
+    ]
     records, skipped = read_quarantine(tmp_path)
     assert skipped == 0
-    (record,) = records
-    assert record.key == trial_key(trial(1))
-    assert record.error == error  # full traceback, no truncation
-    assert record.classification == "poison"
-    assert record.attempts == 2
-    assert record.ladder == ("chunked-parallel", "inline")
-    assert record.plan == "poison"
+    assert records == [written]  # full traceback, no truncation
 
 
 def test_reader_counts_corrupt_ledger_lines(tmp_path):
     path = quarantine_path(tmp_path)
     with QuarantineLedger(path) as ledger:
-        ledger.record(
-            trial(0), error="E: x", classification="poison", attempts=1, ladder=[]
-        )
+        ledger.record(quarantined(trial(0)))
     with path.open("a", encoding="utf-8") as fh:
         fh.write("not json\n")
     records, skipped = read_quarantine(path)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.campaign import Campaign
-from repro.check.audit import audit_cache, spec_from_fingerprint
+from repro.campaign.keys import spec_from_fingerprint
+from repro.check.audit import audit_cache
 from repro.check.theorem import audit_theorem1, theorem_table
 from repro.errors import CampaignError
 from repro.experiments.config import SweepSpec, TrialSpec
@@ -72,14 +73,23 @@ def test_tampered_outcome_is_a_mismatch(cache):
     assert "t_end" in bad.detail
 
 
-def test_legacy_dict_records_still_audit_ok(cache):
-    # PR-1 caches stored the outcome as a field dict under "outcome";
-    # they must keep auditing cleanly next to wire records.
+def test_legacy_dict_records_are_unreadable_until_migrated(cache):
+    # PR-1 caches stored the outcome as a field dict under "outcome".
+    # No reader serves that shape; the audit says so until
+    # `doctor --repair` migrates the record, then audits it clean.
+    from repro.chaos.doctor import diagnose
+
     path, lines = _lines(cache)
     record = json.loads(lines[0])
     record["outcome"] = Outcome.from_wire(record.pop("wire")).to_dict()
     lines[0] = json.dumps(record, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
+    audit = audit_cache(cache)
+    assert not audit.ok
+    assert audit.counts == {"unreadable": 1, "ok": SWEEP.n_trials - 1}
+    assert "legacy-record" in audit.records[0].detail
+
+    assert diagnose(cache, repair=True).ok
     audit = audit_cache(cache)
     assert audit.ok
     assert audit.counts == {"ok": SWEEP.n_trials}

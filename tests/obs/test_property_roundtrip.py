@@ -13,7 +13,8 @@ Properties pinned:
   (``wire(a.merge(b)) == wire(from_wire(wire(a)).merge(from_wire(wire(b))))``);
 - ``Outcome`` wire round-trips losslessly through JSON over randomized
   payloads, and un-versioned / unknown-version wires raise;
-- legacy telemetry records (un-versioned, missing kinds) keep loading.
+- telemetry records missing a kind load as ``"unknown"``, and
+  un-versioned ones are skipped and counted.
 """
 
 from __future__ import annotations
@@ -164,24 +165,28 @@ class TestOutcomeRoundTrip:
             Outcome.from_wire(wire)
 
 
-class TestLegacyTelemetryRecords:
-    def test_randomized_legacy_records_keep_loading(self, tmp_path):
+class TestUnversionedTelemetry:
+    def test_random_unversioned_records_skipped(self, tmp_path):
         rng = np.random.default_rng(SEED + 6)
         path = tmp_path / TELEMETRY_FILENAME
         lines = []
         expected_kinds = []
+        unversioned = 0
         for _ in range(100):
             record: dict = {"x": int(rng.integers(0, 10**6))}
-            if rng.random() < 0.5:  # versioned or legacy
+            versioned = rng.random() < 0.5
+            if versioned:
                 record["v"] = int(rng.integers(1, 5))
             if rng.random() < 0.7:  # kind present or missing
                 record["kind"] = str(rng.choice(["trial", "phase", "future"]))
-                expected_kinds.append(record["kind"])
+            if versioned:
+                expected_kinds.append(record.get("kind", "unknown"))
             else:
-                expected_kinds.append("unknown")
+                unversioned += 1
             lines.append(json.dumps(record))
         path.write_text("\n".join(lines) + "\n")
         records, skipped = read_telemetry(path)
-        assert skipped == 0
+        assert 0 < unversioned < 100
+        assert skipped == unversioned
         assert [r.kind for r in records] == expected_kinds
-        assert all(r.version >= 0 for r in records)
+        assert all(r.version >= 1 for r in records)

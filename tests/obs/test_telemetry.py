@@ -91,13 +91,15 @@ class TestReadTelemetry:
         assert [r.data.get("seed") for r in records] == [0, 1]
         assert skipped == 4
 
-    def test_legacy_unversioned_records_load_as_version_zero(self, tmp_path):
+    def test_unversioned_records_are_skipped_and_counted(self, tmp_path):
         path = tmp_path / TELEMETRY_FILENAME
-        path.write_text('{"kind":"trial","status":"executed"}\n')
+        path.write_text(
+            '{"kind":"trial","status":"executed"}\n'
+            '{"v":1,"kind":"trial","status":"cached"}\n'
+        )
         records, skipped = read_telemetry(path)
-        assert skipped == 0
-        assert records[0].version == 0
-        assert records[0].kind == "trial"
+        assert skipped == 1
+        assert [(r.version, r.data["status"]) for r in records] == [(1, "cached")]
 
     def test_missing_kind_loads_as_unknown(self, tmp_path):
         path = tmp_path / TELEMETRY_FILENAME

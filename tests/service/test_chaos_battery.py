@@ -106,15 +106,14 @@ def test_client_side_fault_converges_byte_identical(plan_name, tmp_path, baselin
     assert '"retry"' in telemetry
 
 
-@pytest.mark.xfail(strict=False, reason="ROADMAP item 1: counted at stream-back")
 @pytest.mark.parametrize("plan_name", ["conn-drop", "frame-tear"])
 def test_daemon_counts_trials_a_cancelled_request_computed(
     plan_name, tmp_path, baseline
 ):
     """The two plans that cut a request off mid-stream: the daemon has
-    computed all four trials but bumped ``computed`` only for the frames
-    it got to send, and the retry reads the rest as hits. XPASS here
-    means the counters moved to the compute site."""
+    computed all four trials, and counts them where it computed them —
+    not per frame it got to send — so the retry's store hits do not
+    stand in for computations."""
     _, server_counters = _sweep_through_faulted_client(plan_name, tmp_path, baseline)
     assert server_counters["computed"] == len(SPECS)
 
