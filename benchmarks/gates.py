@@ -235,11 +235,11 @@ def _seconds(call, *args) -> float:
 
 @contextlib.contextmanager
 def live_service():
-    """A real daemon on a unix socket over a primed sharded store, and the two
+    """A real daemon on a unix socket over a primed store, and the two
     clients the retry-policy row compares: ``plain`` has no retry loop at all,
     ``resilient`` is what every ServiceCampaign runs by default."""
     with tempfile.TemporaryDirectory(prefix="gates-service-") as root:
-        campaign = Campaign(cache_dir=f"{root}/cache", workers=0, store_backend="sharded")
+        campaign = Campaign(cache_dir=f"{root}/cache", workers=0)
         host = ServiceThread(campaign, unix_path=f"{root}/svc.sock")
         host.start()
         clients = {}

@@ -36,7 +36,7 @@ def main() -> None:
 
     for panel in sorted(PANELS):
         print(f"--- regenerating panel {panel} ---", flush=True)
-        result = run_figure3_panel(panel, full=full or None, seeds=seeds)
+        result = run_figure3_panel(panel, full=full, seeds=seeds)
         print(panel_table(result))
         print()
         print(shape_summary(result))

@@ -32,15 +32,7 @@ from repro.campaign.pool import (
     run_trial_batch,
 )
 from repro.campaign.progress import CampaignStats, ProgressCallback, ProgressEvent
-from repro.campaign.sharded import ShardedBackend
-from repro.campaign.store import (
-    STORE_BACKENDS,
-    CompactionReport,
-    JsonlBackend,
-    StoreBackend,
-    TrialStore,
-    discover_store_files,
-)
+from repro.campaign.store import CompactionReport, TrialStore
 
 __all__ = [
     "Campaign",
@@ -59,10 +51,5 @@ __all__ = [
     "ProgressCallback",
     "ProgressEvent",
     "TrialStore",
-    "StoreBackend",
-    "JsonlBackend",
-    "ShardedBackend",
     "CompactionReport",
-    "STORE_BACKENDS",
-    "discover_store_files",
 ]

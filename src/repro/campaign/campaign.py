@@ -121,12 +121,6 @@ class Campaign:
         default. Like the sanitizer, metrics are instrumentation, not
         trial identity: outcomes and cache keys are byte-identical
         either way.
-    store_backend:
-        Trial-store persistence backend (docs/SERVICE.md): ``"auto"``
-        — the default — detects the on-disk layout (sharded when shard
-        files exist, else the single ``trials.jsonl``); ``"jsonl"`` /
-        ``"sharded"`` force one. The campaign service daemon runs its
-        store sharded.
     memo_limit:
         Cap on in-session memo entries (None = unbounded, the
         default). When set, the oldest memo entries are evicted past
@@ -170,7 +164,6 @@ class Campaign:
         metrics=None,
         fault_plan=None,
         backend: str = "auto",
-        store_backend: str = "auto",
         memo_limit: int | None = None,
     ) -> None:
         from repro.backends.registry import BACKEND_MODES
@@ -195,12 +188,7 @@ class Campaign:
 
             self._injector = FaultInjector(self.fault_plan)
         self.store = (
-            TrialStore(
-                cache_dir,
-                metrics=self.metrics,
-                injector=self._injector,
-                backend=store_backend,
-            )
+            TrialStore(cache_dir, metrics=self.metrics, injector=self._injector)
             if (cache_dir is not None and use_cache)
             else None
         )

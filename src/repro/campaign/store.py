@@ -1,31 +1,39 @@
-"""Content-addressed trial persistence over pluggable store backends.
+"""Content-addressed trial persistence: one append-only file behind an offset index.
 
-The store is split in two layers (docs/SERVICE.md):
+A run directory's store is two files (docs/CAMPAIGN.md):
 
-- :class:`TrialStore` — the facade every consumer (campaign, doctor,
-  auditor, the campaign service) talks to: outcome (de)serialisation,
-  metrics, corrupt-record accounting. Its API is backend-agnostic.
-- a :class:`StoreBackend` — the persistence engine behind it. Two
-  ship: ``jsonl`` (one append-only ``trials.jsonl``, the original
-  layout, still the default) and ``sharded``
-  (:class:`~repro.campaign.sharded.ShardedBackend`: N jsonl shards
-  keyed by content-address prefix with a persisted offset index —
-  the layout the long-lived campaign service daemon owns).
+- ``trials.jsonl`` — one JSON record per line, in the compact wire
+  encoding::
 
-Record framing is identical in every backend: one JSON record per
-line, in the compact wire encoding::
+      {"key": "<sha256>", "spec": {...fingerprint...}, "wire": [...]}
 
-    {"key": "<sha256>", "spec": {...fingerprint...}, "wire": [...]}
+  (see :meth:`repro.sim.outcome.Outcome.to_wire`). Every reader — the
+  loader, compaction, ``doctor`` and ``check`` — reads lines through
+  :func:`scan_records` / :func:`decode_record`, so all agree on what a
+  line is. Pre-wire ``"outcome"``-dict records are skipped like any
+  unusable line until ``repro-ugf doctor --repair`` migrates them.
+- ``store-index.json`` — the persisted offset index, ``{"v": 2,
+  "size": W, "skipped": S, "entries": {key: [offset, length]}}``. *W*
+  is the *synced watermark*: the byte offset up to which the entries
+  (and *S*, the unusable lines) describe the file. Watermarks, not raw
+  file sizes: another process's records interleave with ours, and an
+  index claiming bytes it never scanned would hide them from the next
+  load. So an append that starts past the watermark first indexes the
+  gap another writer left.
 
-(see :meth:`repro.sim.outcome.Outcome.to_wire`). Every reader — both
-backends, compaction, ``doctor`` and ``check`` — reads lines through
-:func:`scan_records` / :func:`decode_record`, so all agree on what a
-line is. Pre-wire ``"outcome"``-dict records are skipped like any
-unusable line until ``repro-ugf doctor --repair`` migrates them.
+Load reads the index, then scans only the bytes past the watermark; a
+file shorter than its watermark — or with no line boundary there — was
+rewritten behind the index and is rescanned in full. Payloads stay on
+disk and are seek-read on :meth:`TrialStore.get`, so a store of
+millions of trials costs a long-lived daemon an index entry, not a
+resident outcome, per record. The index is a pure cache: deleting it
+makes the next load a full scan (which is how a store written before
+the index existed is first read), and it is rewritten atomically (tmp
++ rename) on :meth:`TrialStore.close` and after compaction.
 
 Append-only makes the store crash-safe by construction — an
-interrupted run leaves at most one torn final line per file, which the
-reader skips (with a warning count) instead of failing, so a restarted
+interrupted run leaves at most one torn final line, which the reader
+skips (with a warning count) instead of failing, so a restarted
 ``repro-ugf report`` resumes from every fully persisted trial. A final
 line that is a complete record merely missing its newline is served.
 Records with an unknown shape are likewise skipped, which doubles as
@@ -45,17 +53,18 @@ cache volume) cannot interleave their lines; where ``fcntl`` is
 unavailable the append runs unlocked — warned once per process and
 counted (``store.unlocked_appends``) rather than silently.
 :meth:`TrialStore.put_many` amortises the lock/write/fsync over a
-whole batch — the fsync was a measurable per-trial cost on sweeps of
+whole batch — one fsync per batch, the cost that dominates a sweep of
 short trials — while keeping the one-line-per-record framing.
 
-Backends additionally support :meth:`StoreBackend.compact`: rewrite
-each file keeping only the latest record per key, dropping superseded
-duplicates, unusable lines, and explicitly dropped keys. It is the only
-code besides :class:`AppendFile` that writes a store file, and it
-rewrites in place (atomic tmp + rename), so it needs exclusive
-ownership of the directory — a concurrent writer's later appends would
-land in the unlinked file. Only the operator runs it, through
-``repro-ugf doctor --repair``.
+:meth:`TrialStore.compact` rewrites the file keeping only the latest
+record per key, dropping superseded duplicates, unusable lines, and
+explicitly dropped keys, then rewrites the index. It is the only code
+besides the append that writes the store file, and it rewrites in
+place (atomic tmp + rename), so it needs exclusive ownership of the
+directory — a concurrent writer's later appends would land in the
+unlinked file. Only the operator runs it, through ``repro-ugf doctor
+--repair``, which also migrates the ``trials-NN.jsonl`` shards of the
+retired sharded layout (:func:`legacy_shards`) into ``trials.jsonl``.
 """
 
 from __future__ import annotations
@@ -65,8 +74,8 @@ import os
 import pathlib
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Protocol
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator
 
 try:  # POSIX-only; elsewhere appends are unlocked (warned + counted).
     import fcntl
@@ -78,14 +87,10 @@ from repro.sim.outcome import Outcome
 
 __all__ = [
     "TrialStore",
-    "StoreBackend",
-    "JsonlBackend",
-    "AppendFile",
     "CompactionReport",
     "STORE_FILENAME",
-    "STORE_BACKENDS",
-    "discover_store_files",
-    "resolve_store_backend",
+    "INDEX_FILENAME",
+    "legacy_shards",
     "encode_record",
     "decode_record",
     "scan_records",
@@ -94,12 +99,10 @@ __all__ = [
 
 STORE_FILENAME = "trials.jsonl"
 
-#: Shard files of the sharded backend (see repro.campaign.sharded).
-SHARD_GLOB = "trials-*.jsonl"
+INDEX_FILENAME = "store-index.json"
 
-#: Store-backend names accepted by :class:`TrialStore` and the CLI.
-#: ``auto`` detects the on-disk layout (sharded if shard files exist).
-STORE_BACKENDS = ("auto", "jsonl", "sharded")
+#: Offset-index schema version (v1 indexed the retired sharded layout).
+INDEX_VERSION = 2
 
 #: Durability attempts per batch: ``fsync`` gets this many tries
 #: (small exponential backoff between them) before the append fails.
@@ -109,11 +112,15 @@ _FSYNC_ATTEMPTS = 4
 _FSYNC_BACKOFF = 0.01
 
 
-# -- record framing (shared by every backend) ----------------------------------
+# -- record framing ------------------------------------------------------------
 
 
 def encode_record(key: str, fingerprint: dict[str, Any], wire: list[Any]) -> str:
-    """One store line (no trailing newline) for a wire-format record."""
+    """One store line (no trailing newline) for a wire-format record.
+
+    ``json.dumps`` escapes non-ASCII, so the line's length in characters
+    is its length in bytes — what the offset index records.
+    """
     return json.dumps(
         {"key": key, "spec": fingerprint, "wire": wire}, separators=(",", ":")
     )
@@ -139,7 +146,7 @@ def decode_record(line: "str | bytes") -> tuple[str, dict[str, Any], list[Any]]:
 
     Raises :class:`RecordDefect` for anything else. One ``json.loads``
     plus shape checks — no hashing and no outcome decode, so it stays
-    the whole per-record cost of a load or a sharded seek-read.
+    the whole per-record cost of a load or a seek-read.
     """
     try:
         record = json.loads(line)
@@ -196,26 +203,22 @@ def scan_records(data: bytes, start: int = 0) -> Iterator[tuple[int, int, bytes,
         cursor = end + 1
 
 
-def discover_store_files(run_dir: "str | os.PathLike") -> list[pathlib.Path]:
-    """Every store file a run directory holds, in scan order.
+def legacy_shards(run_dir: "str | os.PathLike") -> list[pathlib.Path]:
+    """The ``trials-NN.jsonl`` shard files of the retired sharded layout.
 
-    A jsonl-backend directory has ``trials.jsonl``; a sharded one has
-    ``trials-XX.jsonl`` shards. Both can coexist transiently (a cache
-    migrated between backends); consumers that work "against the
-    protocol, not the file" — doctor, the auditor — scan all of them.
+    No reader serves them; ``repro-ugf doctor --repair`` appends their
+    records to ``trials.jsonl`` and removes them.
     """
-    run_dir = pathlib.Path(run_dir)
-    files: list[pathlib.Path] = []
-    single = run_dir / STORE_FILENAME
-    if single.exists():
-        files.append(single)
-    files.extend(sorted(run_dir.glob(SHARD_GLOB)))
-    return files
+    return sorted(
+        path
+        for path in pathlib.Path(run_dir).glob("trials-*.jsonl")
+        if path.stem[len("trials-") :].isdigit()
+    )
 
 
 @dataclass(frozen=True, slots=True)
 class CompactionReport:
-    """What one :meth:`StoreBackend.compact` pass rewrote."""
+    """What one :meth:`TrialStore.compact` pass rewrote."""
 
     files: int = 0
     records_kept: int = 0
@@ -233,17 +236,6 @@ class CompactionReport:
             self.duplicates_dropped
             + self.corrupt_dropped
             + self.quarantined_dropped
-        )
-
-    def merge(self, other: "CompactionReport") -> "CompactionReport":
-        return CompactionReport(
-            files=self.files + other.files,
-            records_kept=self.records_kept + other.records_kept,
-            duplicates_dropped=self.duplicates_dropped + other.duplicates_dropped,
-            corrupt_dropped=self.corrupt_dropped + other.corrupt_dropped,
-            quarantined_dropped=self.quarantined_dropped
-            + other.quarantined_dropped,
-            bytes_reclaimed=self.bytes_reclaimed + other.bytes_reclaimed,
         )
 
     def summary(self) -> str:
@@ -276,39 +268,256 @@ def _note_unlocked_append(metrics) -> None:
         )
 
 
-class AppendFile:
-    """One append-only jsonl file: flock + torn-tail healing + fsync.
+class TrialStore:
+    """Content-addressed, append-only persistence for outcomes.
 
-    The durability unit shared by every backend — a jsonl store has
-    one, a sharded store has one per shard. Appends happen under an
-    exclusive ``flock`` (where available), the first append of a
-    session newline-terminates any torn tail a crash left, and each
-    batch is one write + durable fsync.
+    *metrics* is an optional write-only
+    :class:`~repro.obs.registry.MetricsRegistry`: store I/O is timed
+    as ``store.load`` / ``store.append`` spans and record counts are
+    tracked, so ``repro-ugf stats`` can show where campaign wall-clock
+    goes between engine time and persistence.
+
+    *injector* is an optional armed
+    :class:`~repro.chaos.inject.FaultInjector`: its ``store.fsync``
+    hook sits inside the durability retry loop (so injected fsync
+    failures exercise the same bounded-retry path real ``EIO`` takes).
+    ``None`` — the default — skips the chaos plane entirely.
+
+    *backend* selects nothing: there is one layout. It accepts exactly
+    ``"auto"``, ``"jsonl"`` and ``"sharded"`` and stays only because the
+    frozen benchmark suite passes it (``benchmarks/suite/runner.py``,
+    ``layers.py``); ROADMAP item 2's benchmark change deletes it.
     """
 
     def __init__(
-        self, path: pathlib.Path, *, metrics=None, injector=None
+        self,
+        cache_dir: "str | os.PathLike",
+        *,
+        metrics=None,
+        injector=None,
+        backend: str = "auto",
     ) -> None:
-        self.path = path
+        if backend not in ("auto", "jsonl", "sharded"):
+            raise CampaignError(
+                f"unknown store backend {backend!r} (the store has one "
+                "layout; 'auto', 'jsonl' and 'sharded' all name it)"
+            )
+        self.cache_dir = pathlib.Path(cache_dir)
+        self.path = self.cache_dir / STORE_FILENAME
+        self.index_path = self.cache_dir / INDEX_FILENAME
         self.metrics = metrics
         self.injector = injector
-        self._fh = None
+        #: Unusable lines the last load found (every :class:`RecordDefect`).
+        self.skipped_lines = 0
+        #: key -> (byte offset, record length); None until loaded.
+        self._entries: dict[str, Any] | None = None
+        #: The synced watermark, and the unusable lines below it.
+        self._size = 0
+        self._skipped = 0
+        self._dirty = False
+        self._append_fh = None
+        self._reader = None
         self._tail_checked = False
 
-    def append(self, lines: list[str]) -> int:
-        """Append *lines* as one locked write; returns the byte offset
-        the batch started at (for offset indexes)."""
-        if not lines:
-            return self.path.stat().st_size if self.path.exists() else 0
-        if self._fh is None:
+    def store_files(self) -> list[pathlib.Path]:
+        """``[trials.jsonl]`` once it exists (the benchmark suite sizes
+        the store through it)."""
+        return [self.path] if self.path.exists() else []
+
+    # -- loading -----------------------------------------------------------------
+
+    def _ensure_loaded(self) -> dict[str, Any]:
+        if self._entries is None:
+            if self.metrics is not None:
+                with self.metrics.span("store.load"):
+                    self._load()
+                self.metrics.count("store.records_loaded", len(self._entries))
+                if self.skipped_lines:
+                    self.metrics.count("store.lines_skipped", self.skipped_lines)
+            else:
+                self._load()
+        assert self._entries is not None
+        return self._entries
+
+    def _load(self, *, full: bool = False) -> None:
+        """Read the index (unless *full*), then scan past its watermark."""
+        shards = legacy_shards(self.cache_dir)
+        if shards:
+            warnings.warn(
+                f"{self.cache_dir} holds {len(shards)} shard file(s) of the "
+                f"retired sharded layout ({', '.join(p.name for p in shards)}) "
+                f"that no reader serves; run 'repro-ugf doctor --repair "
+                f"{self.cache_dir}' to migrate them into {STORE_FILENAME}",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        self._close_reader()
+        index = None if full else self._read_index()
+        if index is None:
+            self._entries, self._size, self._skipped = {}, 0, 0
+        else:
+            self._entries = index["entries"]
+            self._size, self._skipped = index["size"], index["skipped"]
+        indexed = self._size
+        torn = self._scan(self._size)
+        self.skipped_lines = self._skipped + torn
+        self._dirty = self._size != indexed
+
+    def _read_index(self) -> "dict[str, Any] | None":
+        """The persisted index, or None when absent, unusable, or no
+        longer describing the file (no line boundary at its watermark)."""
+        try:
+            index = json.loads(self.index_path.read_bytes())
+            size = index["size"]
+            if (
+                index["v"] != INDEX_VERSION
+                or not isinstance(size, int)
+                or not isinstance(index["skipped"], int)
+                or not isinstance(index["entries"], dict)
+            ):
+                return None
+            if size:
+                with self.path.open("rb") as fh:
+                    fh.seek(size - 1)
+                    if fh.read(1) != b"\n":
+                        return None
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+        return index
+
+    def _scan(self, start: int, end: "int | None" = None) -> int:
+        """Index the records in bytes ``[start, end)`` of the file (*end*
+        None = through EOF) and move the watermark past the last newline.
+
+        Returns the unusable lines on the unterminated final line: it
+        stays past the watermark (indexed if it is a complete record) so
+        the next scan reads it again once it is terminated.
+        """
+        try:
+            with self.path.open("rb") as fh:
+                fh.seek(start)
+                data = fh.read() if end is None else fh.read(end - start)
+        except FileNotFoundError:
+            return 0
+        entries = self._entries
+        assert entries is not None
+        synced = start + data.rfind(b"\n") + 1
+        torn = 0
+        for _line_no, offset, raw, item in scan_records(data, start):
+            if not isinstance(item, RecordDefect):
+                # Last write wins; duplicates are harmless (the trial is
+                # deterministic, so they are identical).
+                entries[item[0]] = (offset, len(raw))
+            elif offset < synced:
+                self._skipped += 1
+            else:
+                torn += 1
+        self._size = synced
+        return torn
+
+    # -- queries -----------------------------------------------------------------
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._ensure_loaded()
+
+    def __len__(self) -> int:
+        return len(self._ensure_loaded())
+
+    def get(self, key: str) -> Outcome | None:
+        """The cached outcome for *key*, or None on a miss.
+
+        A record whose wire fails to deserialise (e.g. hand-edited) is
+        a miss, counted as ``store.corrupt_records``; the recompute's
+        append wins from then on, and ``doctor --repair`` removes the
+        bad line.
+        """
+        entry = self._ensure_loaded().get(key)
+        if entry is None:
+            return None
+        wire = self._seek_read(key, entry)
+        if wire is None:
+            # The bytes under this entry no longer hold this record: the
+            # file was rewritten behind the index. Rescan it in full
+            # once rather than serve garbage.
+            self._load(full=True)
+            entry = self._entries.get(key)
+            wire = None if entry is None else self._seek_read(key, entry)
+            if wire is None:
+                return None
+        try:
+            return Outcome.from_wire(wire)
+        except (KeyError, TypeError, ValueError):
+            if self.metrics is not None:
+                self.metrics.count("store.corrupt_records")
+            return None
+
+    def _seek_read(self, key: str, entry: Any) -> list[Any] | None:
+        """The wire stored at *entry*, or None unless it is *key*'s."""
+        try:
+            offset, length = entry
+            if self._reader is None:
+                self._reader = self.path.open("rb")
+            self._reader.seek(offset)
+            found, _fingerprint, wire = decode_record(self._reader.read(length))
+        except (OSError, TypeError, ValueError):  # RecordDefect is a ValueError
+            return None
+        return wire if found == key else None
+
+    # -- writes ------------------------------------------------------------------
+
+    def put(self, key: str, spec_fingerprint: dict[str, Any], outcome: Outcome) -> None:
+        """Append one record and make it durable before returning."""
+        self.put_many([(key, spec_fingerprint, outcome)])
+
+    def put_many(
+        self, items: Iterable[tuple[str, dict[str, Any], Outcome]]
+    ) -> None:
+        """Append a batch of records under one lock/write/fsync.
+
+        Framing is unchanged — one JSON record per line — so readers,
+        the auditor, and crash recovery see exactly what per-record
+        puts would have produced; only the durability cost is paid
+        once per batch instead of once per trial.
+        """
+        records = [
+            (key, encode_record(key, fingerprint, outcome.to_wire()))
+            for key, fingerprint, outcome in items
+        ]
+        if not records:
+            return
+        entries = self._ensure_loaded()
+        metrics = self.metrics
+        append_t0 = time.perf_counter() if metrics is not None else 0.0
+        start = self._append([line for _, line in records])
+        if start > self._size:
+            # Another process appended in [watermark, start): index that
+            # gap now — those bytes are fully flushed (they precede our
+            # locked append), so this read is race-free, and the index
+            # we persist stays complete under concurrent writers.
+            self._scan(self._size, start)
+        cursor = start
+        for key, line in records:
+            entries[key] = (cursor, len(line))
+            cursor += len(line) + 1
+        self._size = cursor
+        self._dirty = True
+        if metrics is not None:
+            metrics.observe_span("store.append", time.perf_counter() - append_t0)
+            metrics.count("store.records_appended", len(records))
+
+    def _append(self, lines: list[str]) -> int:
+        """Append *lines* as one locked write + durable fsync; returns
+        the byte offset the batch starts at."""
+        if self._append_fh is None:
             try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self.path.open("a", encoding="utf-8")
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+                self._append_fh = self.path.open("ab")
             except OSError as exc:
                 raise CampaignError(
                     f"cannot write trial cache at {self.path}: {exc}"
                 ) from exc
-        fd = self._fh.fileno()
+        fh = self._append_fh
+        fd = fh.fileno()
         if fcntl is not None:
             fcntl.flock(fd, fcntl.LOCK_EX)
         else:
@@ -316,14 +525,14 @@ class AppendFile:
         try:
             # Offsets are only meaningful under the lock: another
             # process may have appended since our last write.
-            self._fh.seek(0, os.SEEK_END)
+            fh.seek(0, os.SEEK_END)
             if not self._tail_checked:
                 self._terminate_torn_tail()
                 self._tail_checked = True
-            start = self._fh.tell()
+            start = fh.tell()
             # One write() of whole lines: no torn records mid-batch.
-            self._fh.write("\n".join(lines) + "\n")
-            self._fh.flush()
+            fh.write(("\n".join(lines) + "\n").encode())
+            fh.flush()
             self._durable_fsync(fd)
         finally:
             if fcntl is not None:
@@ -343,14 +552,15 @@ class AppendFile:
         across sessions. ``repro-ugf doctor --repair`` removes the dead
         fragment outright.
         """
-        if self._fh is None or self._fh.tell() == 0:
+        fh = self._append_fh
+        if fh is None or fh.tell() == 0:
             return
         with self.path.open("rb") as raw:
             raw.seek(-1, os.SEEK_END)
             terminated = raw.read(1) == b"\n"
         if not terminated:
-            self._fh.write("\n")
-            self._fh.flush()
+            fh.write(b"\n")
+            fh.flush()
             if self.metrics is not None:
                 self.metrics.count("store.torn_tails_terminated")
 
@@ -379,393 +589,103 @@ class AppendFile:
                     ) from exc
                 time.sleep(_FSYNC_BACKOFF * (2 ** attempt))
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        self._tail_checked = False
-
-
-def compact_file(
-    path: pathlib.Path, drop_keys: "frozenset[str] | set[str]" = frozenset()
-) -> tuple[CompactionReport, dict[str, tuple[int, int]]]:
-    """Rewrite one store file keeping the latest record per key.
-
-    Returns the per-file :class:`CompactionReport` and the surviving
-    records' ``key -> (offset, length)`` map (for offset indexes).
-    Superseded duplicates, unusable lines (every :class:`RecordDefect`)
-    and *drop_keys* records are removed. The rewrite is atomic — tmp file
-    in the same directory, fsync, rename — so a crash mid-compaction
-    leaves the original untouched.
-    """
-    if not path.exists():
-        return CompactionReport(), {}
-    data = path.read_bytes()
-    latest: dict[str, bytes] = {}
-    duplicates = 0
-    corrupt = 0
-    quarantined = 0
-    for _line_no, _offset, raw, item in scan_records(data):
-        if isinstance(item, RecordDefect):
-            corrupt += 1
-            continue
-        key = item[0]
-        if key in drop_keys:
-            quarantined += 1
-            continue
-        if key in latest:
-            duplicates += 1
-        latest[key] = raw.strip()
-    tmp = path.with_suffix(path.suffix + ".compact-tmp")
-    offsets: dict[str, tuple[int, int]] = {}
-    cursor = 0
-    with tmp.open("wb") as fh:
-        for key, raw in latest.items():
-            fh.write(raw + b"\n")
-            offsets[key] = (cursor, len(raw))
-            cursor += len(raw) + 1
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    report = CompactionReport(
-        files=1,
-        records_kept=len(latest),
-        duplicates_dropped=duplicates,
-        corrupt_dropped=corrupt,
-        quarantined_dropped=quarantined,
-        bytes_reclaimed=max(0, len(data) - cursor),
-    )
-    return report, offsets
-
-
-# -- the backend protocol ------------------------------------------------------
-
-
-class StoreBackend(Protocol):
-    """Persistence engine behind a :class:`TrialStore`.
-
-    Payloads are raw outcome wire lists, never :class:`Outcome`
-    objects; (de)serialisation is the facade's job. Implementations:
-    :class:`JsonlBackend`, :class:`~repro.campaign.sharded.ShardedBackend`.
-    """
-
-    #: Registry name (``"jsonl"`` / ``"sharded"``).
-    name: str
-    #: Lines dropped while loading (every :class:`RecordDefect`).
-    skipped_lines: int
-
-    @property
-    def primary_path(self) -> pathlib.Path:
-        """The store file chaos tearing and display messages target."""
-        ...
-
-    def store_files(self) -> list[pathlib.Path]:
-        """Every file currently backing this store."""
-        ...
-
-    def load(self) -> None:
-        """Build (or refresh) the in-memory key index from disk."""
-        ...
-
-    def __len__(self) -> int: ...
-
-    def contains(self, key: str) -> bool: ...
-
-    def get_payload(self, key: str) -> Any | None: ...
-
-    def put(self, records: list[tuple[str, str, Any]]) -> None:
-        """Durably append ``(key, line, payload)`` records."""
-        ...
-
-    def forget(self, key: str) -> None:
-        """Drop *key* from the in-memory index only."""
-        ...
-
-    def compact(
-        self, drop_keys: "frozenset[str] | set[str]" = frozenset()
-    ) -> CompactionReport:
-        """Rewrite files dropping duplicates/corruption/*drop_keys*."""
-        ...
-
-    def close(self) -> None: ...
-
-
-@dataclass
-class JsonlBackend:
-    """The original single-file layout: ``<dir>/trials.jsonl``.
-
-    The whole index — key *and* payload — lives in memory after load,
-    which is exactly right for run-dir-sized caches; the sharded
-    backend trades that for an offset index when the store outgrows
-    one file (docs/SERVICE.md).
-    """
-
-    cache_dir: pathlib.Path
-    metrics: Any = None
-    injector: Any = None
-    name: str = field(default="jsonl", init=False)
-    skipped_lines: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        self.cache_dir = pathlib.Path(self.cache_dir)
-        self.path = self.cache_dir / STORE_FILENAME
-        self._file = AppendFile(
-            self.path, metrics=self.metrics, injector=self.injector
-        )
-        self._index: dict[str, Any] | None = None
-
-    @property
-    def primary_path(self) -> pathlib.Path:
-        return self.path
-
-    def store_files(self) -> list[pathlib.Path]:
-        return [self.path] if self.path.exists() else []
-
-    def load(self) -> None:
-        index: dict[str, Any] = {}
-        self.skipped_lines = 0
-        if self.path.exists():
-            for _line_no, _offset, _raw, item in scan_records(
-                self.path.read_bytes()
-            ):
-                if isinstance(item, RecordDefect):
-                    self.skipped_lines += 1
-                else:
-                    # Last write wins; duplicates are harmless (the
-                    # trial is deterministic, so they are identical).
-                    index[item[0]] = item[2]
-        self._index = index
-
-    def _loaded(self) -> dict[str, Any]:
-        if self._index is None:
-            self.load()
-        assert self._index is not None
-        return self._index
-
-    def __len__(self) -> int:
-        return len(self._loaded())
-
-    def contains(self, key: str) -> bool:
-        return key in self._loaded()
-
-    def get_payload(self, key: str) -> Any | None:
-        return self._loaded().get(key)
-
-    def put(self, records: list[tuple[str, str, Any]]) -> None:
-        self._file.append([line for _, line, _ in records])
-        index = self._loaded()
-        for key, _line, payload in records:
-            index[key] = payload
-
-    def forget(self, key: str) -> None:
-        self._loaded().pop(key, None)
-
-    def compact(
-        self, drop_keys: "frozenset[str] | set[str]" = frozenset()
-    ) -> CompactionReport:
-        # The append handle must not survive the rename: it would keep
-        # writing to the unlinked inode.
-        self._file.close()
-        report, _offsets = compact_file(self.path, drop_keys)
-        self.load()
-        return report
-
-    def close(self) -> None:
-        self._file.close()
-
-
-def resolve_store_backend(
-    cache_dir: "str | os.PathLike",
-    backend: str = "auto",
-    *,
-    metrics=None,
-    injector=None,
-    shards: int | None = None,
-) -> StoreBackend:
-    """Construct the backend *backend* names for *cache_dir*.
-
-    ``auto`` keeps existing layouts working untouched: a directory
-    holding shard files loads as ``sharded``, anything else as
-    ``jsonl`` (including an empty directory — the single file stays
-    the default for plain local campaigns).
-    """
-    if backend not in STORE_BACKENDS:
-        raise CampaignError(
-            f"unknown store backend {backend!r} (expected one of {STORE_BACKENDS})"
-        )
-    cache_dir = pathlib.Path(cache_dir)
-    if backend == "auto":
-        backend = "sharded" if any(cache_dir.glob(SHARD_GLOB)) else "jsonl"
-    if backend == "sharded":
-        from repro.campaign.sharded import ShardedBackend
-
-        kwargs: dict[str, Any] = {}
-        if shards is not None:
-            kwargs["shards"] = shards
-        return ShardedBackend(
-            cache_dir, metrics=metrics, injector=injector, **kwargs
-        )
-    return JsonlBackend(cache_dir, metrics=metrics, injector=injector)
-
-
-# -- the facade ----------------------------------------------------------------
-
-
-class TrialStore:
-    """Content-addressed, append-only persistence for outcomes.
-
-    *backend* selects the persistence engine (``"auto"`` — the default
-    — detects the on-disk layout; ``"jsonl"`` / ``"sharded"`` force
-    one). A :class:`StoreBackend` instance is also accepted directly.
-
-    *metrics* is an optional write-only
-    :class:`~repro.obs.registry.MetricsRegistry`: store I/O is timed
-    as ``store.load`` / ``store.append`` spans and record counts are
-    tracked, so ``repro-ugf stats`` can show where campaign wall-clock
-    goes between engine time and persistence.
-
-    *injector* is an optional armed
-    :class:`~repro.chaos.inject.FaultInjector`: its ``store.fsync``
-    hook sits inside the durability retry loop (so injected fsync
-    failures exercise the same bounded-retry path real ``EIO`` takes).
-    ``None`` — the default — skips the chaos plane entirely.
-    """
-
-    def __init__(
-        self,
-        cache_dir: "str | os.PathLike",
-        *,
-        metrics=None,
-        injector=None,
-        backend: "str | StoreBackend" = "auto",
-        shards: int | None = None,
-    ) -> None:
-        self.cache_dir = pathlib.Path(cache_dir)
-        self.metrics = metrics
-        self.injector = injector
-        if isinstance(backend, str):
-            self.backend: StoreBackend = resolve_store_backend(
-                self.cache_dir,
-                backend,
-                metrics=metrics,
-                injector=injector,
-                shards=shards,
-            )
-        else:
-            self.backend = backend
-        self._loaded = False
-
-    @property
-    def path(self) -> pathlib.Path:
-        """Primary store file (chaos tearing, user messages)."""
-        return self.backend.primary_path
-
-    @property
-    def skipped_lines(self) -> int:
-        """Lines dropped while loading (every :class:`RecordDefect`)."""
-        return self.backend.skipped_lines
-
-    def store_files(self) -> list[pathlib.Path]:
-        return self.backend.store_files()
-
-    # -- loading -----------------------------------------------------------------
-
-    def _ensure_loaded(self) -> None:
-        if self._loaded:
-            return
-        if self.metrics is not None:
-            with self.metrics.span("store.load"):
-                self.backend.load()
-            self.metrics.count("store.records_loaded", len(self.backend))
-            if self.backend.skipped_lines:
-                self.metrics.count(
-                    "store.lines_skipped", self.backend.skipped_lines
-                )
-        else:
-            self.backend.load()
-        self._loaded = True
-
-    # -- queries -----------------------------------------------------------------
-
-    def __contains__(self, key: str) -> bool:
-        self._ensure_loaded()
-        return self.backend.contains(key)
-
-    def __len__(self) -> int:
-        self._ensure_loaded()
-        return len(self.backend)
-
-    def get(self, key: str) -> Outcome | None:
-        """The cached outcome for *key*, or None on a miss.
-
-        A record whose wire fails to deserialise (e.g. hand-edited) is
-        a miss, forgotten in memory and counted as
-        ``store.corrupt_records``; the recompute's append wins on the
-        next load, and ``doctor --repair`` removes the bad line.
-        """
-        self._ensure_loaded()
-        wire = self.backend.get_payload(key)
-        if wire is None:
-            return None
-        try:
-            return Outcome.from_wire(wire)
-        except (KeyError, TypeError, ValueError):
-            self.backend.forget(key)
-            if self.metrics is not None:
-                self.metrics.count("store.corrupt_records")
-            return None
-
-    # -- writes ------------------------------------------------------------------
-
-    def put(self, key: str, spec_fingerprint: dict[str, Any], outcome: Outcome) -> None:
-        """Append one record and make it durable before returning."""
-        self.put_many([(key, spec_fingerprint, outcome)])
-
-    def put_many(
-        self, items: Iterable[tuple[str, dict[str, Any], Outcome]]
-    ) -> None:
-        """Append a batch of records under one lock/write/fsync.
-
-        Framing is unchanged — one JSON record per line — so readers,
-        the auditor, and crash recovery see exactly what per-record
-        puts would have produced; only the durability cost is paid
-        once per batch instead of once per trial.
-        """
-        records: list[tuple[str, str, Any]] = []
-        for key, fingerprint, outcome in items:
-            wire = outcome.to_wire()
-            records.append((key, encode_record(key, fingerprint, wire), wire))
-        if not records:
-            return
-        self._ensure_loaded()
-        metrics = self.metrics
-        append_t0 = time.perf_counter() if metrics is not None else 0.0
-        self.backend.put(records)
-        if metrics is not None:
-            metrics.observe_span("store.append", time.perf_counter() - append_t0)
-            metrics.count("store.records_appended", len(records))
-
     # -- maintenance -------------------------------------------------------------
 
     def compact(
         self, *, drop_keys: "frozenset[str] | set[str]" = frozenset()
     ) -> CompactionReport:
-        """Rewrite the store dropping duplicate/torn/quarantined records.
+        """Rewrite the file keeping the latest record per key, then the index.
 
-        Requires exclusive ownership of the directory (no concurrent
-        writer); ``repro-ugf doctor --repair`` is the operator entry
-        point.
+        Superseded duplicates, unusable lines (every
+        :class:`RecordDefect`) and *drop_keys* records are removed. The
+        rewrite is atomic — tmp file in the same directory, fsync,
+        rename — so a crash mid-compaction leaves the original
+        untouched. Requires exclusive ownership of the directory (no
+        concurrent writer); ``repro-ugf doctor --repair`` is the
+        operator entry point.
         """
         self._ensure_loaded()
-        report = self.backend.compact(frozenset(drop_keys))
+        # Neither handle may survive the rename: the append handle
+        # would keep writing to the unlinked inode.
+        self._close_handles()
+        if not self.path.exists():
+            return CompactionReport()
+        data = self.path.read_bytes()
+        latest: dict[str, bytes] = {}
+        duplicates = corrupt = quarantined = 0
+        for _line_no, _offset, raw, item in scan_records(data):
+            if isinstance(item, RecordDefect):
+                corrupt += 1
+                continue
+            key = item[0]
+            if key in drop_keys:
+                quarantined += 1
+                continue
+            if key in latest:
+                duplicates += 1
+            latest[key] = raw.strip()
+        tmp = self.path.with_suffix(self.path.suffix + ".compact-tmp")
+        entries: dict[str, Any] = {}
+        cursor = 0
+        with tmp.open("wb") as fh:
+            for key, raw in latest.items():
+                fh.write(raw + b"\n")
+                entries[key] = (cursor, len(raw))
+                cursor += len(raw) + 1
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.path)
+        self._entries, self._size, self._skipped = entries, cursor, 0
+        self.skipped_lines = 0
+        self._write_index()
+        report = CompactionReport(
+            files=1,
+            records_kept=len(latest),
+            duplicates_dropped=duplicates,
+            corrupt_dropped=corrupt,
+            quarantined_dropped=quarantined,
+            bytes_reclaimed=max(0, len(data) - cursor),
+        )
         if self.metrics is not None:
             self.metrics.count("store.compactions")
             if report.dropped:
                 self.metrics.count("store.compact_dropped", report.dropped)
         return report
 
+    def _write_index(self) -> None:
+        """Persist the offset index atomically (tmp + rename)."""
+        index = {
+            "v": INDEX_VERSION,
+            "size": self._size,
+            "skipped": self._skipped,
+            "entries": self._entries,
+        }
+        tmp = self.index_path.with_suffix(".json.tmp")
+        try:
+            tmp.write_text(json.dumps(index, separators=(",", ":")), encoding="utf-8")
+            os.replace(tmp, self.index_path)
+        except OSError:
+            # The index is a cache; failing to persist it only costs
+            # the next load a full scan.
+            return
+        self._dirty = False
+
+    def _close_reader(self) -> None:
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
+
+    def _close_handles(self) -> None:
+        self._close_reader()
+        if self._append_fh is not None:
+            self._append_fh.close()
+            self._append_fh = None
+        self._tail_checked = False
+
     def close(self) -> None:
-        self.backend.close()
+        if self._dirty:
+            self._write_index()
+        self._close_handles()
 
     def __enter__(self) -> "TrialStore":
         return self

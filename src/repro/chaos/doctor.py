@@ -13,18 +13,21 @@ reader as every loader (:func:`~repro.campaign.store.scan_records`):
 - **content addresses**: every record's ``key`` is recomputed from its
   stored spec fingerprint; a mismatch means an edit in place;
 - **wire payloads**: every outcome wire must decode;
+- **layout**: each ``trials-NN.jsonl`` shard of the retired sharded
+  layout is a ``legacy-layout`` error — no reader serves it;
 - **cross-checks**: the quarantine ledger and telemetry stream beside
   the store are validated, and quarantined trials whose latest record
   is good are flagged as recovered (information, not error).
 
 Findings carry a severity: ``error`` (doctor exits non-zero),
 ``warn`` (data already lost or ignorable), ``info``. Without
-``--repair`` doctor only reads. ``--repair`` heals the tails, then —
-if anything else is left — compacts (dropping duplicates, skipped
-lines and every key whose latest record is mis-addressed or
-undecodable) and appends each legacy record's wire rewrite. Compaction
-renames store files, so repair needs exclusive ownership of the
-directory.
+``--repair`` doctor only reads. ``--repair`` heals the tail and
+appends the shards' decodable records to ``trials.jsonl`` (removing
+the shards and their index), then — if anything else is left —
+compacts (dropping duplicates, skipped lines and every key whose
+latest record is mis-addressed or undecodable) and appends each legacy
+record's wire rewrite. Compaction renames the store file, so repair
+needs exclusive ownership of the directory.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.campaign.keys import fingerprint_key
-from repro.campaign.store import STORE_FILENAME as _STORE_FILENAME
 from repro.campaign.store import (
+    INDEX_FILENAME,
+    STORE_FILENAME,
     RecordDefect,
     TrialStore,
-    discover_store_files,
+    legacy_shards,
     scan_records,
 )
 from repro.chaos.supervisor import read_quarantine
@@ -66,14 +70,16 @@ class DoctorFinding:
     detail: str
     #: 1-based store line (None for findings outside the store files).
     line: int | None = None
-    #: Store file the finding is about (its basename) — significant for
-    #: sharded stores, where a line number alone is ambiguous.
+    #: Store file the finding is about (its basename): ``trials.jsonl``
+    #: or a legacy shard.
     file: str | None = None
 
     def __str__(self) -> str:
         where = ""
         if self.file is not None and self.line is not None:
             where = f"{self.file} line {self.line}: "
+        elif self.file is not None:
+            where = f"{self.file}: "
         elif self.line is not None:
             where = f"line {self.line}: "
         return f"[{self.severity}] {where}{self.kind} — {self.detail}"
@@ -148,55 +154,64 @@ def _record_problem(
     return None
 
 
-def _scan(store_files: list[pathlib.Path], report: DoctorReport):
-    """Scan every store file into *report*.
+def _scan(run_dir: pathlib.Path, report: DoctorReport):
+    """Scan the store file into *report* and flag legacy shards.
 
-    Returns ``(latest, legacy, tails)``: whether each key's latest
-    record is well-formed, each key's latest legacy record, and each
-    defective tail as ``path -> (byte offset, torn)``. The key tables
-    span all files, so duplicate accounting is store-wide.
+    Returns ``(latest, legacy, tail)``: whether each key's latest
+    record is well-formed, each key's latest legacy record, and the
+    defective tail as ``(byte offset, torn)`` or None.
     """
     latest: dict[str, bool] = {}
     legacy: dict[str, tuple[str, dict[str, Any], dict[str, Any]]] = {}
-    tails: dict[pathlib.Path, tuple[int, bool]] = {}
+    tail: tuple[int, bool] | None = None
     decoded = 0
-    for path in store_files:
-        data = path.read_bytes()
-        line_no = 0
-        for line_no, offset, _raw, item in scan_records(data):
-            if isinstance(item, RecordDefect):
-                detail = str(item)
-                if item.kind == "torn-tail":
-                    detail += "; repair truncates them"
-                    tails[path] = (offset, True)
-                elif item.legacy is not None:
-                    legacy[item.legacy[0]] = item.legacy
-                severity = _DEFECT_SEVERITY[item.kind]
-                report.findings.append(
-                    DoctorFinding(severity, item.kind, detail, line_no, path.name)
-                )
-                continue
-            decoded += 1
-            problem = _record_problem(*item)
-            latest[item[0]] = problem is None
-            if problem is None:
-                report.records += 1
-            else:
-                report.findings.append(
-                    DoctorFinding("error", *problem, line_no, path.name)
-                )
-        if data and not data.endswith(b"\n") and path not in tails:
-            tails[path] = (len(data), False)
+    path = run_dir / STORE_FILENAME
+    data = path.read_bytes() if path.exists() else b""
+    line_no = 0
+    for line_no, offset, _raw, item in scan_records(data):
+        if isinstance(item, RecordDefect):
+            detail = str(item)
+            if item.kind == "torn-tail":
+                detail += "; repair truncates them"
+                tail = (offset, True)
+            elif item.legacy is not None:
+                legacy[item.legacy[0]] = item.legacy
+            severity = _DEFECT_SEVERITY[item.kind]
             report.findings.append(
-                DoctorFinding(
-                    "error",
-                    "unterminated-tail",
-                    "final record is complete but missing its newline; "
-                    "repair terminates it",
-                    line_no,
-                    path.name,
-                )
+                DoctorFinding(severity, item.kind, detail, line_no, path.name)
             )
+            continue
+        decoded += 1
+        problem = _record_problem(*item)
+        latest[item[0]] = problem is None
+        if problem is None:
+            report.records += 1
+        else:
+            report.findings.append(
+                DoctorFinding("error", *problem, line_no, path.name)
+            )
+    if data and not data.endswith(b"\n") and tail is None:
+        tail = (len(data), False)
+        report.findings.append(
+            DoctorFinding(
+                "error",
+                "unterminated-tail",
+                "final record is complete but missing its newline; "
+                "repair terminates it",
+                line_no,
+                path.name,
+            )
+        )
+    for shard in legacy_shards(run_dir):
+        report.findings.append(
+            DoctorFinding(
+                "error",
+                "legacy-layout",
+                "shard file of the retired sharded layout; no reader serves "
+                f"it — repair merges its records into {STORE_FILENAME}",
+                file=shard.name,
+            )
+        )
     report.record_keys = {key for key, good in latest.items() if good}
     # Duplicates (last-write-wins rewrites) are normal for an
     # append-only store; surface the compaction opportunity as info.
@@ -212,14 +227,40 @@ def _scan(store_files: list[pathlib.Path], report: DoctorReport):
                 ),
             )
         )
-    return latest, legacy, tails
+    return latest, legacy, tail
+
+
+def _merge_shards(run_dir: pathlib.Path, shards: list[pathlib.Path]) -> str:
+    """Durably append the legacy shards' decodable records to the store
+    file, then remove the shards and their index."""
+    lines = [
+        raw.strip()
+        for shard in shards
+        for _line_no, _offset, raw, item in scan_records(shard.read_bytes())
+        if not isinstance(item, RecordDefect)
+    ]
+    if lines:
+        with open(run_dir / STORE_FILENAME, "ab") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+    for shard in shards:
+        shard.unlink()
+    (run_dir / INDEX_FILENAME).unlink(missing_ok=True)
+    return (
+        f"merged {len(lines)} record(s) of {len(shards)} legacy shard "
+        f"file(s) into {STORE_FILENAME}"
+    )
 
 
 def _repair(run_dir: pathlib.Path, report: DoctorReport, scan) -> list[str]:
-    """Heal the tails, then compact and migrate; returns the actions."""
-    latest, legacy, tails = scan
+    """Heal the tail, merge legacy shards, then compact and migrate;
+    returns the actions."""
+    latest, legacy, tail = scan
+    path = run_dir / STORE_FILENAME
     actions: list[str] = []
-    for path, (offset, torn) in tails.items():
+    if tail is not None:
+        offset, torn = tail
         with open(path, "ab") as fh:
             if torn:
                 fh.truncate(offset)
@@ -230,6 +271,10 @@ def _repair(run_dir: pathlib.Path, report: DoctorReport, scan) -> list[str]:
         actions.append(f"{path.name}: {action}")
     if all(f.kind in ("torn-tail", "unterminated-tail") for f in report.findings):
         return actions  # the heal cleared everything
+    shards = legacy_shards(run_dir)
+    if shards:
+        actions.append(_merge_shards(run_dir, shards))
+        latest, legacy, _tail = _scan(run_dir, DoctorReport(str(run_dir), str(path)))
     migrated = []
     for key, fingerprint, outcome in legacy.values():
         if latest.get(key) or fingerprint_key(fingerprint) != key:
@@ -293,49 +338,37 @@ def _cross_check(run_dir: pathlib.Path, report: DoctorReport) -> None:
             )
 
 
-def _store_label(run_dir: pathlib.Path, store_files: list[pathlib.Path]) -> str:
-    if len(store_files) == 1:
-        return str(store_files[0])
-    return f"{run_dir} ({len(store_files)} store files)"
-
-
 def diagnose(run_dir: "str | os.PathLike", *, repair: bool = False) -> DoctorReport:
     """Scan (and with *repair*, heal) a run directory.
 
-    Both store layouts are understood: the single ``trials.jsonl`` and
-    the sharded ``trials-NN.jsonl`` set the campaign service writes —
-    every file :func:`~repro.campaign.store.discover_store_files`
-    reports is scanned, and findings name the file they are in.
+    The store is ``trials.jsonl``, read as every loader reads it; each
+    ``trials-NN.jsonl`` shard of the retired sharded layout is a
+    ``legacy-layout`` error until ``--repair`` merges it in.
 
     Without *repair* nothing under *run_dir* is written. After a repair
     the store is rescanned so the returned report — and the CLI's exit
     code — describe the *healed* state.
     """
     run_dir = pathlib.Path(run_dir)
-    store_files = discover_store_files(run_dir)
-    label = (
-        _store_label(run_dir, store_files)
-        if store_files
-        else str(run_dir / _STORE_FILENAME)
-    )
-    report = DoctorReport(run_dir=str(run_dir), store_path=label)
-    if not store_files:
+    store_path = str(run_dir / STORE_FILENAME)
+    report = DoctorReport(run_dir=str(run_dir), store_path=store_path)
+    if not (run_dir / STORE_FILENAME).exists() and not legacy_shards(run_dir):
         report.findings.append(
             DoctorFinding(
                 severity="error",
                 kind="no-store",
-                detail=f"no {_STORE_FILENAME} or trial shards under {run_dir}",
+                detail=f"no {STORE_FILENAME} under {run_dir}",
             )
         )
         return report
 
-    scan = _scan(store_files, report)
+    scan = _scan(run_dir, report)
     actions = _repair(run_dir, report, scan) if repair else []
     if actions:
         # Rescan: the report (and exit code) must describe the healed
         # store.
-        report = DoctorReport(run_dir=str(run_dir), store_path=label)
-        _scan(discover_store_files(run_dir), report)
+        report = DoctorReport(run_dir=str(run_dir), store_path=store_path)
+        _scan(run_dir, report)
         report.repairs.extend(actions)
     _cross_check(run_dir, report)
     return report

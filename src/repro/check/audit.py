@@ -1,9 +1,9 @@
 """Offline replay auditing of a campaign trial cache.
 
 ``repro-ugf check <cache-dir>`` makes the PR-1 campaign store auditable
-after the fact. For every record of every store file — the single
-``trials.jsonl`` or the sharded ``trials-NN.jsonl`` set, read by the
-store's line reader — the auditor
+after the fact. For every record of ``trials.jsonl`` — read by the
+store's line reader, so exactly the lines the loader serves — the
+auditor
 
 1. rebuilds the :class:`TrialSpec` from the stored spec fingerprint
    (the fingerprint was designed to be sufficient for exactly this);
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.campaign.keys import spec_from_fingerprint, trial_key
-from repro.campaign.store import RecordDefect, discover_store_files, scan_records
+from repro.campaign.store import STORE_FILENAME, RecordDefect, scan_records
 from repro.check.theorem import CellVerdict, audit_theorem1
 from repro.errors import CampaignError
 from repro.experiments.config import TrialSpec
@@ -143,10 +143,9 @@ def audit_cache(
 ) -> CacheAudit:
     """Audit every record in *cache_dir*'s trial store.
 
-    Both store layouts are covered — the single ``trials.jsonl`` and
-    the sharded ``trials-NN.jsonl`` files the campaign service writes
-    (every file :func:`~repro.campaign.store.discover_store_files`
-    reports is audited).
+    What is audited is what the loader serves: ``trials.jsonl``. Shards
+    of the retired sharded layout are not read until ``repro-ugf doctor
+    --repair`` merges them in.
 
     ``replay=False`` restricts the audit to structural checks (parse +
     content address), which is cheap enough for very large caches;
@@ -155,13 +154,14 @@ def audit_cache(
     cache_dir = pathlib.Path(cache_dir)
     records: list[RecordAudit] = []
     outcomes: list[Outcome] = []
-    for path in discover_store_files(cache_dir):
-        for line_no, _offset, _raw, item in scan_records(path.read_bytes()):
-            if max_records is not None and len(records) >= max_records:
-                break
-            records.append(_audit_record(line_no, item, replay, outcomes))
-            if progress is not None:
-                progress(records[-1])
+    path = cache_dir / STORE_FILENAME
+    data = path.read_bytes() if path.exists() else b""
+    for line_no, _offset, _raw, item in scan_records(data):
+        if max_records is not None and len(records) >= max_records:
+            break
+        records.append(_audit_record(line_no, item, replay, outcomes))
+        if progress is not None:
+            progress(records[-1])
     verdicts = audit_theorem1(outcomes, alpha=alpha) if outcomes else []
     return CacheAudit(
         path=cache_dir,

@@ -42,7 +42,7 @@ Every option is declared once, as an argparse ``parents=`` group;
 ``metrics``, ``backend``) except ``service`` (``--cache-url
 --service-timeout``: run, figure, sweep, report), ``campaign``
 (``--cache-dir --workers --fault-plan``: figure, sweep, report, serve),
-``cache`` (``--no-cache --fresh --store-backend --trial-timeout``:
+``cache`` (``--no-cache --fresh --trial-timeout``:
 figure, sweep, report) and ``run-dir`` (doctor, stats); ``_protocol``,
 ``_size`` (``-n -f``), ``_seeds`` build those whose defaults differ per
 command. A ``ConfigurationError`` from a handler is bad input: exit 2.
@@ -166,8 +166,8 @@ def _flag_groups() -> dict[str, argparse.ArgumentParser]:
     g["campaign"].add_argument(
         "--cache-dir",
         type=pathlib.Path,
-        help="trial-cache directory; on 'serve', where the shared sharded "
-        f"store lives {_CACHE_DEFAULT}",
+        help="trial-cache directory; on 'serve', where the shared store "
+        f"lives {_CACHE_DEFAULT}",
     )
     g["campaign"].add_argument(
         "--workers",
@@ -192,14 +192,6 @@ def _flag_groups() -> dict[str, argparse.ArgumentParser]:
         "--fresh",
         action="store_true",
         help="ignore previously cached results on read but still record new ones",
-    )
-    g["cache"].add_argument(
-        "--store-backend",
-        default="auto",
-        choices=["auto", "jsonl", "sharded"],
-        help="trial-store layout (docs/SERVICE.md): 'auto' detects the "
-        "on-disk layout, 'jsonl' is the single-file store, 'sharded' "
-        "splits by content-address prefix with an offset index",
     )
     g["cache"].add_argument(
         "--trial-timeout",
@@ -522,7 +514,6 @@ def _make_campaign(args: argparse.Namespace):
         fault_plan=_fault_plan(args),
         # The one flag a caller lacks: 'report' takes no --backend.
         backend=getattr(args, "backend", "auto"),
-        store_backend=args.store_backend,
     )
     if args.cache_url is not None:
         from repro.service import ServiceCampaign
@@ -650,7 +641,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     with _make_campaign(args) as campaign:
         result = run_figure3_panel(
             args.panel,
-            full=args.full or None,
+            full=args.full,
             seeds=seeds,
             campaign=campaign,
             topology=args.topology,
@@ -930,7 +921,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sanitize=args.sanitize,
         metrics=args.metrics,
         backend=args.backend,
-        store_backend="sharded",
         memo_limit=DAEMON_MEMO_LIMIT,
         fault_plan=_fault_plan(args),
     )

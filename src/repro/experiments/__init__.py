@@ -25,7 +25,6 @@ from repro.experiments.figure3 import (
     PanelResult,
     PanelSpec,
     figure3_sweeps,
-    full_grid_enabled,
     run_figure3_panel,
 )
 from repro.experiments.report import (
@@ -72,7 +71,6 @@ __all__ = [
     "PanelResult",
     "PanelSpec",
     "figure3_sweeps",
-    "full_grid_enabled",
     "run_figure3_panel",
     "format_table",
     "panel_csv",

@@ -19,14 +19,12 @@ Parameters follow §V-A: N in {10, 20, 30, 50, 70, 100, 200, 300, 400,
 k = l = 1.
 
 The *full* grid is expensive (SEARS at N = 500 moves ~70k messages per
-step); by default a laptop-scale grid is used and the full grid is
-enabled with the ``REPRO_FULL=1`` environment variable or
-``full=True``.
+step); by default a laptop-scale grid is used and ``full=True`` (the
+CLI's ``figure --full``) selects the paper's.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -39,7 +37,6 @@ __all__ = [
     "PanelResult",
     "figure3_sweeps",
     "run_figure3_panel",
-    "full_grid_enabled",
     "PAPER_N_GRID",
     "DEFAULT_N_GRID",
     "PAPER_SEEDS",
@@ -82,11 +79,6 @@ PANELS: dict[str, PanelSpec] = {
 CURVES = ("no-adversary", "ugf", "max-ugf")
 
 
-def full_grid_enabled() -> bool:
-    """True when the environment requests the paper's full grid."""
-    return os.environ.get("REPRO_FULL", "") not in ("", "0", "false", "no")
-
-
 def figure3_sweeps(
     panel: str,
     *,
@@ -108,8 +100,6 @@ def figure3_sweeps(
         raise ConfigurationError(
             f"unknown panel {panel!r}; available: {', '.join(PANELS)}"
         ) from None
-    if full is None:
-        full = full_grid_enabled()
     if n_values is None:
         n_values = PAPER_N_GRID if full else DEFAULT_N_GRID
     if seeds is None:

@@ -5,7 +5,7 @@ per-run-dir artifact into a long-lived *service* (docs/SERVICE.md):
 
 - :class:`TrialService` / ``repro-ugf serve`` — an asyncio daemon
   (TCP and/or unix socket, newline-delimited JSON frames) that owns
-  one sharded trial store, accepts trial-spec batches from many
+  one trial store, accepts trial-spec batches from many
   concurrent clients, dedups in-flight work by content address (the
   second requester awaits the first's future instead of recomputing),
   schedules misses across the campaign worker pool / backend router,

@@ -3,7 +3,7 @@
 :class:`TrialService` is an asyncio server speaking the NDJSON frame
 protocol of :mod:`repro.service.protocol` over TCP and/or a unix
 socket. It owns exactly one :class:`~repro.campaign.Campaign` — and
-through it the sharded trial store, the worker pool, and the
+through it the trial store, the worker pool, and the
 scalar/batch backend router — and multiplexes any number of client
 connections onto it.
 
@@ -72,7 +72,7 @@ _MAX_SCHEDULE_BATCH = 512
 
 #: Memo entries the daemon's campaign retains (see Campaign.memo_limit):
 #: a long-lived process must not accumulate one resident Outcome per
-#: trial it ever served — the sharded store already holds them on disk.
+#: trial it ever served — the store already holds them on disk.
 DAEMON_MEMO_LIMIT = 4096
 
 #: Admission-control ceiling: most trials that may sit in the pending

@@ -59,9 +59,7 @@ _CLIENT_SIDE = ["conn-refuse", "conn-drop", "frame-tear", "slow-peer"]
 def _sweep_through_faulted_client(plan_name, tmp_path, baseline):
     """One client-side-faulted sweep; returns (client metrics, daemon counters)."""
     plan = shipped_service_plans()[plan_name]
-    daemon_campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded"
-    )
+    daemon_campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
     metrics = MetricsRegistry()
     with ServiceThread(
         daemon_campaign, unix_path=str(tmp_path / "svc.sock")
@@ -140,7 +138,6 @@ def test_server_side_fault_converges_byte_identical(plan_name, tmp_path, baselin
     daemon_campaign = Campaign(
         cache_dir=tmp_path / "shared",
         workers=0,
-        store_backend="sharded",
         fault_plan=plan,
     )
     metrics = MetricsRegistry()
@@ -186,7 +183,7 @@ def test_faults_clear_and_later_batches_run_remote(tmp_path, baseline):
     no retries, answered from the daemon's store."""
     plan = shipped_service_plans()["conn-drop"]
     daemon_campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded",
+        cache_dir=tmp_path / "shared", workers=0,
         fault_plan=plan,
     )
     metrics = MetricsRegistry()
@@ -225,7 +222,7 @@ def test_cli_sweep_through_faulted_daemon_completes(tmp_path, monkeypatch):
 
     plan = shipped_service_plans()["conn-drop"]
     daemon_campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded",
+        cache_dir=tmp_path / "shared", workers=0,
         fault_plan=plan,
     )
     with ServiceThread(

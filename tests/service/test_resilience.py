@@ -164,7 +164,6 @@ def test_vanished_submitter_is_counted_and_dedup_clients_still_answered(tmp_path
     campaign = Campaign(
         cache_dir=tmp_path / "shared",
         workers=0,
-        store_backend="sharded",
         metrics=MetricsRegistry(),
     )
     started = threading.Event()
@@ -224,9 +223,7 @@ def test_vanished_submitter_is_counted_and_dedup_clients_still_answered(tmp_path
 
 
 def test_full_pending_queue_answers_busy_with_retry_hint(tmp_path):
-    campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded"
-    )
+    campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
     with ServiceThread(
         campaign,
         unix_path=str(tmp_path / "svc.sock"),
@@ -245,9 +242,7 @@ def test_busy_rejection_is_retried_and_absorbed(tmp_path):
     """The client's retry loop honours the busy hint: once the daemon
     stops refusing admission, the resubmit goes through — no fallback,
     no error."""
-    campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded"
-    )
+    campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
     metrics = MetricsRegistry()
     with ServiceThread(campaign, unix_path=str(tmp_path / "svc.sock")) as host:
         host.service._draining = True  # refuse admission...
@@ -278,9 +273,7 @@ def test_busy_rejection_is_retried_and_absorbed(tmp_path):
 
 
 def test_idle_connections_are_reaped(tmp_path):
-    campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded"
-    )
+    campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
     with ServiceThread(
         campaign, unix_path=str(tmp_path / "svc.sock"), idle_timeout=0.2
     ) as host:
@@ -309,7 +302,6 @@ def test_graceful_drain_finishes_in_flight_work(tmp_path):
     campaign = Campaign(
         cache_dir=tmp_path / "shared",
         workers=0,
-        store_backend="sharded",
         metrics=MetricsRegistry(),
     )
     started = threading.Event()
@@ -386,9 +378,7 @@ def test_fallen_back_campaign_reconnects_when_the_daemon_returns(tmp_path):
     assert all(r.ok for r in first)
     assert campaign._remote_down
 
-    daemon_campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded"
-    )
+    daemon_campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
     with ServiceThread(daemon_campaign, unix_path=str(sock)) as host:
         second = campaign.run_trials([trial(1)])
         assert all(r.ok for r in second)

@@ -45,11 +45,10 @@ def wires(results) -> list[str]:
 
 @pytest.fixture
 def daemon(tmp_path):
-    """A live daemon on a unix socket, sharded store, inline workers."""
+    """A live daemon on a unix socket, its own store, inline workers."""
     campaign = Campaign(
         cache_dir=tmp_path / "shared",
         workers=0,
-        store_backend="sharded",
         metrics=MetricsRegistry(),
     )
     host = ServiceThread(campaign, unix_path=str(tmp_path / "svc.sock"))
@@ -144,9 +143,7 @@ def test_failed_trials_come_back_as_failed_results(daemon, tmp_path):
 
 
 def test_concurrent_clients_dedup_onto_one_computation(tmp_path):
-    campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded"
-    )
+    campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
     started = threading.Event()
     release = threading.Event()
     compute_calls: list[list[str]] = []
@@ -301,9 +298,7 @@ def test_bad_spec_in_batch_fails_only_that_trial(daemon):
 
 
 def test_client_reports_closed_daemon_as_service_error(tmp_path):
-    campaign = Campaign(
-        cache_dir=tmp_path / "shared", workers=0, store_backend="sharded"
-    )
+    campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
     host = ServiceThread(campaign, unix_path=str(tmp_path / "svc.sock"))
     host.start()
     client = ServiceClient(host.url, timeout=30)

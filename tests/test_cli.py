@@ -569,9 +569,17 @@ def test_sweep_backends_print_identical_csv(capsys):
 
 
 def test_sweep_store_backend_auto_detects_a_sharded_cache(tmp_path, capsys):
-    args = ["sweep", *CELL, "--adversary", "none", "--cache-dir", str(tmp_path / "c")]
-    assert main([*args, "--store-backend", "sharded"]) == 0
+    cache = tmp_path / "c"
+    args = ["sweep", *CELL, "--adversary", "none", "--cache-dir", str(cache)]
+    assert main(args) == 0
     assert "2 executed, 0 cached" in capsys.readouterr().err
+    # Leave the cache as the retired sharded layout would: one shard.
+    (cache / "trials.jsonl").rename(cache / "trials-00.jsonl")
+    (cache / "store-index.json").unlink()
+    assert main(["doctor", str(cache)]) == 1
+    assert "legacy-layout" in capsys.readouterr().err
+    assert main(["doctor", str(cache), "--repair"]) == 0
+    capsys.readouterr()
     assert main(args) == 0
     assert "0 executed, 2 cached" in capsys.readouterr().err
 
