@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.campaign.keys import spec_fingerprint, trial_key
+from repro.campaign.store import INDEX_FILENAME, encode_record
+from repro.chaos.doctor import diagnose
 from repro.core.adversary import NullAdversary
 from repro.core.registry import make_adversary
+from repro.experiments.config import TrialSpec
+from repro.experiments.runner import run_trial
 from repro.protocols.registry import make_protocol
 from repro.sim.engine import SimulationReport, simulate
 
@@ -37,6 +44,75 @@ def run(
 @pytest.fixture
 def null_adversary() -> NullAdversary:
     return NullAdversary()
+
+
+def _legacy_sharded_dir(run_dir, specs, shards: int = 16) -> dict[str, bytes]:
+    """*run_dir* as the retired sharded layout left it: ``trials-NN.jsonl``
+    shards placed by the key's first two hex digits, plus that layout's
+    v1 offset index. Returns each key's store line."""
+    lines: dict[str, bytes] = {}
+    placed: dict[int, list[tuple[str, bytes]]] = {}
+    for spec in specs:
+        key = trial_key(spec)
+        line = encode_record(key, spec_fingerprint(spec), run_trial(spec).to_wire())
+        lines[key] = line.encode()
+        placed.setdefault(int(key[:2], 16) % shards, []).append((key, lines[key]))
+    entries, sizes = {}, {}
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for shard, items in placed.items():
+        offset = 0
+        for key, line in items:
+            entries[key] = [shard, offset, len(line)]
+            offset += len(line) + 1
+        (run_dir / f"trials-{shard:02d}.jsonl").write_bytes(
+            b"".join(line + b"\n" for _, line in items)
+        )
+        sizes[str(shard)] = offset
+    index = {"v": 1, "shards": shards, "sizes": sizes, "entries": entries}
+    (run_dir / INDEX_FILENAME).write_text(json.dumps(index))
+    return lines
+
+
+@pytest.fixture
+def legacy_sharded_dir():
+    """Builds a directory in the retired sharded layout; see
+    :func:`_legacy_sharded_dir`."""
+    return _legacy_sharded_dir
+
+
+@pytest.fixture
+def carry_over():
+    """``carry_over(run_dir, layout)`` leaves *run_dir* as a cache that the
+    store inherits from one of its earlier layouts, holding two records
+    no test writes itself, and returns each key's store line.
+
+    * ``"jsonl"``: a bare ``trials.jsonl`` with no offset index, which the
+      first load scans in full and indexes;
+    * ``"sharded"``: ``trials-NN.jsonl`` shards plus their v1 index,
+      migrated by ``doctor --repair`` into ``trials.jsonl``.
+    """
+
+    def build(run_dir, layout: str) -> dict[str, bytes]:
+        specs = [
+            TrialSpec(protocol="flood", adversary="none", n=5, f=1, seed=100 + s)
+            for s in range(2)
+        ]
+        if layout == "sharded":
+            lines = _legacy_sharded_dir(run_dir, specs)
+            assert diagnose(run_dir, repair=True).ok
+            return lines
+        assert layout == "jsonl", layout
+        lines = {
+            trial_key(s): encode_record(
+                trial_key(s), spec_fingerprint(s), run_trial(s).to_wire()
+            ).encode()
+            for s in specs
+        }
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "trials.jsonl").write_bytes(b"".join(line + b"\n" for line in lines.values()))
+        return lines
+
+    return build
 
 
 @pytest.fixture(autouse=True)
