@@ -213,10 +213,10 @@ class Campaign:
     def _memoize(self, key: str, outcome: Outcome) -> None:
         memo = self._memo
         memo[key] = outcome
-        if self.memo_limit is not None and len(memo) > self.memo_limit:
+        if self.memo_limit is not None:
             # dicts iterate in insertion order: drop the oldest entries.
-            for stale in list(memo)[: len(memo) - self.memo_limit]:
-                del memo[stale]
+            while len(memo) > self.memo_limit:
+                del memo[next(iter(memo))]
 
     def _lookup(self, key: str | None) -> Outcome | None:
         if key is None:
@@ -252,6 +252,19 @@ class Campaign:
     ) -> list[TrialResult]:
         """Satisfy every spec — from cache where possible — in order."""
         specs = list(specs)
+        keys = [trial_key(s) if self.use_cache else None for s in specs]
+        return self._run_keyed(specs, keys, progress=progress)
+
+    def _run_keyed(
+        self,
+        specs: list[TrialSpec],
+        keys: list[str | None],
+        *,
+        progress: ProgressCallback | None = None,
+    ) -> list[TrialResult]:
+        """:meth:`run_trials` for a caller that already holds each
+        spec's :func:`trial_key` (None for all when not caching). Keys
+        ignore ``sanitize``, so they hold across the substitution below."""
         callback = progress if progress is not None else self.progress
         total = len(specs)
         done = 0
@@ -304,11 +317,10 @@ class Campaign:
         first_pending: dict[str, int] = {}
         duplicates: list[tuple[int, int]] = []  # (index, primary index)
 
-        for i, spec in enumerate(specs):
+        for i, (spec, key) in enumerate(zip(specs, keys)):
             if self.sanitize is not None and spec.sanitize is None:
                 spec = replace(spec, sanitize=self.sanitize)
                 specs[i] = spec
-            key = trial_key(spec) if self.use_cache else None
             outcome = self._lookup(key)
             if outcome is not None:
                 results[i] = TrialResult(spec=spec, outcome=outcome, cached=True)

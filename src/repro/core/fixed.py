@@ -4,7 +4,8 @@ The paper's related-work discussion (§VI, after [14]) contrasts the
 adaptive adversary with the *oblivious* one, which fixes its entire
 attack before the execution starts and is "not sufficiently powerful
 to harm the dissemination". :class:`ObliviousAdversary` implements it
-so the contrast can be measured (``benchmarks/bench_oblivious.py``).
+so the contrast can be measured (the ``oblivious/*`` claims of
+``experiments/claims.py``).
 
 :class:`ScheduledAdversary` executes an explicit user-written script of
 crashes and retimings — the workhorse of the kernel's own test suite.
@@ -117,7 +118,7 @@ class OmissionAdversary(GroupStrategy):
     This power is **beyond Definition II.5** (a delaying adversary
     keeps ``d_rho`` finite), which is exactly the paper's open
     question: is omission strictly stronger than delay? The answer,
-    measured in ``benchmarks/bench_omission.py``: yes, and
+    measured by the ``omission`` claim of ``experiments/claims.py``: yes, and
     qualitatively so — delay attacks tax *efficiency* (quadratic
     messages, linear time) while omission defeats *correctness* (rumor
     gathering fails: the silenced processes are correct, yet their

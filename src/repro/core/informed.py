@@ -21,7 +21,7 @@ profile:
 Unlike UGF this adversary is *not* covered by the universality
 theorem — a protocol aware of the heuristic could shape its first
 steps to mislead it; the probe also burns steps in which nothing is
-attacked. The accompanying bench (``benchmarks/bench_informed.py``)
+attacked. The ``informed`` claim of ``experiments/claims.py``
 measures whether the information pays for the lost universality, which
 is precisely the paper's open question made concrete.
 """

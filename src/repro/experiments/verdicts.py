@@ -3,8 +3,8 @@
 The reproduction's contract is about *shapes*: which curve dominates
 and which growth family each follows. This module turns a regenerated
 panel into a structured :class:`PanelVerdict` — the single source of
-truth shared by the benchmark assertions
-(`benchmarks/bench_figure3.py`), the CLI output and EXPERIMENTS.md.
+truth shared by the ``fig3*`` claims of ``experiments/claims.py``, the
+CLI output and EXPERIMENTS.md.
 
 Checks per panel kind:
 

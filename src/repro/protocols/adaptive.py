@@ -14,8 +14,8 @@ pull-every-corpse phase that gives Push-Pull its Θ(F) time floor.
 
 With width growing by one per silent step, covering the ~F/2 corpses
 takes ~sqrt(F) local steps instead of ~F/2 — hedging buys the *time*
-axis back to sublinear. What it cannot buy back
-(``benchmarks/bench_adaptation.py``) is the *message* axis: Strategy
+axis back to sublinear. What it cannot buy back (the ``adaptation``
+claim in ``experiments/claims.py``) is the *message* axis: Strategy
 2.k.l's delayed group still extracts the same near-quadratic pull tax,
 because during the window in which the hedge decides, Strategy 1 and
 Strategy 2.k.l are indistinguishable (Lemma 1) — no local policy can

@@ -5,7 +5,8 @@ process per step during N-1 steps (following the order it created)."
 Its complexities are ``M(O) = Theta(N^2)`` and ``T(O) = Theta(N)`` for
 every outcome, which the paper uses to anchor what *inefficient* means;
 we use it to validate the complexity meters end-to-end
-(``benchmarks/bench_example1.py`` and the analysis tests).
+(the ``example1`` claim of ``experiments/claims.py`` and the analysis
+tests).
 
 The sort order here is the rotation ``rho+1, rho+2, ..., rho-1``
 (mod N), which spreads load evenly across receivers; any fixed order

@@ -356,7 +356,8 @@ class ServiceClient:
     def submit(self, specs: Sequence[TrialSpec]) -> list[TrialReply]:
         """Run *specs* through the daemon; replies in submission order.
 
-        Streams arrive in completion order and are restored by index.
+        Frames arrive one scheduler wave at a time, in claim order
+        within a wave, and are restored to submission order by index.
         Raises :class:`ServiceError` only for transport/protocol
         failure — per-trial failures are ``failed`` replies. With a
         retry policy armed, transport failures and ``busy`` rejections

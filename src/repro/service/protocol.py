@@ -15,9 +15,9 @@ Client → server ops (every frame carries ``"v": PROTO_VERSION`` and
   and identity. Optional but recommended: a version mismatch surfaces
   here instead of as a confusing submit failure.
 - ``submit`` — ``{"id": <client-chosen tag>, "trials": [<spec wire>…]}``.
-  The server streams one ``outcome`` frame per trial *as it
-  completes* (cache hits first, computed misses later, completion
-  order) and finishes with a ``done`` frame. ``i`` indexes into the
+  The server streams one ``outcome`` frame per trial, one scheduler
+  wave at a time (claim order within a wave), and finishes with a
+  ``done`` frame. ``i`` indexes into the
   submitted batch so the client can restore submission order.
 - ``stats`` — dedup/hit/compute counters snapshot.
 - ``ping`` — liveness.

@@ -11,14 +11,15 @@ The scheduling core is the **in-flight table**: ``content address →
 asyncio.Future``. Every submitted trial resolves its key; a key with a
 live future attaches to it (counted ``dedup_inflight`` — the second
 requester never recomputes, it *waits*), a fresh key enqueues for
-execution. A single scheduler task drains the queue in batches and
-runs them through ``Campaign.run_trials`` on a one-thread executor, so
-the campaign — which is not thread-safe — always executes from exactly
-one thread while the event loop keeps accepting frames. Store hits
+execution. A single scheduler task drains the queue in waves and runs
+them on a one-thread executor through the campaign, handing it the
+keys already claimed so each trial is hashed once. The campaign, which
+is not thread-safe, thus always executes from exactly one thread while
+the event loop keeps accepting frames. Store hits
 inside the campaign stay cheap; real misses fan out across the worker
-pool / batch engine exactly as they do locally. As each batch
-finishes, futures resolve and every waiting connection streams its
-outcome frames in completion order.
+pool / batch engine exactly as they do locally. As each wave
+finishes, its futures resolve and every waiting connection writes the
+frames that wave owes it in one write, in claim order within the wave.
 
 Together the two layers give the fleet guarantee (docs/SERVICE.md):
 the store dedups across time, the in-flight table dedups across *now*
@@ -50,6 +51,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterable
 
+from repro.campaign.campaign import Campaign
 from repro.campaign.keys import trial_key
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
@@ -257,9 +259,11 @@ class TrialService:
             self._unix_path = None
 
     @staticmethod
-    def _fail_future(fut: asyncio.Future) -> None:
+    def _fail_future(
+        fut: asyncio.Future, message: str = "service shutting down"
+    ) -> None:
         if not fut.done():
-            fut.set_exception(CampaignError("service shutting down"))
+            fut.set_exception(CampaignError(message))
             # The waiting stream may already be cancelled; mark the
             # exception retrieved so teardown never logs phantoms.
             fut.exception()
@@ -332,18 +336,16 @@ class TrialService:
                     items.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
+            keys = [key for key, _spec, _fut in items]
             specs = [spec for _key, spec, _fut in items]
             try:
                 results = await loop.run_in_executor(
-                    self._executor, self.campaign.run_trials, specs
+                    self._executor, self._run_wave, specs, keys
                 )
             except Exception as exc:
                 for key, _spec, fut in items:
                     self._inflight.pop(key, None)
-                    if not fut.done():
-                        fut.set_exception(
-                            CampaignError(f"batch execution failed: {exc}")
-                        )
+                    self._fail_future(fut, f"batch execution failed: {exc}")
                 continue
             for (key, _spec, fut), result in zip(items, results):
                 self._inflight.pop(key, None)
@@ -357,6 +359,18 @@ class TrialService:
                     self.counters["computed"] += 1
                 if not fut.done():
                     fut.set_result(result)
+
+    def _run_wave(self, specs: list[TrialSpec], keys: list[str]) -> list:
+        """One wave on the executor thread, hashed once: a plain caching
+        :class:`Campaign` takes the claimed keys through ``_run_keyed``;
+        any other ``run_trials`` (a subclass's, or one wrapped on the
+        instance) is honoured as is."""
+        campaign = self.campaign
+        run_trials = campaign.run_trials
+        own = getattr(run_trials, "__func__", None) is Campaign.run_trials
+        if own and campaign.use_cache:
+            return campaign._run_keyed(specs, keys)
+        return run_trials(specs)
 
     def _count_metric(self, name: str, value: int = 1) -> None:
         metrics = getattr(self.campaign, "metrics", None)
@@ -373,8 +387,15 @@ class TrialService:
     async def _send(
         self, writer: asyncio.StreamWriter, lock: asyncio.Lock, frame: dict
     ) -> None:
+        await self._write(writer, lock, [encode_frame(frame)])
+
+    @staticmethod
+    async def _write(
+        writer: asyncio.StreamWriter, lock: asyncio.Lock, frames: list[bytes]
+    ) -> None:
+        """Encoded frames onto the socket as one write and one drain."""
         async with lock:
-            writer.write(encode_frame(frame))
+            writer.write(b"".join(frames))
             await writer.drain()
 
     async def _handle_connection(
@@ -589,8 +610,12 @@ class TrialService:
         self.counters["trials"] += len(trials)
         self._count_metric("service.requests")
         self._count_metric("service.trials", len(trials))
-        claims: list[tuple[int, str, asyncio.Future, bool]] = []
         counts = {"hit": 0, "computed": 0, "dedup": 0, "failed": 0}
+        # Frames owed but not yet written; specs that do not parse are
+        # answered with the first wave.
+        frames: list[bytes] = []
+        # Deduplicated duplicates within the request share one future.
+        claims: dict[asyncio.Future, list[tuple[int, str, bool]]] = {}
         for i, wire in enumerate(trials):
             try:
                 spec = spec_from_wire(wire)
@@ -598,97 +623,81 @@ class TrialService:
             except ConfigurationError as exc:
                 counts["failed"] += 1
                 self.counters["failed"] += 1
-                await self._send(
-                    writer,
-                    lock,
-                    {
-                        "v": PROTO_VERSION,
-                        "op": "outcome",
-                        "id": req_id,
-                        "i": i,
-                        "status": "failed",
-                        "error": str(exc),
-                    },
-                )
+                frames.append(encode_frame({
+                    "v": PROTO_VERSION, "op": "outcome", "id": req_id, "i": i,
+                    "status": "failed", "error": str(exc),
+                }))
                 continue
             fut, attached = self._claim(key, spec)
-            claims.append((i, key, fut, attached))
+            claims.setdefault(fut, []).append((i, key, attached))
 
-        async def resolved(i: int, key: str, fut: asyncio.Future, attached: bool):
-            result = await asyncio.shield(fut)
-            return i, key, result, attached
-
+        # One write per scheduler wave. asyncio.wait never cancels what
+        # it waits on: a stream cut off here leaves the computations
+        # running for every client attached to them.
         sent = 0
-        for coro in asyncio.as_completed(
-            [resolved(*claim) for claim in claims]
-        ):
-            try:
-                i, key, result, attached = await coro
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # Batch-level failure surfaced through the future; the
-                # indices it covered get failure frames via the other
-                # coroutines, so report and stop this one.
-                await self._send(
-                    writer,
-                    lock,
-                    {
-                        "v": PROTO_VERSION,
-                        "op": "error",
-                        "id": req_id,
-                        "error": str(exc),
-                    },
-                )
-                continue
-            out: dict[str, Any] = {
-                "v": PROTO_VERSION,
-                "op": "outcome",
-                "id": req_id,
-                "i": i,
-                "key": key,
-            }
-            if result.outcome is not None:
-                status = (
-                    "dedup" if attached else ("hit" if result.cached else "computed")
-                )
-                out["status"] = status
-                out["wire"] = result.outcome.to_wire()
-                if result.backend is not None:
-                    out["backend"] = result.backend
-                counts[status] += 1
-            else:
-                out["status"] = "failed"
-                out["error"] = result.error
-                counts["failed"] += 1
+        waiting = set(claims)
+        while waiting:
+            done, waiting = await asyncio.wait(
+                waiting, return_when=asyncio.FIRST_COMPLETED
+            )
+            wave = sorted((claim, fut) for fut in done for claim in claims[fut])
+            for (i, key, attached), fut in wave:
+                if fut.exception() is not None:
+                    # A batch-level failure surfaced through the future.
+                    frames.append(encode_frame({
+                        "v": PROTO_VERSION, "op": "error", "id": req_id,
+                        "error": str(fut.exception()),
+                    }))
+                    continue
+                result = fut.result()
+                out: dict[str, Any] = {
+                    "v": PROTO_VERSION,
+                    "op": "outcome",
+                    "id": req_id,
+                    "i": i,
+                    "key": key,
+                }
+                if result.outcome is not None:
+                    status = (
+                        "dedup" if attached else ("hit" if result.cached else "computed")
+                    )
+                    out["status"] = status
+                    out["wire"] = result.outcome.to_wire()
+                    if result.backend is not None:
+                        out["backend"] = result.backend
+                    counts[status] += 1
+                else:
+                    out["status"] = "failed"
+                    out["error"] = result.error
+                    counts["failed"] += 1
+                frames.append(encode_frame(out))
             if tear_rule is not None:
                 # The peer receives half an NDJSON line, then the
                 # transport dies: a torn frame, never a parseable one.
                 self._note_injected("service.frame_tear")
-                payload = encode_frame(out)
+                payload = frames[0]
                 async with lock:
                     writer.write(payload[: max(1, len(payload) // 2)])
                     with contextlib.suppress(ConnectionError, OSError):
                         await writer.drain()
                     writer.transport.abort()
                 return
-            if drop_rule is not None and sent >= 1:
-                # Mid-stream reset: at least one outcome frame made it.
+            if drop_rule is not None and sent + len(frames) > 1:
+                # Mid-stream reset: exactly one outcome frame made it.
                 self._note_injected("service.conn_drop")
+                await self._write(writer, lock, frames[: 1 - sent])
                 writer.transport.abort()
                 return
-            await self._send(writer, lock, out)
-            sent += 1
+            await self._write(writer, lock, frames)
+            sent += len(frames)
+            frames = []
         if drop_rule is not None:
             # A one-trial batch: reset between the outcome and `done`.
             self._note_injected("service.conn_drop")
             writer.transport.abort()
             return
-        await self._send(
-            writer,
-            lock,
-            {"v": PROTO_VERSION, "op": "done", "id": req_id, "counts": counts},
-        )
+        final = {"v": PROTO_VERSION, "op": "done", "id": req_id, "counts": counts}
+        await self._write(writer, lock, [*frames, encode_frame(final)])
 
 
 # -- hosting -------------------------------------------------------------------

@@ -227,8 +227,8 @@ class Network:
 
         Called once by the engine at end of run: per-message events are
         too hot for a registry ``count()`` each (the < 5% overhead gate
-        in ``benchmarks/bench_obs.py``), so they accumulate as plain
-        ints and land in the registry here.
+        is the ``metrics`` row of ``benchmarks/gates.py``), so they
+        accumulate as plain ints and land in the registry here.
         """
         m = self._metrics
         if m is None:

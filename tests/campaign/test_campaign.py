@@ -154,3 +154,31 @@ def test_progress_counts_are_batch_local():
         campaign.run_sweep(SWEEP)
     assert [e.done for e in events] == list(range(1, SWEEP.n_trials + 1))
     assert all(e.total == SWEEP.n_trials for e in events)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3])
+def test_memo_limit_evicts_oldest_first(limit):
+    """Past ``memo_limit`` the oldest insertions go first (FIFO: a
+    re-stored key keeps its place), and the memo never exceeds the cap."""
+    with Campaign(workers=1, memo_limit=limit) as campaign:
+        inserted = []
+        for i in range(6):
+            campaign._memoize(f"k{i}", i)
+            inserted.append(f"k{i}")
+            assert list(campaign._memo) == inserted[max(0, len(inserted) - limit) :]
+        if limit:
+            oldest = next(iter(campaign._memo))
+            campaign._memoize(oldest, "again")
+            campaign._memoize("k6", 6)
+            assert oldest not in campaign._memo
+            assert len(campaign._memo) == limit
+
+
+def test_memo_limit_holds_the_newest_results_of_a_batch():
+    specs = [
+        TrialSpec(protocol="flood", adversary="none", n=6, f=1, seed=s)
+        for s in range(5)
+    ]
+    with Campaign(workers=1, memo_limit=2) as campaign:
+        campaign.run_trials(specs)
+        assert list(campaign._memo) == [trial_key(s) for s in specs[-2:]]
