@@ -151,6 +151,12 @@ class Campaign:
         at all: the chaos plane costs nothing when off.
     """
 
+    #: Who answers this campaign's cache misses when it is not this
+    #: process (a :class:`~repro.service.client.ServiceCampaign`'s
+    #: daemon): its caches then stand in for the local store, which
+    #: :meth:`_lookup` skips. None for a local campaign.
+    _via: str | None = None
+
     def __init__(
         self,
         *,
@@ -227,6 +233,8 @@ class Campaign:
             if m is not None:
                 m.count("campaign.memo_hits")
             return hit
+        if self._via is not None:
+            return None  # the daemon's caches answer the rest
         if self.store is not None and not self.fresh:
             if m is not None:
                 lookup_t0 = time.perf_counter()
@@ -249,10 +257,19 @@ class Campaign:
         specs,
         *,
         progress: ProgressCallback | None = None,
+        keys: list[str] | None = None,
     ) -> list[TrialResult]:
-        """Satisfy every spec — from cache where possible — in order."""
+        """Satisfy every spec — from cache where possible — in order.
+
+        *keys*, when given, are the specs' :func:`trial_key` values a
+        caller already holds (the daemon's claims); they are ignored
+        when not caching. Keys ignore ``sanitize``, so they hold across
+        the substitution in :meth:`_run_keyed`."""
         specs = list(specs)
-        keys = [trial_key(s) if self.use_cache else None for s in specs]
+        if not self.use_cache:
+            keys = [None] * len(specs)
+        elif keys is None:
+            keys = [trial_key(s) for s in specs]
         return self._run_keyed(specs, keys, progress=progress)
 
     def _run_keyed(
@@ -262,9 +279,10 @@ class Campaign:
         *,
         progress: ProgressCallback | None = None,
     ) -> list[TrialResult]:
-        """:meth:`run_trials` for a caller that already holds each
-        spec's :func:`trial_key` (None for all when not caching). Keys
-        ignore ``sanitize``, so they hold across the substitution below."""
+        """The one campaign loop: memo/store hits and in-batch
+        duplicates here, cache misses through :meth:`_execute`, and the
+        stats, telemetry, progress, memo and store bookkeeping for all
+        of them."""
         callback = progress if progress is not None else self.progress
         total = len(specs)
         done = 0
@@ -278,6 +296,7 @@ class Campaign:
             outcome: Outcome | None = None,
             seconds: float | None = None,
             backend: str | None = None,
+            via: str | None = None,
         ) -> None:
             nonlocal done
             done += 1
@@ -288,12 +307,15 @@ class Campaign:
             if self.telemetry is not None:
                 record = {
                     "status": kind,
+                    "via": via,
                     "protocol": spec.protocol,
                     "adversary": spec.adversary,
                     "n": spec.n,
                     "f": spec.f,
                     "seed": spec.seed,
                 }
+                if record["via"] is None:
+                    del record["via"]
                 if seconds is not None:
                     record["seconds"] = round(seconds, 6)
                 if backend is not None:
@@ -316,6 +338,7 @@ class Campaign:
         pending: list[tuple[int, TrialSpec, str | None]] = []
         first_pending: dict[str, int] = {}
         duplicates: list[tuple[int, int]] = []  # (index, primary index)
+        via_of: dict[int, str | None] = {}  # pending index -> its executor
 
         for i, (spec, key) in enumerate(zip(specs, keys)):
             if self.sanitize is not None and spec.sanitize is None:
@@ -324,7 +347,7 @@ class Campaign:
             outcome = self._lookup(key)
             if outcome is not None:
                 results[i] = TrialResult(spec=spec, outcome=outcome, cached=True)
-                emit("cached", spec, outcome=outcome)
+                emit("cached", spec, outcome=outcome, via=self._via)
             elif key is not None and key in first_pending:
                 duplicates.append((i, first_pending[key]))
             else:
@@ -343,19 +366,73 @@ class Campaign:
                 self.store.put_many(to_persist)
             to_persist.clear()
 
-        def record_success(
-            i: int, spec: TrialSpec, key: str | None, outcome: Outcome,
-            seconds: float | None, backend: str,
-        ) -> None:
-            if key is not None:
-                self._memoize(key, outcome)
-                if self.store is not None:
-                    to_persist.append((key, spec_fingerprint(spec), outcome))
-                    if len(to_persist) >= _STORE_FLUSH_EVERY:
-                        flush_store()
-            results[i] = TrialResult(spec=spec, outcome=outcome, backend=backend)
-            emit("executed", spec, outcome=outcome, seconds=seconds, backend=backend)
+        try:
+            for (i, spec, key), result, seconds, via in self._execute(pending):
+                results[i] = result
+                via_of[i] = via
+                outcome = result.outcome
+                if outcome is None:
+                    emit("failed", spec, result.error, via=via)
+                    continue
+                if key is not None:
+                    self._memoize(key, outcome)
+                    # Only this process's executions are new to its store.
+                    if self.store is not None and via is None and not result.cached:
+                        to_persist.append((key, spec_fingerprint(spec), outcome))
+                        if len(to_persist) >= _STORE_FLUSH_EVERY:
+                            flush_store()
+                emit(
+                    "cached" if result.cached else "executed",
+                    spec,
+                    outcome=outcome,
+                    seconds=seconds,
+                    backend=result.backend,
+                    via=via,
+                )
+        finally:
+            flush_store()
 
+        # Duplicate specs within the batch share their primary's result.
+        for i, primary_index in duplicates:
+            primary = results[primary_index]
+            assert primary is not None
+            via = via_of[primary_index]
+            if primary.outcome is not None:
+                results[i] = TrialResult(
+                    spec=primary.spec, outcome=primary.outcome, cached=True
+                )
+                emit("cached", primary.spec, outcome=primary.outcome, via=via)
+            else:
+                results[i] = TrialResult(
+                    spec=primary.spec, outcome=None, error=primary.error
+                )
+                emit("failed", primary.spec, primary.error, via=via)
+
+        assert all(r is not None for r in results)
+        if self.metrics is not None:
+            batch_seconds = time.perf_counter() - batch_t0
+            self.metrics.observe_span("campaign.run_trials", batch_seconds)
+            if self.telemetry is not None:
+                self.telemetry.emit(
+                    "phase",
+                    trials=total,
+                    seconds=round(batch_seconds, 6),
+                    **batch_counts,
+                )
+        return results  # type: ignore[return-value]
+
+    def _execute(self, pending: list[tuple[int, TrialSpec, str | None]]):
+        """Run the cache misses *pending* (``(index, spec, key)``) and
+        yield ``(item, TrialResult, seconds, via)`` for each as it
+        finishes.
+
+        The executor seam: this process's batch engine and worker pool
+        here, the daemon in :class:`~repro.service.client.ServiceCampaign`.
+        *seconds* is the trial's own execution time, None when unknown;
+        *via* names the executor that answered when it is not this
+        process (None here), and only ``via=None`` executions are
+        persisted to the local store.
+        """
         # ---- backend routing (docs/BACKENDS.md) ----
         # Deterministic per-spec partition: the batch engine takes the
         # eligible cache misses as cell groups, the scalar pool takes
@@ -378,7 +455,7 @@ class Campaign:
 
             fast = get_backend("batch")
             for item in pending:
-                i, spec, _key = item
+                spec = item[1]
                 # Memoized per cell: a sweep's cache misses share a
                 # handful of cells, so repeat verdicts are counted hits
                 # (backends.eligibility_memo_hits), not re-derivations.
@@ -387,8 +464,7 @@ class Campaign:
                     batch_items.append(item)
                 elif mode == "batch":
                     error = f"batch backend ineligible — {reason}"
-                    results[i] = TrialResult(spec=spec, outcome=None, error=error)
-                    emit("failed", spec, error)
+                    yield item, TrialResult(spec, None, error), None, None
                 else:
                     scalar_items.append(item)
                     if self.metrics is not None:
@@ -397,72 +473,37 @@ class Campaign:
             self.metrics.count("campaign.backend_batch", len(batch_items))
             self.metrics.count("campaign.backend_scalar", len(scalar_items))
 
-        try:
-            if batch_items:
-                exec_t0 = time.perf_counter()
-                try:
-                    outcomes = fast.run_batch(
-                        [spec for _, spec, _ in batch_items], metrics=self.metrics
-                    )
-                except Exception as exc:  # fall back rather than fail the sweep
-                    if self.metrics is not None:
-                        self.metrics.count(
-                            "campaign.backend_batch_errors", len(batch_items)
-                        )
-                    self._warn_batch_error(
-                        [spec for _, spec, _ in batch_items], exc, mode
-                    )
-                    if mode == "batch":
-                        for i, spec, _key in batch_items:
-                            error = f"batch backend error: {exc}"
-                            results[i] = TrialResult(spec=spec, outcome=None, error=error)
-                            emit("failed", spec, error)
-                    else:
-                        scalar_items = sorted(scalar_items + batch_items)
-                else:
-                    per_trial = (time.perf_counter() - exec_t0) / len(batch_items)
-                    for (i, spec, key), outcome in zip(batch_items, outcomes):
-                        record_success(i, spec, key, outcome, per_trial, "batch")
-
-            executions = self.pool.iter_execute([spec for _, spec, _ in scalar_items])
-            for (i, spec, key), result in zip(scalar_items, executions):
-                if result.outcome is not None:
-                    record_success(
-                        i, spec, key, result.outcome, result.seconds, "scalar"
-                    )
-                else:
-                    results[i] = TrialResult(spec=spec, outcome=None, error=result.error)
-                    emit("failed", spec, result.error)
-        finally:
-            flush_store()
-
-        # Duplicate specs within the batch share their primary's result.
-        for i, primary_index in duplicates:
-            primary = results[primary_index]
-            assert primary is not None
-            if primary.outcome is not None:
-                results[i] = TrialResult(
-                    spec=primary.spec, outcome=primary.outcome, cached=True
+        if batch_items:
+            exec_t0 = time.perf_counter()
+            try:
+                outcomes = fast.run_batch(
+                    [spec for _, spec, _ in batch_items], metrics=self.metrics
                 )
-                emit("cached", primary.spec, outcome=primary.outcome)
+            except Exception as exc:  # fall back rather than fail the sweep
+                if self.metrics is not None:
+                    self.metrics.count(
+                        "campaign.backend_batch_errors", len(batch_items)
+                    )
+                self._warn_batch_error(
+                    [spec for _, spec, _ in batch_items], exc, mode
+                )
+                if mode == "batch":
+                    error = f"batch backend error: {exc}"
+                    for item in batch_items:
+                        yield item, TrialResult(item[1], None, error), None, None
+                else:
+                    scalar_items = sorted(scalar_items + batch_items)
             else:
-                results[i] = TrialResult(
-                    spec=primary.spec, outcome=None, error=primary.error
-                )
-                emit("failed", primary.spec, primary.error)
+                per_trial = (time.perf_counter() - exec_t0) / len(batch_items)
+                for item, outcome in zip(batch_items, outcomes):
+                    result = TrialResult(item[1], outcome, backend="batch")
+                    yield item, result, per_trial, None
 
-        assert all(r is not None for r in results)
-        if self.metrics is not None:
-            batch_seconds = time.perf_counter() - batch_t0
-            self.metrics.observe_span("campaign.run_trials", batch_seconds)
-            if self.telemetry is not None:
-                self.telemetry.emit(
-                    "phase",
-                    trials=total,
-                    seconds=round(batch_seconds, 6),
-                    **batch_counts,
-                )
-        return results  # type: ignore[return-value]
+        executions = self.pool.iter_execute([spec for _, spec, _ in scalar_items])
+        for item, run in zip(scalar_items, executions):
+            backend = "scalar" if run.outcome is not None else None
+            result = TrialResult(item[1], run.outcome, run.error, backend=backend)
+            yield item, result, run.seconds, None
 
     def _warn_batch_error(
         self, specs: list[TrialSpec], exc: Exception, mode: str
@@ -485,7 +526,7 @@ class Campaign:
             f"{named}; {then}. Later batch errors in this session are only "
             f"counted (campaign.backend_batch_errors).",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
     def run_trial(self, spec: TrialSpec) -> Outcome:

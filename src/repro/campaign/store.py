@@ -220,7 +220,6 @@ def legacy_shards(run_dir: "str | os.PathLike") -> list[pathlib.Path]:
 class CompactionReport:
     """What one :meth:`TrialStore.compact` pass rewrote."""
 
-    files: int = 0
     records_kept: int = 0
     #: Superseded rewrites of keys that survive (last write wins).
     duplicates_dropped: int = 0
@@ -240,7 +239,7 @@ class CompactionReport:
 
     def summary(self) -> str:
         return (
-            f"compacted {self.files} file(s): kept {self.records_kept}, "
+            f"compacted {STORE_FILENAME}: kept {self.records_kept}, "
             f"dropped {self.duplicates_dropped} duplicate(s), "
             f"{self.corrupt_dropped} corrupt, "
             f"{self.quarantined_dropped} quarantined; "
@@ -639,7 +638,6 @@ class TrialStore:
         self.skipped_lines = 0
         self._write_index()
         report = CompactionReport(
-            files=1,
             records_kept=len(latest),
             duplicates_dropped=duplicates,
             corrupt_dropped=corrupt,

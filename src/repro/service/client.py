@@ -3,11 +3,12 @@
 :class:`ServiceClient` is a small synchronous NDJSON socket client —
 connect, submit trial-spec batches, read streamed outcome frames. On
 top of it, :class:`ServiceCampaign` subclasses
-:class:`~repro.campaign.Campaign` so every experiment module (and the
-CLI via ``--cache-url``) can execute against the shared daemon without
-changing a line: same :class:`~repro.campaign.campaign.TrialResult`
-surface, byte-identical outcome wires, same stats/progress/telemetry
-behaviour.
+:class:`~repro.campaign.Campaign` as its remote executor, so every
+experiment module (and the CLI via ``--cache-url``) can execute against
+the shared daemon without changing a line: the campaign loop is the
+inherited one, so the :class:`~repro.campaign.campaign.TrialResult`
+surface, outcome wires and stats/progress/telemetry are those of a
+local run.
 
 Failure posture (docs/SERVICE.md "Failure model") — the daemon is an
 *accelerator*, not a dependency. A transport failure is retried under
@@ -17,8 +18,9 @@ deadlines); resubmission is idempotent because trials are
 content-addressed and the daemon's in-flight dedup table attaches a
 resubmit to the running computation instead of recomputing. Only when
 the policy is exhausted does the campaign warn once, count
-``service.fallbacks``, and rerun the batch through its own inherited
-local path (worker pool, local store) — and on *later* batches it
+``service.fallbacks``, and run the trials still without a reply through
+its inherited local executor (worker pool, local store) — and on
+*later* batches it
 probes the daemon and resumes remote execution the moment it
 recovers. Results are correct either way; only the fleet-level dedup
 is lost while the daemon is down.
@@ -29,12 +31,10 @@ from __future__ import annotations
 import socket
 import time
 import warnings
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from repro.campaign.campaign import Campaign, TrialResult
-from repro.campaign.keys import trial_key
-from repro.campaign.progress import ProgressEvent
 from repro.chaos.supervisor import RetryPolicy
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
@@ -515,23 +515,26 @@ class ServiceCampaign(Campaign):
     Construct with the same keyword arguments as
     :class:`~repro.campaign.Campaign` plus the service *url*; the local
     configuration (cache dir, workers, backend mode…) stays live as the
-    fallback path. While the daemon is healthy, ``run_trials`` submits
-    every batch remotely: outcomes come back as wires and are rebuilt
-    with :meth:`Outcome.from_wire`, so results are byte-identical at
-    the ``json.dumps(outcome.to_wire())`` level to inline execution.
-    The in-session memo still applies (a repeated spec never re-crosses
-    the network), and stats/progress/telemetry fire exactly like local
-    runs — with ``via="service"`` on telemetry trial records.
+    fallback path. Only the executor differs from a local campaign:
+    while the daemon is healthy, :meth:`_execute` submits a batch's
+    cache misses remotely, and outcomes come back as wires rebuilt with
+    :meth:`Outcome.from_wire`, byte-identical at the
+    ``json.dumps(outcome.to_wire())`` level to inline execution. The
+    in-session memo still applies (a repeated spec never re-crosses the
+    network); the local store is neither read nor written, and
+    telemetry trial records carry ``via="service"``.
 
     Transport failures are retried under the client's
     :class:`~repro.chaos.supervisor.RetryPolicy`
     (:data:`DEFAULT_RETRY_POLICY` unless overridden); only when a
-    batch exhausts the policy does the campaign fall back to local
-    execution (``service.fallbacks`` counts it, one RuntimeWarning per
-    session explains it). The daemon is then *probed* on later batches
-    (``service.probes`` / ``service.reconnects``) and remote execution
-    resumes the moment it answers — a single transient transport error
-    never disables the service for the session.
+    batch exhausts the policy, or a reply's wire does not decode, does
+    the campaign fall back to the local store and local execution for
+    the trials without a usable reply (``service.fallbacks`` counts it,
+    one RuntimeWarning per session explains it). The daemon is then
+    *probed* on later batches (``service.probes`` /
+    ``service.reconnects``) and remote execution resumes the moment it
+    answers — a single transient transport error never disables the
+    service for the session.
     """
 
     def __init__(
@@ -585,7 +588,7 @@ class ServiceCampaign(Campaign):
                 f"({exc}); falling back to local execution and probing "
                 f"for recovery on later batches",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=6,  # the caller of run_trials, through _execute
             )
         self.client.close()
 
@@ -620,117 +623,58 @@ class ServiceCampaign(Campaign):
             self._service_event("probe_failed", {})
         return alive
 
-    def run_trials(
-        self,
-        specs: Iterable[TrialSpec],
-        *,
-        progress=None,
-    ) -> list[TrialResult]:
+    @property
+    def _via(self) -> str | None:
+        # --no-cache means "force every execution": dedup through the
+        # shared daemon would defeat the point, so it runs locally.
+        return "service" if self.use_cache and not self._remote_down else None
+
+    def run_trials(self, specs, **kwargs) -> list[TrialResult]:
         specs = list(specs)
-        if not self.use_cache or not specs:
-            # --no-cache means "force every execution": dedup through
-            # the shared daemon would defeat the point, so it runs on
-            # the inherited local path.
-            return super().run_trials(specs, progress=progress)
-        if self._remote_down and not self._probe():
-            return super().run_trials(specs, progress=progress)
-        for i, spec in enumerate(specs):
-            if self.sanitize is not None and spec.sanitize is None:
-                specs[i] = replace(spec, sanitize=self.sanitize)
+        if specs and self.use_cache and self._remote_down:
+            self._probe()  # once per batch, before any lookup
+        return super().run_trials(specs, **kwargs)
 
-        # In-session memo first: repeated specs never re-cross the wire.
-        memo_hits: dict[int, Outcome] = {}
-        remote: list[tuple[int, TrialSpec, str]] = []
-        for i, spec in enumerate(specs):
-            key = trial_key(spec)
-            hit = self._memo.get(key)
-            if hit is not None:
-                if self.metrics is not None:
-                    self.metrics.count("campaign.memo_hits")
-                memo_hits[i] = hit
-            else:
-                remote.append((i, spec, key))
-
+    def _execute(self, pending):
+        """The daemon as executor: submit the cache misses and decode
+        each reply. A transport failure, or a wire that does not
+        decode, falls back once; the trials left without a usable reply
+        are then served from the local store where it holds them and
+        run through the inherited local executor where it does not."""
+        if not pending:
+            return
+        if self._via is None:
+            yield from super()._execute(pending)
+            return
+        unanswered, failure = [], None
         try:
-            replies = (
-                self.client.submit([spec for _, spec, _ in remote])
-                if remote
-                else []
-            )
+            replies = self.client.submit([spec for _, spec, _ in pending])
         except (ServiceError, OSError) as exc:
-            self._fall_back(exc)
-            return super().run_trials(specs, progress=progress)
-
-        results: list[TrialResult | None] = [None] * len(specs)
-        for i, outcome in memo_hits.items():
-            results[i] = TrialResult(spec=specs[i], outcome=outcome, cached=True)
-        for (i, spec, key), reply in zip(remote, replies):
-            if reply.wire is not None:
+            unanswered, failure = pending, exc
+        else:
+            for item, reply in zip(pending, replies):
+                wire = reply.wire
                 try:
-                    outcome = Outcome.from_wire(reply.wire)
+                    outcome = None if wire is None else Outcome.from_wire(wire)
                 except Exception as exc:
-                    self._fall_back(
-                        ServiceError(f"undecodable outcome wire: {exc}")
-                    )
-                    return super().run_trials(specs, progress=progress)
-                self._memoize(key, outcome)
-                results[i] = TrialResult(
-                    spec=spec,
-                    outcome=outcome,
-                    cached=reply.cached,
-                    backend=reply.backend,
+                    unanswered.append(item)
+                    failure = ServiceError(f"undecodable outcome wire: {exc}")
+                    continue
+                result = TrialResult(
+                    item[1], outcome, reply.error, reply.cached, reply.backend
                 )
+                yield item, result, None, "service"
+        if not unanswered:
+            return
+        self._fall_back(failure)
+        misses = []
+        for item in unanswered:
+            hit = self._lookup(item[2])  # the local store, now _via is None
+            if hit is None:
+                misses.append(item)
             else:
-                results[i] = TrialResult(
-                    spec=spec, outcome=None, error=reply.error
-                )
-
-        self._emit_batch(results, progress=progress)
-        return results  # type: ignore[return-value]
-
-    def _emit_batch(self, results, *, progress) -> None:
-        """Stats / metrics / telemetry / progress for a remote batch —
-        the same per-trial bookkeeping the inherited path does."""
-        callback = progress if progress is not None else self.progress
-        total = len(results)
-        for done, result in enumerate(results, start=1):
-            if result.outcome is None:
-                kind = "failed"
-            else:
-                kind = "cached" if result.cached else "executed"
-            self.stats.count(kind)
-            if self.metrics is not None:
-                self.metrics.count(f"campaign.trials_{kind}")
-            if self.telemetry is not None:
-                spec = result.spec
-                record = {
-                    "status": kind,
-                    "via": "service",
-                    "protocol": spec.protocol,
-                    "adversary": spec.adversary,
-                    "n": spec.n,
-                    "f": spec.f,
-                    "seed": spec.seed,
-                }
-                if result.backend is not None:
-                    record["backend"] = result.backend
-                if result.outcome is not None:
-                    record["completed"] = result.outcome.completed
-                    record["t_end"] = int(result.outcome.t_end)
-                    record["messages"] = int(result.outcome.sent.sum())
-                if result.error is not None:
-                    record["error"] = result.error[:240]
-                self.telemetry.emit("trial", **record)
-            if callback is not None:
-                callback(
-                    ProgressEvent(
-                        kind=kind,
-                        spec=result.spec,
-                        done=done,
-                        total=total,
-                        error=result.error,
-                    )
-                )
+                yield item, TrialResult(item[1], hit, cached=True), None, None
+        yield from super()._execute(misses)
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import os
 import pathlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterable
 
-from repro.campaign.campaign import Campaign
 from repro.campaign.keys import trial_key
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
@@ -339,8 +339,10 @@ class TrialService:
             keys = [key for key, _spec, _fut in items]
             specs = [spec for _key, spec, _fut in items]
             try:
+                # Hashed once: the campaign takes the claimed keys.
                 results = await loop.run_in_executor(
-                    self._executor, self._run_wave, specs, keys
+                    self._executor,
+                    functools.partial(self.campaign.run_trials, specs, keys=keys),
                 )
             except Exception as exc:
                 for key, _spec, fut in items:
@@ -359,18 +361,6 @@ class TrialService:
                     self.counters["computed"] += 1
                 if not fut.done():
                     fut.set_result(result)
-
-    def _run_wave(self, specs: list[TrialSpec], keys: list[str]) -> list:
-        """One wave on the executor thread, hashed once: a plain caching
-        :class:`Campaign` takes the claimed keys through ``_run_keyed``;
-        any other ``run_trials`` (a subclass's, or one wrapped on the
-        instance) is honoured as is."""
-        campaign = self.campaign
-        run_trials = campaign.run_trials
-        own = getattr(run_trials, "__func__", None) is Campaign.run_trials
-        if own and campaign.use_cache:
-            return campaign._run_keyed(specs, keys)
-        return run_trials(specs)
 
     def _count_metric(self, name: str, value: int = 1) -> None:
         metrics = getattr(self.campaign, "metrics", None)
