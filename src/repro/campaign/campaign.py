@@ -136,11 +136,12 @@ class Campaign:
         ``"batch"`` forces the vectorized engine and *fails* trials it
         cannot express instead of silently falling back. Routing is
         per-spec, deterministic, and counted in the metrics registry
-        (``campaign.backend_*``). An armed ``fault_plan`` pins the
-        whole campaign to the scalar path — chaos faults inject at
-        per-trial sites the batch kernel does not have. Backends are
-        wire-equivalent by contract, so the mode never changes
-        outcomes or cache keys.
+        (``campaign.backend_*``). A ``fault_plan`` arming a
+        ``trial.*`` or ``worker.*`` site pins the whole campaign to
+        the scalar path — those faults inject at per-trial sites the
+        batch kernel does not have; store and service sites leave the
+        mode alone. Backends are wire-equivalent by contract, so the
+        mode never changes outcomes or cache keys.
     fault_plan:
         Armed chaos :class:`~repro.chaos.plan.FaultPlan` — fault
         injection for robustness testing (docs/ROBUSTNESS.md). The
@@ -437,13 +438,12 @@ class Campaign:
         # Deterministic per-spec partition: the batch engine takes the
         # eligible cache misses as cell groups, the scalar pool takes
         # the rest. Chaos arms per-trial fault sites that only exist on
-        # the scalar path, so an injector pins the mode — unless the
-        # plan arms only service.* sites, which fire at the network
-        # boundary and never inside trial execution.
+        # the scalar path, so a plan arming one pins the mode; store
+        # and service sites never fire inside trial execution.
         mode = (
-            self.backend
-            if self._injector is None or self._injector.service_only
-            else "scalar"
+            "scalar"
+            if self._injector is not None and self._injector.arms_trials
+            else self.backend
         )
         batch_items: list[tuple[int, TrialSpec, str | None]] = []
         scalar_items: list[tuple[int, TrialSpec, str | None]] = []

@@ -16,13 +16,9 @@ Hook sites and their real-world analogue:
 ``check_fsync(retry)``    a disk that returns ``EIO`` from ``fsync``
 ``maybe_tear(path)``      ``kill -9`` mid-append: the final store record is
                           left torn on disk
-``service_fault(...)``    client side of the service boundary: refused
-                          connections, mid-stream resets, torn frames,
-                          stalled replies (attempt = the retry loop's)
-``service_event(...)``    server side of the same sites: each armed site
-                          draws against a monotone per-stream event index,
-                          so ``attempts=N`` rules fail the first N chances
-                          and then recover
+``link(on_fault)``        a connection on either end of the service
+                          boundary: a :class:`FaultedLink` faults the
+                          bytes it carries
 ========================  =====================================================
 
 Injected trial failures surface exactly like organic ones — a full
@@ -35,7 +31,10 @@ ladder's inline rung always terminate.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
+import socket
 import time
 from typing import TYPE_CHECKING
 
@@ -56,7 +55,7 @@ from repro.chaos.plan import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import TrialSpec
 
-__all__ = ["FaultInjector", "tear_tail"]
+__all__ = ["FaultInjector", "FaultedLink", "tear_tail"]
 
 
 def _trial_token(spec: "TrialSpec") -> str:
@@ -221,45 +220,22 @@ class FaultInjector:
     # -- campaign service --------------------------------------------------------
 
     @property
-    def has_service_rules(self) -> bool:
-        return bool(self._service_rules)
+    def arms_trials(self) -> bool:
+        """A ``trial.*`` or ``worker.*`` site is armed: those fire in
+        the scalar pool, so the campaign pins the scalar engine."""
+        return bool(self._trial_rules)
 
-    @property
-    def service_only(self) -> bool:
-        """True when the plan arms nothing but ``service.*`` sites —
-        trial execution and the store are then completely unaffected
-        (the campaign keeps its configured backend, for one)."""
-        return bool(self._service_rules) and not (
-            self._trial_rules or self._fsync_rules or self._tear_rules
-        )
-
-    def service_fault(
-        self, site: str, token: str, *, attempt: int
-    ) -> FaultRule | None:
-        """Client-side service injection: does *site* fire for this try?
-
-        *attempt* is the client retry loop's own counter, threaded into
-        the draw exactly like the supervisor threads its retry attempt:
-        a rule with ``attempts=1`` hits the first submission and stays
-        quiet on the resubmit — a transient network fault by
-        construction. Returns the matching rule (its ``delay`` carries
-        the stall length) or ``None``.
-        """
-        for rule in self._service_rules.get(site, ()):
-            if self.plan.fires(rule, token, attempt=attempt):
-                return rule
-        return None
+    def link(self, on_fault, on_kill=None) -> "FaultedLink | None":
+        """A :class:`FaultedLink` for one new connection; None when no
+        ``service.*`` site is armed."""
+        if not self._service_rules:
+            return None
+        return FaultedLink(self.service_event, on_fault, on_kill)
 
     def service_event(self, site: str, stream: str) -> FaultRule | None:
-        """Server-side service injection: does *site* fire for the next
-        event on *stream*?
-
-        The daemon has no retry dimension of its own, so a monotone
-        per-``(site, stream)`` event index takes the attempt slot: a
-        rule with ``attempts=N`` fails the first N chances it gets and
-        then recovers deterministically — which is what lets a faulted
-        daemon serve the client's resubmission.
-        """
+        """Does *site* fire for the next event on *stream*? A monotone
+        per-``(site, stream)`` event index takes the attempt slot, so a
+        rule with ``attempts=N`` fails the first N chances it gets."""
         rules = self._service_rules.get(site)
         if not rules:
             return None
@@ -269,3 +245,133 @@ class FaultInjector:
             if self.plan.fires(rule, stream, attempt=index):
                 return rule
         return None
+
+
+class FaultedLink:
+    """One connection's ``service.*`` faults, as bytes on the wire.
+
+    Both ends draw when the connection opens and when a request
+    crosses, and fault the reply bytes: the daemon as it writes them
+    (:meth:`accept`), the client as it reads them (:meth:`reader`).
+    ``conn_refuse`` refuses the connection, ``frame_tear`` delivers half
+    a reply line and closes, ``conn_drop`` closes after one reply line,
+    ``slow_peer`` stalls the reply and ``daemon_kill`` calls *on_kill*
+    when a request arrives (the client passes none). *on_fault* is told
+    each site that fires."""
+
+    def __init__(self, service_event, on_fault, on_kill=None) -> None:
+        self._event = service_event
+        self._on_fault = on_fault
+        self._on_kill = on_kill
+        self._stall = 0.0
+        self._cut = None
+        self._held = b""
+        self.closed = False
+
+    def _fires(self, site: str, stream: str) -> FaultRule | None:
+        rule = self._event(site, stream)
+        if rule is not None:
+            self._on_fault(site)
+        return rule
+
+    def request(self) -> bool:
+        """A request crossed: draw what its reply meets. False when it
+        killed the daemon."""
+        if self._on_kill is not None and self._fires("service.daemon_kill", "submit"):
+            self._on_kill()
+            return False
+        slow = self._fires("service.slow_peer", "submit")
+        self._stall = slow.delay if slow is not None else 0.0
+        for site in ("service.conn_drop", "service.frame_tear"):
+            if self._fires(site, "reply"):
+                self._cut = site  # a tear preempts a drop
+        return True
+
+    def deliver(self, data: bytes) -> bytes:
+        """What the peer receives of reply bytes *data*."""
+        if self.closed:
+            return b""
+        if self._cut is None:
+            return data
+        self.closed = True
+        line = data[: data.find(b"\n") + 1] or data
+        if self._cut == "service.frame_tear":
+            return line[: max(1, len(line) // 2)]
+        return line
+
+    # -- the daemon's end: the link is the accepted connection's streams ------
+
+    def accept(self, reader, writer) -> tuple["FaultedLink", "FaultedLink"]:
+        self._reader, self._writer = reader, writer
+        if self._fires("service.conn_refuse", "accept"):
+            self.closed = True
+            writer.transport.abort()  # the accept never happened
+        return self, self
+
+    async def readline(self) -> bytes:
+        line = await self._reader.readline()
+        if line.strip() and not self.request():
+            await self._reader.read()  # dead: answers nothing until hung up
+            return b""
+        return line
+
+    def write(self, data: bytes) -> None:
+        self._held += data
+
+    async def drain(self) -> None:
+        data, self._held = self._held, b""
+        if self.closed:
+            return
+        delay, self._stall = self._stall, 0.0
+        if delay:
+            import asyncio  # not at module level: every campaign imports this
+
+            await asyncio.sleep(delay)
+        self._writer.write(self.deliver(data))
+        if not self.closed:
+            return await self._writer.drain()
+        with contextlib.suppress(ConnectionError, OSError):
+            await self._writer.drain()
+        self._writer.transport.abort()
+
+    def close(self) -> None:
+        self._writer.close()
+
+    async def wait_closed(self) -> None:
+        await self._writer.wait_closed()
+
+    # -- the client's end: a blocking socket -----------------------------------
+
+    def connect(self) -> None:
+        if self._fires("service.conn_refuse", "accept"):
+            raise ConnectionRefusedError(errno.ECONNREFUSED, "Connection refused")
+
+    def reader(self, sock: socket.socket) -> "_LinkFile":
+        return _LinkFile(self, sock)
+
+
+class _LinkFile:
+    """The client's reply stream through a link. A stall waits on a
+    silent socket under the reply socket's own timeout, so one longer
+    than the reader's deadline raises the real ``socket.timeout``."""
+
+    def __init__(self, link: FaultedLink, sock: socket.socket) -> None:
+        self._link, self._sock = link, sock
+        self._file = sock.makefile("rb")
+
+    def readline(self, limit: int = -1) -> bytes:
+        delay, self._link._stall = self._link._stall, 0.0
+        timeout = self._sock.gettimeout()
+        if delay:
+            silent, peer = socket.socketpair()
+            with silent, peer:
+                silent.settimeout(delay if timeout is None else min(delay, timeout))
+                try:
+                    silent.recv(1)
+                except TimeoutError:
+                    if timeout is not None and timeout < delay:
+                        raise
+        return self._link.deliver(self._file.readline(limit))
+
+    def close(self) -> None:
+        self._file.close()

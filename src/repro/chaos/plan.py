@@ -27,30 +27,21 @@ the injector (:mod:`repro.chaos.inject`) arms:
 - ``store.tear`` — truncate the store mid-record after an append, the
   on-disk state a ``kill -9`` during a write leaves behind.
 
-The service sites (PR 10) point the same contract at the campaign
-daemon's network boundary (docs/SERVICE.md "Failure model"); each can
-be armed on the :class:`~repro.service.client.ServiceClient` transport
-or on the daemon's connection handler:
-
-- ``service.conn_refuse`` — the connection attempt is refused;
-- ``service.conn_drop`` — the connection is reset mid-stream, after at
-  least one reply frame;
-- ``service.frame_tear`` — the peer receives a partial NDJSON frame
-  (no terminating newline) and then the transport dies;
-- ``service.slow_peer`` — the reply stalls past the request deadline;
-- ``service.daemon_kill`` — the serve loop is killed abruptly
-  mid-batch: no drain, no goodbye frames, listeners and connections
-  vanish.
+The service sites — ``service.conn_refuse``, ``service.conn_drop``,
+``service.frame_tear``, ``service.slow_peer`` and
+``service.daemon_kill`` — point the same contract at the campaign
+daemon's network boundary (docs/SERVICE.md "Failure model"): each acts
+on the bytes one connection carries, at either end, through a
+:class:`~repro.chaos.inject.FaultedLink`.
 
 Retries are modelled through the plan, not around it: the supervisor
 re-dispatches failed trials under ``plan.with_attempt(n)``, so a rule
 with ``attempts=1`` fires on the first attempt and stays quiet on the
 retry — a transient fault by construction — while ``attempts=None``
 fires forever — a deterministic fault that must end in quarantine.
-The service client threads its own retry-loop attempt into the draw
-the same way, and the daemon substitutes a monotone per-site event
-index, so ``attempts=N`` server rules fire on the first N chances and
-then recover deterministically.
+Service sites have no retry dimension: both ends substitute a
+monotone per-site event index, so ``attempts=N`` service rules fire on
+the first N chances and then recover deterministically.
 """
 
 from __future__ import annotations

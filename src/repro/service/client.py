@@ -169,13 +169,14 @@ class ServiceClient:
         self.request_timeout = request_timeout
         self.retry_policy = retry_policy
         #: Client-side chaos hooks (repro.chaos.inject.FaultInjector);
-        #: None in production — every check is a None guard.
+        #: None in production. Service sites fault each connection.
         self.injector = injector
         self.metrics = metrics
         self.on_event = on_event
         self._sleep = sleep
         self._sock: socket.socket | None = None
         self._rfile = None
+        self._link = None
         self._next_id = 0
         self._batch_index = 0
 
@@ -189,16 +190,19 @@ class ServiceClient:
         if self.on_event is not None:
             self.on_event(event, fields)
 
-    def _note_injection(self, site: str, token: str, attempt: int) -> None:
+    def _note_injection(self, site: str) -> None:
         self._count("service.injected_faults")
-        self._event("injected_fault", site=site, token=token, attempt=attempt)
+        self._event("injected_fault", site=site)
 
     # -- transport -----------------------------------------------------------------
 
     def connect(self) -> "ServiceClient":
         if self._sock is not None:
             return self
+        link = self.injector and self.injector.link(self._note_injection)
         try:
+            if link is not None:
+                link.connect()
             if self.address.scheme == "unix":
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
                 sock.settimeout(self.connect_timeout)
@@ -218,7 +222,8 @@ class ServiceClient:
             ) from exc
         sock.settimeout(self.timeout)
         self._sock = sock
-        self._rfile = sock.makefile("rb")
+        self._rfile = sock.makefile("rb") if link is None else link.reader(sock)
+        self._link = link
         return self
 
     def close(self) -> None:
@@ -249,6 +254,8 @@ class ServiceClient:
         except OSError as exc:
             self.close()
             raise ServiceError(f"send to {self.address} failed: {exc}") from exc
+        if self._link is not None:
+            self._link.request()
 
     def _read_frame(self, deadline: float | None = None) -> dict[str, Any]:
         assert self._rfile is not None
@@ -391,7 +398,7 @@ class ServiceClient:
                 if wait > 0:
                     self._sleep(wait)
             try:
-                return self._submit_once(specs, token, attempt)
+                return self._submit_once(specs)
             except ServiceBusy as exc:
                 last_error = exc
                 self._count("service.busy")
@@ -407,39 +414,9 @@ class ServiceClient:
             f"submit to {self.address} failed: {last_error}"
         ) from last_error
 
-    def _submit_once(
-        self, specs: list[TrialSpec], token: str, attempt: int
-    ) -> list[TrialReply]:
+    def _submit_once(self, specs: list[TrialSpec]) -> list[TrialReply]:
         """One submission attempt; raises on any transport/protocol
         fault so :meth:`submit`'s loop can decide whether to retry."""
-        injector = self.injector
-        drop_rule = tear_rule = None
-        if injector is not None:
-            if injector.service_fault(
-                "service.conn_refuse", token, attempt=attempt
-            ) is not None:
-                self._note_injection("service.conn_refuse", token, attempt)
-                self.close()
-                raise ServiceError(
-                    f"injected connection refusal to {self.address} "
-                    f"({token}, attempt {attempt})"
-                )
-            slow_rule = injector.service_fault(
-                "service.slow_peer", token, attempt=attempt
-            )
-            if slow_rule is not None:
-                self._note_injection("service.slow_peer", token, attempt)
-                self.close()
-                raise ServiceTimeout(
-                    f"injected stalled reply past deadline ({slow_rule.delay}s) "
-                    f"from {self.address} ({token}, attempt {attempt})"
-                )
-            drop_rule = injector.service_fault(
-                "service.conn_drop", token, attempt=attempt
-            )
-            tear_rule = injector.service_fault(
-                "service.frame_tear", token, attempt=attempt
-            )
         deadline = (
             time.monotonic() + self.request_timeout
             if self.request_timeout is not None
@@ -457,27 +434,8 @@ class ServiceClient:
         )
         replies: list[TrialReply | None] = [None] * len(specs)
         received = 0
-        reads = 0
         while True:
             frame = self._read_frame(deadline)
-            reads += 1
-            if tear_rule is not None and reads == 1:
-                # The first reply line arrives torn: from the reader's
-                # side that is a partial NDJSON frame, then a dead pipe.
-                self._note_injection("service.frame_tear", token, attempt)
-                self.close()
-                raise ServiceProtocolError(
-                    f"injected torn reply frame from {self.address} "
-                    f"({token}, attempt {attempt})"
-                )
-            if drop_rule is not None and reads == 2:
-                # Mid-stream reset: at least one reply frame made it.
-                self._note_injection("service.conn_drop", token, attempt)
-                self.close()
-                raise ServiceError(
-                    f"injected mid-stream connection reset by {self.address} "
-                    f"({token}, attempt {attempt})"
-                )
             op = frame.get("op")
             if op == "busy":
                 raise self._busy_error(frame)

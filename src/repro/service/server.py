@@ -96,8 +96,8 @@ class TrialService:
 
     *max_pending* bounds the pending-submit queue (admission control);
     *idle_timeout* closes connections with no traffic and no running
-    submit streams; *fault_plan* arms the server side of the
-    ``service.*`` chaos sites (defaults to the campaign's own plan).
+    submit streams. The campaign's fault plan, if it arms a
+    ``service.*`` site, faults each accepted connection's streams.
     """
 
     def __init__(
@@ -108,26 +108,13 @@ class TrialService:
         max_pending: int = DEFAULT_MAX_PENDING,
         idle_timeout: float | None = None,
         retry_after: float = DEFAULT_RETRY_AFTER,
-        fault_plan=None,
     ) -> None:
         self.campaign = campaign
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.idle_timeout = idle_timeout
         self.retry_after = retry_after
-        if fault_plan is not None:
-            from repro.chaos.inject import FaultInjector
-
-            injector = FaultInjector(fault_plan)
-        else:
-            injector = getattr(campaign, "_injector", None)
-        #: Server-side chaos hooks; None unless the plan arms a
-        #: service.* site, so the hot path stays a None check.
-        self._injector = (
-            injector
-            if injector is not None and injector.has_service_rules
-            else None
-        )
+        self._injector = getattr(campaign, "_injector", None)
         self._inflight: dict[str, asyncio.Future] = {}
         self._queue: asyncio.Queue = asyncio.Queue()
         self._executor = ThreadPoolExecutor(
@@ -391,14 +378,11 @@ class TrialService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        injector = self._injector
-        if injector is not None and (
-            injector.service_event("service.conn_refuse", "accept") is not None
-        ):
-            # The accept never happened, as far as the peer can tell.
-            self._note_injected("service.conn_refuse")
-            writer.transport.abort()
-            return
+        link = self._injector and self._injector.link(self._note_injected, self.dead.set)
+        if link is not None:
+            reader, writer = link.accept(reader, writer)
+            if link.closed:
+                return
         self.counters["connections"] += 1
         self._count_metric("service.connections")
         task = asyncio.current_task()
@@ -559,22 +543,6 @@ class TrialService:
                 },
             )
             return
-        injector = self._injector
-        drop_rule = tear_rule = None
-        if injector is not None:
-            if injector.service_event("service.daemon_kill", "submit") is not None:
-                # Abrupt death mid-batch: no reply, no drain. The host
-                # observes `dead` and tears everything down; clients
-                # see vanished sockets, exactly like a SIGKILL.
-                self._note_injected("service.daemon_kill")
-                self.dead.set()
-                return
-            slow_rule = injector.service_event("service.slow_peer", "submit")
-            if slow_rule is not None:
-                self._note_injected("service.slow_peer")
-                await asyncio.sleep(slow_rule.delay)
-            drop_rule = injector.service_event("service.conn_drop", "reply")
-            tear_rule = injector.service_event("service.frame_tear", "reply")
         if self._draining or self._queue.qsize() + len(trials) > self.max_pending:
             reason = (
                 "draining"
@@ -624,7 +592,6 @@ class TrialService:
         # One write per scheduler wave. asyncio.wait never cancels what
         # it waits on: a stream cut off here leaves the computations
         # running for every client attached to them.
-        sent = 0
         waiting = set(claims)
         while waiting:
             done, waiting = await asyncio.wait(
@@ -661,31 +628,8 @@ class TrialService:
                     out["error"] = result.error
                     counts["failed"] += 1
                 frames.append(encode_frame(out))
-            if tear_rule is not None:
-                # The peer receives half an NDJSON line, then the
-                # transport dies: a torn frame, never a parseable one.
-                self._note_injected("service.frame_tear")
-                payload = frames[0]
-                async with lock:
-                    writer.write(payload[: max(1, len(payload) // 2)])
-                    with contextlib.suppress(ConnectionError, OSError):
-                        await writer.drain()
-                    writer.transport.abort()
-                return
-            if drop_rule is not None and sent + len(frames) > 1:
-                # Mid-stream reset: exactly one outcome frame made it.
-                self._note_injected("service.conn_drop")
-                await self._write(writer, lock, frames[: 1 - sent])
-                writer.transport.abort()
-                return
             await self._write(writer, lock, frames)
-            sent += len(frames)
             frames = []
-        if drop_rule is not None:
-            # A one-trial batch: reset between the outcome and `done`.
-            self._note_injected("service.conn_drop")
-            writer.transport.abort()
-            return
         final = {"v": PROTO_VERSION, "op": "done", "id": req_id, "counts": counts}
         await self._write(writer, lock, [*frames, encode_frame(final)])
 

@@ -181,17 +181,23 @@ def test_unknown_backend_mode_rejected():
         Campaign(workers=1, backend="gpu")
 
 
-def test_armed_fault_plan_pins_scalar():
-    """Chaos faults inject at per-trial sites the batch kernel lacks, so
-    an armed plan must route everything through the oracle."""
-    from repro.chaos import FaultPlan
+@pytest.mark.parametrize(
+    "sites, backend",
+    [((), "batch"), (("store.fsync",), "batch"), (("trial.exception",), "scalar")],
+    ids=["empty", "store-fsync", "trial-exception"],
+)
+def test_armed_fault_plan_pins_scalar(sites, backend):
+    """Trial faults inject at a per-trial site the batch kernel lacks, so
+    a plan arming one routes everything through the oracle; an empty
+    plan or a store plan keeps the batch engine. The rules are armed at
+    rate 0, so every trial succeeds."""
+    from repro.chaos import FaultPlan, FaultRule
 
-    with Campaign(
-        workers=1, fault_plan=FaultPlan(seed=7, rules=())
-    ) as campaign:
+    plan = FaultPlan(seed=7, rules=tuple(FaultRule(site, rate=0.0) for site in sites))
+    with Campaign(workers=1, fault_plan=plan) as campaign:
         results = campaign.run_trials(BATCHABLE)
     assert all(r.ok for r in results)
-    assert [r.backend for r in results] == ["scalar"] * len(BATCHABLE)
+    assert [r.backend for r in results] == [backend] * len(BATCHABLE)
 
 
 def test_cached_results_have_no_backend():

@@ -71,7 +71,7 @@ def _sweep_through_faulted_client(plan_name, tmp_path, baseline):
             metrics=metrics,
             fault_plan=plan,
             retry_policy=FAST_RETRIES,
-            timeout=30.0,
+            timeout=_SERVER_SIDE[plan_name],
         ) as campaign:
             results = campaign.run_trials(SPECS)
             assert all(r.ok for r in results)
