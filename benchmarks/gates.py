@@ -41,7 +41,7 @@ import time
 from functools import partial
 from typing import Callable
 
-from repro.backends import BatchBackend, ScalarBackend
+from repro.backends import BatchBackend, ScalarBackend, why_ineligible
 from repro.campaign import Campaign
 from repro.chaos.supervisor import Supervisor
 from repro.core.registry import make_adversary
@@ -189,9 +189,9 @@ def measure_speedup(
     scalar_specs = specs_for(cell, scalar_trials)
     batch_specs = specs_for(cell, batch_trials)
     for spec in batch_specs:
-        verdict = batch.eligible(spec)
-        if not verdict:
-            raise RuntimeError(f"gated cell not batch-eligible: {verdict.reason}")
+        reason = why_ineligible(spec)
+        if reason is not None:
+            raise RuntimeError(f"gated cell not batch-eligible: {reason}")
     best_scalar = best_batch = 0.0
     for _ in range(repeats):
         t0 = time.perf_counter()

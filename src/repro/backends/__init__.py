@@ -1,29 +1,19 @@
-"""Pluggable trial-execution backends.
+"""The two trial-execution engines and the one rule that routes between them.
 
-See docs/BACKENDS.md for the contract, the eligibility rules of the
-vectorized batch engine, and how to add a backend.
+:func:`~repro.backends.registry.route` picks the engine for a spec;
+see docs/BACKENDS.md for the contract both engines honour and the
+eligibility rules of the vectorized batch engine.
 """
 
-from repro.backends.base import Backend, Eligibility
 from repro.backends.batch import BatchBackend, why_ineligible
-from repro.backends.registry import (
-    BACKEND_MODES,
-    available_backends,
-    execute_trial,
-    get_backend,
-    select_backend,
-)
+from repro.backends.registry import BACKEND_MODES, get_backend, route
 from repro.backends.scalar import ScalarBackend
 
 __all__ = [
-    "Backend",
-    "Eligibility",
     "ScalarBackend",
     "BatchBackend",
     "BACKEND_MODES",
-    "available_backends",
     "get_backend",
-    "select_backend",
-    "execute_trial",
+    "route",
     "why_ineligible",
 ]

@@ -26,9 +26,10 @@ cell too large for the byte budget runs as sub-batches, and a
 sub-batch that still runs out of memory is halved and retried here
 rather than handed to the scalar engine.
 
-Eligibility (and the narrowest-reason rejection discipline) lives in
-:mod:`~repro.backends.batch.eligibility`, which reads the kernel and
-plan tables; verdicts are memoized per cell for the campaign router.
+The eligibility rule (and the narrowest-reason rejection discipline)
+lives in :mod:`~repro.backends.batch.eligibility`, which reads the
+kernel and plan tables; verdicts are memoized per cell for
+:func:`~repro.backends.registry.route`.
 
 **Equivalence.** Outcomes are byte-identical at the wire level to the
 scalar oracle for every eligible cell — the differential battery in
@@ -41,7 +42,6 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from repro.backends.base import Backend, Eligibility
 from repro.backends.batch.eligibility import (
     BATCH_ADVERSARIES,
     BATCH_PROTOCOLS,
@@ -88,14 +88,8 @@ def _run_halving(spec0: TrialSpec, seeds: list[int]) -> list[Outcome]:
     return _run_halving(spec0, seeds[:half]) + _run_halving(spec0, seeds[half:])
 
 
-class BatchBackend(Backend):
+class BatchBackend:
     """The vectorized engine behind ``--backend batch`` / auto routing."""
-
-    name = "batch"
-
-    def eligible(self, spec: TrialSpec) -> Eligibility:
-        reason = why_ineligible(spec)
-        return Eligibility(reason is None, reason)
 
     def run_batch(
         self, specs: Sequence[TrialSpec], *, metrics=None

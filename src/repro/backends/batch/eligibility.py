@@ -194,7 +194,7 @@ def clear_eligibility_memo() -> None:
 
 
 def eligibility_grid(*, n: int = 5, f: int = 2) -> list[tuple[str, str, str | None]]:
-    """Eligibility verdicts over the full protocol×adversary grid.
+    """Batch-eligibility verdicts over the full protocol×adversary grid.
 
     Returns ``(protocol, adversary, reason)`` rows — ``reason`` None
     for batch-routed cells — probing each cell with a default spec

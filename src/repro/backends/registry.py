@@ -1,82 +1,58 @@
-"""Backend registry and the single trial-execution entry point.
+"""The routing rule: which engine runs a trial, stated once.
 
-``experiments.runner.run_trial`` and the campaign router both resolve
-backends here. Modes:
+:func:`route` maps a (spec, mode) pair to an engine name for the
+campaign router, ``experiments.runner.run_trial`` and ``repro-ugf
+backends`` alike. Modes:
 
-- ``"scalar"`` — force the reference engine for everything.
-- ``"batch"`` — force the vectorized engine; ineligible specs raise.
+- ``"scalar"`` — the reference engine, for everything.
+- ``"batch"`` — the vectorized engine; an ineligible spec routes
+  nowhere (its caller fails the trial with the reason).
 - ``"auto"`` — batch where eligible, scalar otherwise (the default
-  for campaigns; single-trial ``run_trial`` defaults to scalar so the
-  pool workers stay on the oracle path).
+  for campaigns; single-trial ``run_trial`` defaults to scalar).
 """
 
 from __future__ import annotations
 
-from repro.backends.base import Backend, Eligibility
-from repro.backends.batch import BatchBackend
+from repro.backends.batch import BatchBackend, why_ineligible
 from repro.backends.scalar import ScalarBackend
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import TrialSpec
-from repro.sim.outcome import Outcome
 
-__all__ = [
-    "BACKEND_MODES",
-    "available_backends",
-    "get_backend",
-    "select_backend",
-    "execute_trial",
-]
+__all__ = ["BACKEND_MODES", "get_backend", "route"]
 
 #: Valid values for every ``--backend`` flag / ``Campaign(backend=...)``.
 BACKEND_MODES = ("auto", "scalar", "batch")
 
-_SCALAR = ScalarBackend()
-_BATCH = BatchBackend()
-
-#: Fast paths first: ``auto`` routing picks the first eligible backend.
-_BACKENDS: tuple[Backend, ...] = (_BATCH, _SCALAR)
+_ENGINES = {"batch": BatchBackend(), "scalar": ScalarBackend()}
 
 
-def available_backends() -> tuple[Backend, ...]:
-    """All registered backends, in auto-routing preference order."""
-    return _BACKENDS
+def get_backend(name: str) -> "BatchBackend | ScalarBackend":
+    """The engine *name* (``"batch"`` or ``"scalar"``)."""
+    try:
+        return _ENGINES[name]
+    except KeyError:
+        raise SimulationError(
+            f"unknown backend {name!r} (known: batch, scalar)"
+        ) from None
 
 
-def get_backend(name: str) -> Backend:
-    """Look a backend up by its registry name."""
-    for backend in _BACKENDS:
-        if backend.name == name:
-            return backend
-    known = ", ".join(b.name for b in _BACKENDS)
-    raise SimulationError(f"unknown backend {name!r} (known: {known})")
+def route(
+    spec: TrialSpec, mode: str, *, metrics=None
+) -> tuple[str | None, str | None]:
+    """``(engine, reason)``: the engine *mode* sends *spec* to, and why
+    the batch engine declined it when it did.
 
-
-def select_backend(spec: TrialSpec, mode: str = "auto") -> tuple[Backend, Eligibility]:
-    """Resolve *mode* against *spec*'s eligibility.
-
-    Returns the backend that should run the spec together with the
-    eligibility verdict of the *fast* backend, so callers can count
-    fallbacks and surface reasons. ``mode="batch"`` returns the batch
-    backend even for ineligible specs — ``run_batch`` will raise with
-    the reason; forcing a path means owning its restrictions.
+    The engine is None only for a forced ``batch`` on an ineligible
+    spec. Runs for every cache miss: the verdict is memoized per cell
+    (*metrics* counts the hits as ``backends.eligibility_memo_hits``).
     """
     if mode not in BACKEND_MODES:
-        raise SimulationError(
+        raise ConfigurationError(
             f"unknown backend mode {mode!r} (expected one of {BACKEND_MODES})"
         )
-    verdict = _BATCH.eligible(spec)
     if mode == "scalar":
-        return _SCALAR, verdict
-    if mode == "batch":
-        return _BATCH, verdict
-    return (_BATCH if verdict else _SCALAR), verdict
-
-
-def execute_trial(
-    spec: TrialSpec, *, mode: str = "scalar", metrics=None
-) -> Outcome:
-    """Run one spec through the backend selected by *mode*."""
-    backend, _ = select_backend(spec, mode)
-    if isinstance(backend, ScalarBackend):
-        return backend.run_one(spec, metrics=metrics)
-    return backend.run_batch([spec], metrics=metrics)[0]
+        return "scalar", None
+    reason = why_ineligible(spec, metrics=metrics)
+    if reason is None:
+        return "batch", None
+    return ("scalar" if mode == "auto" else None), reason

@@ -1,7 +1,7 @@
 """The scalar oracle backend: one reference Simulator per trial.
 
-This is the always-eligible backend every other backend is measured
-against — the single place a :class:`~repro.experiments.config.
+This is the engine that runs every spec, and the one the batch engine
+is measured against — the single place a :class:`~repro.experiments.config.
 TrialSpec` is turned into a live protocol/adversary pair and a
 :class:`~repro.sim.engine.Simulator`. ``experiments.runner.run_trial``
 and the campaign pool both delegate here, so there is exactly one
@@ -12,22 +12,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.backends.base import Backend, Eligibility
 from repro.experiments.config import TrialSpec
 from repro.sim.outcome import Outcome
 
 __all__ = ["ScalarBackend"]
 
-_ALWAYS = Eligibility(True, None)
 
-
-class ScalarBackend(Backend):
+class ScalarBackend:
     """Wraps the reference engine; accepts every spec."""
-
-    name = "scalar"
-
-    def eligible(self, spec: TrialSpec) -> Eligibility:
-        return _ALWAYS
 
     def run_one(self, spec: TrialSpec, *, metrics=None) -> Outcome:
         """Build and run one Simulator from *spec* (the oracle path)."""

@@ -435,11 +435,13 @@ class Campaign:
         persisted to the local store.
         """
         # ---- backend routing (docs/BACKENDS.md) ----
-        # Deterministic per-spec partition: the batch engine takes the
-        # eligible cache misses as cell groups, the scalar pool takes
-        # the rest. Chaos arms per-trial fault sites that only exist on
-        # the scalar path, so a plan arming one pins the mode; store
-        # and service sites never fire inside trial execution.
+        # route() partitions the cache misses per spec: the batch engine
+        # takes its share as cell groups, the scalar pool the rest.
+        # Chaos arms per-trial fault sites that only exist on the scalar
+        # path, so a plan arming one pins the mode; store and service
+        # sites never fire inside trial execution.
+        from repro.backends.registry import get_backend, route
+
         mode = (
             "scalar"
             if self._injector is not None and self._injector.arms_trials
@@ -447,28 +449,17 @@ class Campaign:
         )
         batch_items: list[tuple[int, TrialSpec, str | None]] = []
         scalar_items: list[tuple[int, TrialSpec, str | None]] = []
-        if mode == "scalar":
-            scalar_items = pending
-        else:
-            from repro.backends.batch import why_ineligible
-            from repro.backends.registry import get_backend
-
-            fast = get_backend("batch")
-            for item in pending:
-                spec = item[1]
-                # Memoized per cell: a sweep's cache misses share a
-                # handful of cells, so repeat verdicts are counted hits
-                # (backends.eligibility_memo_hits), not re-derivations.
-                reason = why_ineligible(spec, metrics=self.metrics)
-                if reason is None:
-                    batch_items.append(item)
-                elif mode == "batch":
-                    error = f"batch backend ineligible — {reason}"
-                    yield item, TrialResult(spec, None, error), None, None
-                else:
-                    scalar_items.append(item)
-                    if self.metrics is not None:
-                        self.metrics.count("campaign.backend_fallbacks")
+        for item in pending:
+            engine, reason = route(item[1], mode, metrics=self.metrics)
+            if engine == "batch":
+                batch_items.append(item)
+            elif engine is None:
+                error = f"batch backend ineligible — {reason}"
+                yield item, TrialResult(item[1], None, error), None, None
+            else:
+                scalar_items.append(item)
+                if reason is not None and self.metrics is not None:
+                    self.metrics.count("campaign.backend_fallbacks")
         if self.metrics is not None and pending:
             self.metrics.count("campaign.backend_batch", len(batch_items))
             self.metrics.count("campaign.backend_scalar", len(scalar_items))
@@ -476,7 +467,7 @@ class Campaign:
         if batch_items:
             exec_t0 = time.perf_counter()
             try:
-                outcomes = fast.run_batch(
+                outcomes = get_backend("batch").run_batch(
                     [spec for _, spec, _ in batch_items], metrics=self.metrics
                 )
             except Exception as exc:  # fall back rather than fail the sweep

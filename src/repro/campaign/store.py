@@ -42,9 +42,11 @@ forward compatibility: a newer writer never breaks an older reader.
 Each append is one ``write()`` of full lines (readers can never
 observe a half-record except after a crash mid-write), then ``flush``
 + ``os.fsync`` so the bytes are on disk — not just in the OS buffer —
-before the put returns, which is what resumability rests on. The
-``fsync`` itself retries with backoff (a transiently failing disk is
-absorbed, a persistently failing one raises), and the first append of
+before the put returns, which is what resumability rests on. A failed
+``fsync`` retries with backoff, re-writing the batch each time (after a
+writeback error the buffered bytes may be gone; readers resolve the
+copies last-write-wins): a transiently failing disk is absorbed, a
+persistently failing one raises. The first append of
 a session newline-terminates any torn tail a crash left behind so the
 damage never spreads into fresh records (docs/ROBUSTNESS.md). On POSIX
 the append additionally holds an exclusive ``flock`` on the store
@@ -506,7 +508,14 @@ class TrialStore:
 
     def _append(self, lines: list[str]) -> int:
         """Append *lines* as one locked write + durable fsync; returns
-        the byte offset the batch starts at."""
+        the byte offset of the copy that synced.
+
+        A failed ``fsync`` is retried with backoff, each attempt writing
+        the whole batch again: after a writeback error Linux may drop
+        the dirty pages or mark them clean, so a bare second ``fsync``
+        can succeed with nothing on disk. A persistently failing disk
+        raises ``CampaignError``: durability is a contract, not a hope.
+        """
         if self._append_fh is None:
             try:
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -528,11 +537,26 @@ class TrialStore:
             if not self._tail_checked:
                 self._terminate_torn_tail()
                 self._tail_checked = True
-            start = fh.tell()
-            # One write() of whole lines: no torn records mid-batch.
-            fh.write(("\n".join(lines) + "\n").encode())
-            fh.flush()
-            self._durable_fsync(fd)
+            payload = ("\n".join(lines) + "\n").encode()
+            for attempt in range(_FSYNC_ATTEMPTS):
+                start = fh.tell()
+                # One write() of whole lines: no torn records mid-batch.
+                fh.write(payload)
+                fh.flush()
+                try:
+                    if self.injector is not None:
+                        self.injector.check_fsync(attempt)
+                    os.fsync(fd)
+                    break
+                except OSError as exc:
+                    if self.metrics is not None:
+                        self.metrics.count("store.fsync_retries")
+                    if attempt + 1 == _FSYNC_ATTEMPTS:
+                        raise CampaignError(
+                            f"cannot make the trial store durable after "
+                            f"{_FSYNC_ATTEMPTS} fsync attempts: {exc}"
+                        ) from exc
+                    time.sleep(_FSYNC_BACKOFF * (2 ** attempt))
         finally:
             if fcntl is not None:
                 fcntl.flock(fd, fcntl.LOCK_UN)
@@ -562,31 +586,6 @@ class TrialStore:
             fh.flush()
             if self.metrics is not None:
                 self.metrics.count("store.torn_tails_terminated")
-
-    def _durable_fsync(self, fd: int) -> None:
-        """``fsync`` with a bounded retry (exponential backoff).
-
-        A transiently failing disk — or an injected ``store.fsync``
-        fault — is absorbed by retrying the sync; the written bytes
-        are still in the file object/OS buffer, so no record is lost.
-        A persistently failing disk still raises ``CampaignError``
-        after the last attempt: durability is a contract, not a hope.
-        """
-        for attempt in range(_FSYNC_ATTEMPTS):
-            try:
-                if self.injector is not None:
-                    self.injector.check_fsync(attempt)
-                os.fsync(fd)
-                return
-            except OSError as exc:
-                if self.metrics is not None:
-                    self.metrics.count("store.fsync_retries")
-                if attempt + 1 == _FSYNC_ATTEMPTS:
-                    raise CampaignError(
-                        f"cannot make the trial store durable after "
-                        f"{_FSYNC_ATTEMPTS} fsync attempts: {exc}"
-                    ) from exc
-                time.sleep(_FSYNC_BACKOFF * (2 ** attempt))
 
     # -- maintenance -------------------------------------------------------------
 

@@ -57,6 +57,7 @@ import pathlib
 import sys
 from typing import Sequence
 
+from repro.backends.registry import BACKEND_MODES, get_backend, route
 from repro.core.registry import available_adversaries, make_adversary
 from repro.errors import ConfigurationError
 from repro.experiments.ablation import (
@@ -142,7 +143,7 @@ def _flag_groups() -> dict[str, argparse.ArgumentParser]:
     g["backend"].add_argument(
         "--backend",
         default="auto",
-        choices=["auto", "scalar", "batch"],
+        choices=BACKEND_MODES,
         help="execution backend (docs/BACKENDS.md): 'auto' routes batch-"
         "eligible cells to the vectorized engine, 'scalar' forces the "
         "reference engine, 'batch' forces the vectorized engine and fails "
@@ -600,18 +601,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from repro.backends import available_backends
-
-    backends = available_backends()
     if args.grid:
         from repro.backends.batch import eligibility_grid, format_grid, topology_grid
 
         print(format_grid(eligibility_grid(), topology_grid()), end="")
         return 0
     print("registered backends (auto-routing preference order):")
-    for b in backends:
-        doc = (type(b).__doc__ or "").strip().splitlines()[0]
-        print(f"  {b.name:<8}{doc}")
+    for name in ("batch", "scalar"):
+        doc = (type(get_backend(name)).__doc__ or "").strip().splitlines()[0]
+        print(f"  {name:<8}{doc}")
     if args.protocol is None:
         print()
         print("pass --protocol/--adversary/-n/-f to explain a cell's routing")
@@ -623,16 +621,13 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         f"N={spec.n} F={spec.f}"
         + (f" topology={spec.topology}" if spec.topology is not None else "")
     )
-    chosen = None
-    for b in backends:
-        verdict = b.eligible(spec)
-        if verdict:
-            print(f"  {b.name}: ok")
-            if chosen is None:
-                chosen = b.name
-        else:
-            print(f"  {b.name}: ineligible — {verdict.reason}, falls back to scalar")
-    print(f"auto routing: {chosen}")
+    engine, reason = route(spec, "auto")
+    if reason is None:
+        print("  batch: ok")
+    else:
+        print(f"  batch: ineligible — {reason}, falls back to scalar")
+    print("  scalar: ok")
+    print(f"auto routing: {engine}")
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.aggregate import RunStatistics, aggregate_runs
-from repro.errors import CampaignError, IncompleteRunError
+from repro.errors import CampaignError, ConfigurationError, IncompleteRunError
 from repro.experiments.config import SweepSpec, TrialSpec
 from repro.sim.outcome import Outcome
 
@@ -39,30 +39,28 @@ __all__ = [
 def run_trial(spec: TrialSpec, *, metrics=None, backend: str = "scalar") -> Outcome:
     """Execute one trial described by *spec*.
 
-    Delegates to the backend layer (:mod:`repro.backends`), the single
-    spec→Outcome path in the codebase. *backend* is a routing mode
-    (``scalar``/``batch``/``auto``); the default keeps single-trial
-    callers — notably the campaign pool workers — on the reference
-    engine, where batching buys nothing and the oracle's sanitizer and
-    chaos hooks all live. *metrics* is an optional
-    :class:`~repro.obs.registry.MetricsRegistry` the engine writes
-    instrumentation into; ``None`` defers to ``$REPRO_METRICS``.
-    Outcomes are identical either way — metrics are write-only
-    observability, and backends are wire-equivalent by contract.
+    *backend* is a routing mode (``scalar``/``batch``/``auto``) that
+    :func:`repro.backends.registry.route` resolves against *spec*; the
+    default keeps single-trial callers — notably the campaign pool
+    workers — on the reference engine, where batching buys nothing and
+    the oracle's sanitizer and chaos hooks all live. A forced ``batch``
+    on a spec the vectorized engine cannot run is a
+    :class:`~repro.errors.ConfigurationError` naming the reason.
+    *metrics* is an optional :class:`~repro.obs.registry.MetricsRegistry`
+    the engine writes instrumentation into; ``None`` defers to
+    ``$REPRO_METRICS``. Outcomes are identical either way — metrics are
+    write-only observability, and the engines are wire-equivalent by
+    contract.
     """
-    # Imports are lazy: repro.backends.base needs TrialSpec, and this
-    # module is pulled in by the experiments package init — a top-level
-    # import here would close that cycle. The scalar mode also skips
-    # the registry (and with it the batch kernel's import chain): pool
-    # workers call this per trial and their first-trial latency is on
-    # the dispatch benchmark's critical path.
-    if backend == "scalar":
-        from repro.backends.scalar import ScalarBackend
+    # Lazy: the backends need TrialSpec, and this module is pulled in
+    # by the experiments package init — a top-level import would close
+    # that cycle.
+    from repro.backends.registry import get_backend, route
 
-        return ScalarBackend().run_one(spec, metrics=metrics)
-    from repro.backends.registry import execute_trial
-
-    return execute_trial(spec, mode=backend, metrics=metrics)
+    engine, reason = route(spec, backend, metrics=metrics)
+    if engine is None:
+        raise ConfigurationError(f"batch backend ineligible — {reason}")
+    return get_backend(engine).run_batch([spec], metrics=metrics)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import BatchBackend, ScalarBackend
+from repro.backends import BatchBackend, ScalarBackend, why_ineligible
 from repro.backends.batch import BATCH_PROTOCOLS
 from repro.core.registry import available_adversaries
 from repro.experiments.config import TrialSpec
@@ -43,9 +43,9 @@ def wire(outcome) -> str:
 def assert_wire_identical(specs):
     """One ``run_batch`` over *specs* (one cell), byte-equal to the
     scalar oracle spec by spec; skips when the cell is not eligible."""
-    verdict = BATCH.eligible(specs[0])
-    if not verdict:
-        pytest.skip(f"cell not batch-eligible: {verdict.reason}")
+    reason = why_ineligible(specs[0])
+    if reason is not None:
+        pytest.skip(f"cell not batch-eligible: {reason}")
     for spec, batch_outcome in zip(specs, BATCH.run_batch(specs)):
         assert wire(batch_outcome) == wire(SCALAR.run_one(spec)), spec
 
@@ -113,7 +113,7 @@ def test_some_cells_are_eligible():
     eligible = [
         (p, a)
         for p, a in GRID
-        if BATCH.eligible(TrialSpec(protocol=p, adversary=a, n=5, f=2, seed=0))
+        if why_ineligible(TrialSpec(protocol=p, adversary=a, n=5, f=2, seed=0)) is None
     ]
     # 8 vectorized protocols x all 9 columns (7 concrete adversaries +
     # 2 str-2 probes): 8 cells, then the 49 of PR 8, the observer
@@ -136,7 +136,7 @@ def test_truncation_boundaries_are_wire_identical(max_steps):
                 seed=1,
                 max_steps=max_steps,
             )
-            if not BATCH.eligible(spec):
+            if why_ineligible(spec) is not None:
                 pytest.skip("cell not batch-eligible here")
             assert wire(BATCH.run_batch([spec])[0]) == wire(SCALAR.run_one(spec))
 
@@ -192,7 +192,7 @@ def test_batch_is_pure_slicing():
         for n, f in ((5, 2), (11, 5))
         for seed in (0, 3)
     ]
-    if not all(BATCH.eligible(s) for s in specs):
+    if not all(why_ineligible(s) is None for s in specs):
         pytest.skip("cells not batch-eligible here")
     mixed = BATCH.run_batch(specs)
     for spec, from_mixed in zip(specs, mixed):
@@ -210,7 +210,7 @@ def test_byte_budget_splits_a_cell_without_changing_wires(monkeypatch):
         TrialSpec(protocol="ears", adversary="informed", n=12, f=5, seed=seed)
         for seed in range(5)
     ] + [TrialSpec(protocol="push", adversary="ugf", n=12, f=5, seed=9)]
-    if not all(BATCH.eligible(s) for s in specs):
+    if not all(why_ineligible(s) is None for s in specs):
         pytest.skip("cells not batch-eligible here")
     assert 50 * trial_bytes("ears", 500) > batch._RUN_BYTES  # that cell does split
     whole = [wire(o) for o in BATCH.run_batch(specs)]
@@ -233,7 +233,7 @@ def test_word_boundary_n():
         spec = TrialSpec(
             protocol="round-robin", adversary=adversary, n=65, f=30, seed=2
         )
-        if not BATCH.eligible(spec):
+        if why_ineligible(spec) is not None:
             pytest.skip("cell not batch-eligible here")
         assert wire(BATCH.run_batch([spec])[0]) == wire(SCALAR.run_one(spec))
 
@@ -250,7 +250,7 @@ def test_batch_validates_like_the_engine():
             {"n": 4, "f": 1, "max_steps": 0},
         ):
             spec = TrialSpec(protocol=protocol, adversary=adversary, seed=0, **bad)
-            if not BATCH.eligible(spec):
+            if why_ineligible(spec) is not None:
                 pytest.skip("cells not batch-eligible here")
             with pytest.raises(ConfigurationError) as batch_error:
                 BATCH.run_batch([spec])
@@ -643,7 +643,7 @@ def test_batch_binds_a_topology_like_the_engine(n, topology):
     spec = TrialSpec(
         protocol="push-pull", adversary="ugf", n=n, f=1, seed=0, topology=topology
     )
-    if not BATCH.eligible(spec):
+    if why_ineligible(spec) is not None:
         pytest.skip("cells not batch-eligible here")
     with pytest.raises(ConfigurationError) as batch_error:
         BATCH.run_batch([spec])
@@ -663,7 +663,7 @@ def test_topology_is_part_of_the_cell():
         for seed in range(2)
         for topology in (None, "ring:2", "expander", "complete")
     ]
-    if not all(BATCH.eligible(s) for s in specs):
+    if not all(why_ineligible(s) is None for s in specs):
         pytest.skip("cells not batch-eligible here")
     for spec, outcome in zip(specs, BATCH.run_batch(specs)):
         assert wire(outcome) == wire(SCALAR.run_one(spec)), spec
@@ -679,7 +679,7 @@ def test_memory_error_halves_the_sub_batch_inside_the_backend(monkeypatch):
         TrialSpec(protocol="ears", adversary="ugf", n=12, f=5, seed=seed)
         for seed in range(5)
     ]
-    if not all(BATCH.eligible(s) for s in specs):
+    if not all(why_ineligible(s) is None for s in specs):
         pytest.skip("cells not batch-eligible here")
     whole = [wire(o) for o in BATCH.run_batch(specs)]
     calls = []
@@ -759,5 +759,5 @@ def test_eligible_cells_are_wire_identical_on_random_specs(
         )
         for seed in seeds
     ]
-    assume(BATCH.eligible(specs[0]))
+    assume(why_ineligible(specs[0]) is None)
     assert_wire_identical(specs)

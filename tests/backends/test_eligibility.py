@@ -1,34 +1,11 @@
-"""Eligibility is cheap, deterministic, and carries its reasons."""
+"""Batch eligibility is cheap, deterministic, and carries its reasons."""
 
 import pytest
 
-from repro.backends import (
-    BatchBackend,
-    Eligibility,
-    ScalarBackend,
-    why_ineligible,
-)
+from repro.backends import why_ineligible
 from repro.experiments.config import TrialSpec
 
-BATCH = BatchBackend()
-
 ELIGIBLE = TrialSpec(protocol="flood", adversary="str-1", n=10, f=3, seed=0)
-
-
-def test_scalar_accepts_everything():
-    scalar = ScalarBackend()
-    for spec in (
-        ELIGIBLE,
-        TrialSpec(protocol="push-pull", adversary="ugf", n=10, f=3, seed=0),
-        TrialSpec(protocol="ears", adversary="str-2.1.1", n=10, f=3, seed=0),
-    ):
-        verdict = scalar.eligible(spec)
-        assert verdict and verdict.reason is None
-
-
-def test_eligibility_truthiness():
-    assert Eligibility(True)
-    assert not Eligibility(False, "because")
 
 
 @pytest.mark.parametrize(
@@ -95,10 +72,9 @@ def test_eligibility_truthiness():
     ],
 )
 def test_rejections_carry_their_reason(spec, needle):
-    verdict = BATCH.eligible(spec)
-    assert not verdict
-    assert needle in verdict.reason
-    assert why_ineligible(spec) == verdict.reason
+    reason = why_ineligible(spec)
+    assert reason is not None
+    assert needle in reason
 
 
 # Off the clique the reason is the narrowest that applies: a protocol
@@ -153,13 +129,12 @@ def test_eligible_cells_have_no_reason(monkeypatch):
             "none", "str-1", "oblivious", "omission", "informed", "greedy-oracle",
         ):
             spec = TrialSpec(protocol=protocol, adversary=adversary, n=8, f=2, seed=0)
-            verdict = BATCH.eligible(spec)
-            assert verdict and verdict.reason is None
+            assert why_ineligible(spec) is None
     homogeneous = TrialSpec(
         protocol="flood", adversary="none", n=8, f=2, seed=0,
         environment="homogeneous",
     )
-    assert BATCH.eligible(homogeneous)
+    assert why_ineligible(homogeneous) is None
 
 
 def test_sanitizer_environment_pins_scalar(monkeypatch):
@@ -167,10 +142,10 @@ def test_sanitizer_environment_pins_scalar(monkeypatch):
     so a sanitizing environment must make every cell fall back — the
     monitors only exist in the scalar engine."""
     monkeypatch.setenv("REPRO_SANITIZE", "strict")
-    verdict = BATCH.eligible(ELIGIBLE)
-    assert not verdict and "sanitizer" in verdict.reason
+    reason = why_ineligible(ELIGIBLE)
+    assert reason is not None and "sanitizer" in reason
     monkeypatch.setenv("REPRO_SANITIZE", "off")
-    assert BATCH.eligible(ELIGIBLE)
+    assert why_ineligible(ELIGIBLE) is None
 
 
 def test_eligibility_is_deterministic(monkeypatch):
@@ -181,6 +156,6 @@ def test_eligibility_is_deterministic(monkeypatch):
         for a in ("none", "ugf")
         for s in range(3)
     ]
-    first = [bool(BATCH.eligible(s)) for s in specs]
+    first = [why_ineligible(s) is None for s in specs]
     for _ in range(3):
-        assert [bool(BATCH.eligible(s)) for s in specs] == first
+        assert [why_ineligible(s) is None for s in specs] == first

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.backends.registry import execute_trial, get_backend, select_backend
+from repro.backends.registry import get_backend, route
 from repro.campaign import Campaign
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import TrialSpec
+from repro.experiments.runner import run_trial
 from repro.obs.registry import MetricsRegistry
 
 BATCHABLE = [
@@ -233,23 +234,29 @@ def test_batch_results_persist_and_replay(tmp_path):
         assert json.dumps(a.outcome.to_wire()) == json.dumps(b.outcome.to_wire())
 
 
-def test_execute_trial_modes_agree():
-    spec = BATCHABLE[0]
-    scalar_wire = json.dumps(execute_trial(spec, mode="scalar").to_wire())
+def test_run_trial_modes_agree():
+    spec, slow_spec = BATCHABLE[0], SCALAR_ONLY[0]
+    scalar_wire = json.dumps(run_trial(spec, backend="scalar").to_wire())
     for mode in ("auto", "batch"):
-        assert json.dumps(execute_trial(spec, mode=mode).to_wire()) == scalar_wire
-    with pytest.raises(SimulationError, match="unknown backend mode"):
-        execute_trial(spec, mode="gpu")
+        assert json.dumps(run_trial(spec, backend=mode).to_wire()) == scalar_wire
+    with pytest.raises(ConfigurationError, match="unknown backend mode"):
+        run_trial(spec, backend="gpu")
+    with pytest.raises(ConfigurationError, match="batch backend ineligible — "):
+        run_trial(slow_spec, backend="batch")
 
 
-def test_select_backend_resolution():
+def test_route_resolution():
+    from repro.backends import BatchBackend, ScalarBackend
+
     fast_spec, slow_spec = BATCHABLE[0], SCALAR_ONLY[0]
-    backend, verdict = select_backend(fast_spec, "auto")
-    assert backend.name == "batch" and verdict
-    backend, verdict = select_backend(slow_spec, "auto")
-    assert backend.name == "scalar" and not verdict
-    assert select_backend(slow_spec, "scalar")[0].name == "scalar"
-    assert select_backend(slow_spec, "batch")[0].name == "batch"
-    assert get_backend("scalar").name == "scalar"
+    assert route(fast_spec, "auto") == ("batch", None)
+    assert route(fast_spec, "batch") == ("batch", None)
+    engine, reason = route(slow_spec, "auto")
+    assert engine == "scalar" and "no vectorized kernel" in reason
+    assert route(slow_spec, "batch") == (None, reason)
+    assert route(slow_spec, "scalar") == ("scalar", None)
+    assert route(fast_spec, "scalar") == ("scalar", None)
+    assert isinstance(get_backend("batch"), BatchBackend)
+    assert isinstance(get_backend("scalar"), ScalarBackend)
     with pytest.raises(SimulationError, match="unknown backend"):
         get_backend("gpu")

@@ -277,6 +277,13 @@ def test_transient_fsync_failure_is_absorbed(tmp_path):
     # is durable and a fresh reader sees it.
     assert metrics.counters["store.fsync_retries"] == 2
     assert TrialStore(tmp_path).get(trial_key(spec)) is not None
+    # Each retry re-wrote the record (a failed fsync may have dropped
+    # the first copy's pages), and the index serves the copy that synced.
+    raw = (tmp_path / "trials.jsonl").read_bytes()
+    assert raw.count(b"\n") == 3
+    last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+    index = json.loads((tmp_path / "store-index.json").read_text())
+    assert index["entries"][trial_key(spec)][0] == last
 
 
 def test_persistent_fsync_failure_raises_campaign_error(tmp_path):

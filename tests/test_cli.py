@@ -568,6 +568,37 @@ def test_sweep_backends_print_identical_csv(capsys):
     assert csv["scalar"] == csv["batch"]
 
 
+@pytest.mark.parametrize(
+    "cell,engine,needle",
+    [
+        (["--protocol", "flood", "--adversary", "str-1", "-n", "64", "-f", "20"],
+         "batch", None),
+        (["--protocol", "coordinator", "--adversary", "none", "-n", "8", "-f", "0"],
+         "scalar", "no vectorized kernel"),
+        (["--protocol", "flood", "--adversary", "ugf", "--sanitize", "strict"],
+         "scalar", "sanitizer 'strict'"),
+    ],
+)
+def test_backends_explains_the_routing_a_campaign_takes(
+    cell, engine, needle, capsys, monkeypatch
+):
+    from repro.campaign import Campaign
+    from repro.cli import _cell_spec
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    assert main(["backends", *cell]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f"auto routing: {engine}\n")
+    if needle is None:
+        assert "  batch: ok\n" in out
+    else:
+        assert "  batch: ineligible — " in out and needle in out
+    spec = _cell_spec(build_parser().parse_args(["backends", *cell]))
+    with Campaign(workers=1, use_cache=False) as campaign:
+        (result,) = campaign.run_trials([spec])
+    assert result.ok and result.backend == engine
+
+
 def test_sweep_store_backend_auto_detects_a_sharded_cache(tmp_path, capsys):
     cache = tmp_path / "c"
     args = ["sweep", *CELL, "--adversary", "none", "--cache-dir", str(cache)]
@@ -596,6 +627,8 @@ def test_sweep_store_backend_auto_detects_a_sharded_cache(tmp_path, capsys):
         ["plot", "/nonexistent.json"],
         ["tradeoff", *ONE, "--k", "0"],
         ["check", "/nonexistent-cache"],
+        ["run", "--protocol", "coordinator", "--adversary", "none", "-n", "8",
+         "-f", "0", "--backend", "batch"],
     ],
 )
 def test_bad_input_is_one_line_and_exit_2(argv, capsys):
