@@ -71,8 +71,8 @@ def _trial_token(spec: "TrialSpec") -> str:
     )
 
 
-def tear_tail(path, *, fraction: float = 0.5) -> int:
-    """Truncate *path* mid-way through its final record.
+def tear_tail(path) -> int:
+    """Truncate *path* half-way through its final record.
 
     Returns the number of bytes removed (0 when the file has no
     complete final record to tear). Exactly the on-disk state a

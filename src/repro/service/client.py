@@ -1,8 +1,9 @@
 """Client side of the campaign service (docs/SERVICE.md).
 
 :class:`ServiceClient` is a small synchronous NDJSON socket client —
-connect, submit trial-spec batches, read streamed outcome frames. On
-top of it, :class:`ServiceCampaign` subclasses
+connect, submit trial-spec batches, read streamed outcome frames
+through one reader, ``_reply``, which raises ``busy`` and ``error``
+replies as typed errors. On top of it, :class:`ServiceCampaign` subclasses
 :class:`~repro.campaign.Campaign` as its remote executor, so every
 experiment module (and the CLI via ``--cache-url``) can execute against
 the shared daemon without changing a line: the campaign loop is the
@@ -13,8 +14,8 @@ local run.
 Failure posture (docs/SERVICE.md "Failure model") — the daemon is an
 *accelerator*, not a dependency. A transport failure is retried under
 a :class:`~repro.chaos.supervisor.RetryPolicy` (bounded attempts,
-exponential backoff, deterministic hashed jitter, per-request
-deadlines); resubmission is idempotent because trials are
+exponential backoff, deterministic hashed jitter), resubmitting only
+the trials not yet answered; resubmission is idempotent because trials are
 content-addressed and the daemon's in-flight dedup table attaches a
 resubmit to the running computation instead of recomputing. Only when
 the policy is exhausted does the campaign warn once, count
@@ -32,7 +33,7 @@ import socket
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Container, Iterator, Sequence
 
 from repro.campaign.campaign import Campaign, TrialResult
 from repro.chaos.supervisor import RetryPolicy
@@ -40,6 +41,7 @@ from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    MAX_SUBMIT_TRIALS,
     PROTO_VERSION,
     ServiceAddress,
     decode_frame,
@@ -66,6 +68,13 @@ __all__ = [
 #: forever. Generous because a cold batch of slow trials legitimately
 #: takes minutes between reply frames.
 DEFAULT_SERVICE_TIMEOUT = 120.0
+
+#: Longest a connect may take; a shorter read ``timeout`` caps it too.
+CONNECT_TIMEOUT = 10.0
+
+#: Read and connect deadline of the liveness probe against a downed
+#: daemon: the most a wedged daemon costs a batch.
+PROBE_TIMEOUT = 2.0
 
 #: The reconnect loop :class:`ServiceCampaign` runs unless told
 #: otherwise: three tries per batch with fast exponential backoff —
@@ -136,11 +145,14 @@ class ServiceClient:
     With a *retry_policy*, :meth:`submit` becomes a bounded
     reconnect-and-resubmit loop: transport failures, torn frames,
     timeouts and ``busy`` rejections are retried with exponential
-    backoff and deterministic hashed jitter, resubmitting the whole
-    batch — idempotent because the daemon deduplicates by content
-    address, so a resubmit attaches to work already in flight instead
-    of recomputing it. Without one (the default), every failure
-    surfaces immediately, preserving the PR-7 single-shot behaviour.
+    backoff and deterministic hashed jitter, resubmitting the trials
+    not yet answered — idempotent because the daemon deduplicates by
+    content address, so a resubmit attaches to work already in flight
+    instead of recomputing it. Without one (the default), every
+    failure surfaces immediately.
+
+    *timeout* is the one read deadline, per reply frame; it also caps
+    the connect, which never waits longer than ``CONNECT_TIMEOUT``.
     """
 
     def __init__(
@@ -148,8 +160,6 @@ class ServiceClient:
         address: "ServiceAddress | str",
         *,
         timeout: float | None = None,
-        connect_timeout: float = 10.0,
-        request_timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
         injector=None,
         metrics=None,
@@ -164,9 +174,6 @@ class ServiceClient:
         #: trials legitimately takes minutes. The CLI path passes
         #: DEFAULT_SERVICE_TIMEOUT so a wedged daemon cannot hang it.
         self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        #: Optional wall-clock deadline for one whole submit attempt.
-        self.request_timeout = request_timeout
         self.retry_policy = retry_policy
         #: Client-side chaos hooks (repro.chaos.inject.FaultInjector);
         #: None in production. Service sites fault each connection.
@@ -200,12 +207,13 @@ class ServiceClient:
         if self._sock is not None:
             return self
         link = self.injector and self.injector.link(self._note_injection)
+        deadline = min(self.timeout or CONNECT_TIMEOUT, CONNECT_TIMEOUT)
         try:
             if link is not None:
                 link.connect()
             if self.address.scheme == "unix":
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                sock.settimeout(self.connect_timeout)
+                sock.settimeout(deadline)
                 try:
                     sock.connect(self.address.path)
                 except OSError:
@@ -214,7 +222,7 @@ class ServiceClient:
             else:
                 sock = socket.create_connection(
                     (self.address.host, self.address.port),
-                    timeout=self.connect_timeout,
+                    timeout=deadline,
                 )
         except OSError as exc:
             raise ServiceError(
@@ -257,24 +265,8 @@ class ServiceClient:
         if self._link is not None:
             self._link.request()
 
-    def _read_frame(self, deadline: float | None = None) -> dict[str, Any]:
+    def _read_frame(self) -> dict[str, Any]:
         assert self._rfile is not None
-        restore = False
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self.close()
-                raise ServiceTimeout(
-                    f"request deadline expired waiting on {self.address}"
-                )
-            if self._sock is not None and (
-                self.timeout is None or remaining < self.timeout
-            ):
-                try:
-                    self._sock.settimeout(remaining)
-                    restore = True
-                except OSError:
-                    pass
         try:
             line = self._rfile.readline(MAX_FRAME_BYTES + 1)
         except TimeoutError as exc:
@@ -287,12 +279,6 @@ class ServiceClient:
         except OSError as exc:
             self.close()
             raise ServiceError(f"read from {self.address} failed: {exc}") from exc
-        finally:
-            if restore and self._sock is not None:
-                try:
-                    self._sock.settimeout(self.timeout)
-                except OSError:
-                    pass
         if not line:
             self.close()
             raise ServiceError(f"connection to {self.address} closed before reply")
@@ -311,36 +297,38 @@ class ServiceClient:
             self.close()
             raise ServiceProtocolError(str(exc)) from exc
 
-    @staticmethod
-    def _busy_error(frame: dict[str, Any]) -> ServiceBusy:
-        """A typed rejection even when the frame's fields are missing
-        or garbage — a misbehaving daemon must not crash the client."""
-        hint = frame.get("retry_after")
-        retry_after = (
-            float(hint)
-            if isinstance(hint, (int, float)) and not isinstance(hint, bool) and hint >= 0
-            else None
-        )
-        reason = frame.get("reason")
-        detail = f" ({reason})" if isinstance(reason, str) and reason else ""
-        return ServiceBusy(
-            f"service refused admission{detail}", retry_after=retry_after
-        )
-
-    def _roundtrip(self, op: str, **fields: Any) -> dict[str, Any]:
-        deadline = (
-            time.monotonic() + self.request_timeout
-            if self.request_timeout is not None
-            else None
-        )
-        self._send_frame({"v": PROTO_VERSION, "op": op, **fields})
-        frame = self._read_frame(deadline)
-        if frame.get("op") == "busy":
-            raise self._busy_error(frame)
-        if frame.get("op") == "error":
+    def _reply(self, pending: Container[int] = ()) -> dict[str, Any]:
+        """The next frame; a ``busy`` reply raises :class:`ServiceBusy`
+        and an ``error`` reply :class:`ServiceError`, typed even when
+        their fields are missing or garbage — a misbehaving daemon must
+        not crash the client. Given the *pending* request ids, a frame
+        addressed to another request (a stray from an abandoned
+        attempt) is returned as is, for the caller to skip."""
+        frame = self._read_frame()
+        req_id = frame.get("id")
+        if pending and isinstance(req_id, int) and req_id not in pending:
+            return frame
+        op = frame.get("op")
+        if op == "busy":
+            hint = frame.get("retry_after")
+            retry_after = (
+                float(hint)
+                if isinstance(hint, (int, float)) and not isinstance(hint, bool) and hint >= 0
+                else None
+            )
+            reason = frame.get("reason")
+            detail = f" ({reason})" if isinstance(reason, str) and reason else ""
+            raise ServiceBusy(
+                f"service refused admission{detail}", retry_after=retry_after
+            )
+        if op == "error":
             error = frame.get("error") or "unspecified error"
-            raise ServiceError(f"service refused {op!r}: {error}")
+            raise ServiceError(f"service error: {error}")
         return frame
+
+    def _roundtrip(self, op: str) -> dict[str, Any]:
+        self._send_frame({"v": PROTO_VERSION, "op": op})
+        return self._reply()
 
     # -- ops -----------------------------------------------------------------------
 
@@ -361,21 +349,32 @@ class ServiceClient:
         return self._roundtrip("stats")
 
     def submit(self, specs: Sequence[TrialSpec]) -> list[TrialReply]:
-        """Run *specs* through the daemon; replies in submission order.
+        """Run *specs* through the daemon (see :meth:`iter_submit`);
+        replies in submission order.
 
-        Frames arrive one scheduler wave at a time, in claim order
-        within a wave, and are restored to submission order by index.
         Raises :class:`ServiceError` only for transport/protocol
-        failure — per-trial failures are ``failed`` replies. With a
-        retry policy armed, transport failures and ``busy`` rejections
-        are retried by resubmitting the whole batch (idempotent: the
-        daemon's store and in-flight dedup answer already-finished
-        trials as hits); the last error surfaces once the policy is
-        exhausted.
+        failure — per-trial failures are ``failed`` replies.
+        """
+        replies = dict(self.iter_submit(specs))
+        return [replies[i] for i in range(len(replies))]
+
+    def iter_submit(
+        self, specs: Sequence[TrialSpec]
+    ) -> Iterator[tuple[int, TrialReply]]:
+        """Yield ``(index, reply)`` for each of *specs* as it arrives.
+
+        The batch crosses as submit frames of at most
+        ``MAX_SUBMIT_TRIALS`` trials, so none outgrows the daemon's
+        admission bound, sent one frame ahead of the replies so the
+        daemon never waits on a round trip between frames. A retry
+        resubmits only the trials not yet answered; once the policy is
+        exhausted the last error surfaces, after every reply that did
+        arrive.
         """
         specs = list(specs)
         if not specs:
-            return []
+            return
+        answered: set[int] = set()
         self._batch_index += 1
         token = f"batch{self._batch_index - 1}"
         policy = self.retry_policy
@@ -397,8 +396,12 @@ class ServiceClient:
                 )
                 if wait > 0:
                     self._sleep(wait)
+            todo = [i for i in range(len(specs)) if i not in answered]
             try:
-                return self._submit_once(specs)
+                for i, reply in self._submit_once(specs, todo):
+                    answered.add(i)
+                    yield i, reply
+                return
             except ServiceBusy as exc:
                 last_error = exc
                 self._count("service.busy")
@@ -414,57 +417,59 @@ class ServiceClient:
             f"submit to {self.address} failed: {last_error}"
         ) from last_error
 
-    def _submit_once(self, specs: list[TrialSpec]) -> list[TrialReply]:
-        """One submission attempt; raises on any transport/protocol
-        fault so :meth:`submit`'s loop can decide whether to retry."""
-        deadline = (
-            time.monotonic() + self.request_timeout
-            if self.request_timeout is not None
-            else None
-        )
-        self._next_id += 1
-        req_id = self._next_id
-        self._send_frame(
-            {
-                "v": PROTO_VERSION,
-                "op": "submit",
-                "id": req_id,
-                "trials": [spec_to_wire(spec) for spec in specs],
-            }
-        )
-        replies: list[TrialReply | None] = [None] * len(specs)
-        received = 0
-        while True:
-            frame = self._read_frame(deadline)
-            op = frame.get("op")
-            if op == "busy":
-                raise self._busy_error(frame)
-            if op == "error":
-                error = frame.get("error") or "unspecified error"
-                raise ServiceError(f"service error: {error}")
-            if op == "done":
-                if frame.get("id") != req_id:
-                    continue
-                break
-            if op != "outcome" or frame.get("id") != req_id:
+    def _submit_once(
+        self, specs: list[TrialSpec], todo: list[int]
+    ) -> Iterator[tuple[int, TrialReply]]:
+        """One submission attempt of the trials *todo* indexes; raises
+        on any transport/protocol fault so :meth:`iter_submit`'s loop
+        can decide whether to retry."""
+        frames = [
+            todo[start : start + MAX_SUBMIT_TRIALS]
+            for start in range(0, len(todo), MAX_SUBMIT_TRIALS)
+        ]
+        # Request id -> (indices the frame carries, positions unanswered).
+        inflight: dict[int, tuple[list[int], set[int]]] = {}
+        while frames or inflight:
+            while frames and len(inflight) < 2:  # one frame ahead of the replies
+                chunk = frames.pop(0)
+                self._next_id += 1
+                self._send_frame(
+                    {
+                        "v": PROTO_VERSION,
+                        "op": "submit",
+                        "id": self._next_id,
+                        "trials": [spec_to_wire(specs[i]) for i in chunk],
+                    }
+                )
+                inflight[self._next_id] = (chunk, set(range(len(chunk))))
+            frame = self._reply(inflight)
+            req_id = frame.get("id")
+            if not isinstance(req_id, int) or req_id not in inflight:
                 continue  # stray frame from another request on this socket
+            chunk, unanswered = inflight[req_id]
+            op = frame.get("op")
+            if op == "done":
+                if unanswered:
+                    raise ServiceError(
+                        f"service answered {len(chunk) - len(unanswered)}"
+                        f"/{len(chunk)} trials before done"
+                    )
+                del inflight[req_id]
+                continue
+            if op != "outcome":
+                continue
             i = frame.get("i")
-            if not isinstance(i, int) or not 0 <= i < len(specs):
+            if not isinstance(i, int) or i not in unanswered:
                 raise ServiceProtocolError(f"outcome frame with bad index: {i!r}")
-            replies[i] = TrialReply(
-                spec=specs[i],
+            unanswered.discard(i)
+            yield chunk[i], TrialReply(
+                spec=specs[chunk[i]],
                 key=frame.get("key"),
                 status=str(frame.get("status")),
                 wire=frame.get("wire"),
                 error=frame.get("error"),
                 backend=frame.get("backend"),
             )
-            received += 1
-        if received != len(specs) or any(r is None for r in replies):
-            raise ServiceError(
-                f"service answered {received}/{len(specs)} trials before done"
-            )
-        return replies  # type: ignore[return-value]
 
 
 class ServiceCampaign(Campaign):
@@ -499,28 +504,22 @@ class ServiceCampaign(Campaign):
         self,
         url: "str | ServiceAddress",
         *,
-        client: ServiceClient | None = None,
         timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
-        probe_timeout: float = 2.0,
         **campaign_kwargs: Any,
     ) -> None:
         super().__init__(**campaign_kwargs)
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
-        self._probe_timeout = probe_timeout
-        if client is not None:
-            self.client = client
-        else:
-            self.client = ServiceClient(
-                url,
-                timeout=timeout,
-                retry_policy=self.retry_policy,
-                injector=self._injector,
-                metrics=self.metrics,
-                on_event=self._service_event,
-            )
+        self.client = ServiceClient(
+            url,
+            timeout=timeout,
+            retry_policy=self.retry_policy,
+            injector=self._injector,
+            metrics=self.metrics,
+            on_event=self._service_event,
+        )
         self._remote_down = False
         self._warned_fallback = False
 
@@ -554,16 +553,12 @@ class ServiceCampaign(Campaign):
         """One cheap liveness check against a downed daemon.
 
         Runs on a throwaway short-deadline connection so a wedged
-        daemon costs at most ``probe_timeout`` per batch; on success
+        daemon costs at most ``PROBE_TIMEOUT`` per batch; on success
         the campaign resumes remote execution.
         """
         if self.metrics is not None:
             self.metrics.count("service.probes")
-        probe = ServiceClient(
-            self.client.address,
-            timeout=self._probe_timeout,
-            connect_timeout=self._probe_timeout,
-        )
+        probe = ServiceClient(self.client.address, timeout=PROBE_TIMEOUT)
         try:
             alive = probe.connect().ping()
         except (ServiceError, OSError):
@@ -604,24 +599,28 @@ class ServiceCampaign(Campaign):
         if self._via is None:
             yield from super()._execute(pending)
             return
-        unanswered, failure = [], None
+        replies, unanswered, failure = {}, [], None
         try:
-            replies = self.client.submit([spec for _, spec, _ in pending])
+            for i, reply in self.client.iter_submit([spec for _, spec, _ in pending]):
+                replies[i] = reply
         except (ServiceError, OSError) as exc:
-            unanswered, failure = pending, exc
-        else:
-            for item, reply in zip(pending, replies):
-                wire = reply.wire
-                try:
-                    outcome = None if wire is None else Outcome.from_wire(wire)
-                except Exception as exc:
-                    unanswered.append(item)
-                    failure = ServiceError(f"undecodable outcome wire: {exc}")
-                    continue
-                result = TrialResult(
-                    item[1], outcome, reply.error, reply.cached, reply.backend
-                )
-                yield item, result, None, "service"
+            failure = exc
+        for i, item in enumerate(pending):
+            reply = replies.get(i)
+            if reply is None:
+                unanswered.append(item)
+                continue
+            wire = reply.wire
+            try:
+                outcome = None if wire is None else Outcome.from_wire(wire)
+            except Exception as exc:
+                unanswered.append(item)
+                failure = ServiceError(f"undecodable outcome wire: {exc}")
+                continue
+            result = TrialResult(
+                item[1], outcome, reply.error, reply.cached, reply.backend
+            )
+            yield item, result, None, "service"
         if not unanswered:
             return
         self._fall_back(failure)

@@ -14,11 +14,12 @@ Client → server ops (every frame carries ``"v": PROTO_VERSION`` and
 - ``hello`` — handshake; the server answers with its protocol version
   and identity. Optional but recommended: a version mismatch surfaces
   here instead of as a confusing submit failure.
-- ``submit`` — ``{"id": <client-chosen tag>, "trials": [<spec wire>…]}``.
-  The server streams one ``outcome`` frame per trial, one scheduler
-  wave at a time (claim order within a wave), and finishes with a
-  ``done`` frame. ``i`` indexes into the
-  submitted batch so the client can restore submission order.
+- ``submit`` — ``{"id": <client-chosen tag>, "trials": [<spec wire>…]}``,
+  at most :data:`MAX_SUBMIT_TRIALS` trials a frame. The server streams
+  one ``outcome`` frame per trial, one scheduler wave at a time (claim
+  order within a wave), and finishes with a ``done`` frame. ``i``
+  indexes into the submitted batch so the client can restore
+  submission order.
 - ``stats`` — dedup/hit/compute counters snapshot.
 - ``ping`` — liveness.
 
@@ -60,6 +61,7 @@ from repro.experiments.config import TrialSpec
 __all__ = [
     "PROTO_VERSION",
     "SERVER_NAME",
+    "MAX_SUBMIT_TRIALS",
     "ServiceAddress",
     "parse_service_url",
     "spec_to_wire",
@@ -77,6 +79,13 @@ SERVER_NAME = "repro-ugf-service"
 #: Upper bound on one frame line; a client that ships a larger frame
 #: is broken or hostile, and unbounded readline() is a memory DoS.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: Most trials one submit frame carries, and most one scheduler wave
+#: hands the daemon's campaign: a larger batch crosses as several
+#: submits, each admitted on its own, so none outgrows the daemon's
+#: pending-queue bound, and the client keeps at most two in flight,
+#: so a late arrival waits behind at most two frames of a huge batch.
+MAX_SUBMIT_TRIALS = 512
 
 
 @dataclass(frozen=True, slots=True)

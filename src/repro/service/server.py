@@ -11,15 +11,20 @@ The scheduling core is the **in-flight table**: ``content address →
 asyncio.Future``. Every submitted trial resolves its key; a key with a
 live future attaches to it (counted ``dedup_inflight`` — the second
 requester never recomputes, it *waits*), a fresh key enqueues for
-execution. A single scheduler task drains the queue in waves and runs
-them on a one-thread executor through the campaign, handing it the
-keys already claimed so each trial is hashed once. The campaign, which
+execution. A single scheduler task drains the queue in waves of at
+most ``MAX_SUBMIT_TRIALS`` trials and runs them on a one-thread
+executor through the campaign, handing it the keys already claimed
+so each trial is hashed once. The campaign, which
 is not thread-safe, thus always executes from exactly one thread while
 the event loop keeps accepting frames. Store hits
 inside the campaign stay cheap; real misses fan out across the worker
 pool / batch engine exactly as they do locally. As each wave
 finishes, its futures resolve and every waiting connection writes the
 frames that wave owes it in one write, in claim order within the wave.
+
+Each connection reads a line and either starts a submit task or sends
+the reply ``_answer`` builds for any other frame; ``_error`` builds
+every counted error reply, ``_count`` bumps a counter with its metric.
 
 Together the two layers give the fleet guarantee (docs/SERVICE.md):
 the store dedups across time, the in-flight table dedups across *now*
@@ -57,6 +62,7 @@ from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    MAX_SUBMIT_TRIALS,
     PROTO_VERSION,
     SERVER_NAME,
     ServiceAddress,
@@ -66,11 +72,6 @@ from repro.service.protocol import (
 )
 
 __all__ = ["TrialService", "ServiceThread", "serve_forever"]
-
-#: Most trials one scheduler wave hands the campaign. Bounds the
-#: latency a late arrival waits behind a huge batch, while still
-#: giving the batch backend cell groups worth vectorizing.
-_MAX_SCHEDULE_BATCH = 512
 
 #: Memo entries the daemon's campaign retains (see Campaign.memo_limit):
 #: a long-lived process must not accumulate one resident Outcome per
@@ -94,7 +95,8 @@ class TrialService:
     :class:`ServiceThread` construct and close theirs); the service
     only promises to use it from a single executor thread.
 
-    *max_pending* bounds the pending-submit queue (admission control);
+    *max_pending* bounds the pending-submit queue (admission control)
+    and a refused submit's ``busy`` frame carries *retry_after*;
     *idle_timeout* closes connections with no traffic and no running
     submit streams. The campaign's fault plan, if it arms a
     ``service.*`` site, faults each accepted connection's streams.
@@ -104,13 +106,11 @@ class TrialService:
         self,
         campaign,
         *,
-        max_batch: int = _MAX_SCHEDULE_BATCH,
         max_pending: int = DEFAULT_MAX_PENDING,
         idle_timeout: float | None = None,
         retry_after: float = DEFAULT_RETRY_AFTER,
     ) -> None:
         self.campaign = campaign
-        self.max_batch = max_batch
         self.max_pending = max_pending
         self.idle_timeout = idle_timeout
         self.retry_after = retry_after
@@ -157,14 +157,18 @@ class TrialService:
         if telemetry is not None:
             telemetry.emit("service", event=event, **fields)
 
+    def _count(self, name: str, n: int = 1) -> None:
+        """Bump the lifetime counter *name* and its ``service.<name>``
+        metric."""
+        self.counters[name] += n
+        self._count_metric(f"service.{name}", n)
+
     def _note_injected(self, site: str) -> None:
-        self.counters["injected_faults"] += 1
-        self._count_metric("service.injected_faults")
+        self._count("injected_faults")
         self._emit_event("injected_fault", site=site)
 
     def _note_abort(self) -> None:
-        self.counters["aborted_streams"] += 1
-        self._count_metric("service.aborted_streams")
+        self._count("aborted_streams")
         self._emit_event("aborted_stream")
 
     # -- lifecycle -----------------------------------------------------------------
@@ -305,8 +309,7 @@ class TrialService:
         """
         fut = self._inflight.get(key)
         if fut is not None:
-            self.counters["dedup_inflight"] += 1
-            self._count_metric("service.dedup_inflight")
+            self._count("dedup_inflight")
             return fut, True
         fut = asyncio.get_running_loop().create_future()
         self._inflight[key] = fut
@@ -318,7 +321,7 @@ class TrialService:
         loop = asyncio.get_running_loop()
         while True:
             items = [await self._queue.get()]
-            while len(items) < self.max_batch:
+            while len(items) < MAX_SUBMIT_TRIALS:
                 try:
                     items.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -364,7 +367,7 @@ class TrialService:
     async def _send(
         self, writer: asyncio.StreamWriter, lock: asyncio.Lock, frame: dict
     ) -> None:
-        await self._write(writer, lock, [encode_frame(frame)])
+        await self._write(writer, lock, [encode_frame({"v": PROTO_VERSION, **frame})])
 
     @staticmethod
     async def _write(
@@ -375,6 +378,38 @@ class TrialService:
             writer.write(b"".join(frames))
             await writer.drain()
 
+    def _error(self, message: str, **ids: Any) -> dict:
+        """A counted ``error`` reply to a frame the daemon cannot honour."""
+        self.counters["errors"] += 1
+        return {"op": "error", **ids, "error": message}
+
+    def _answer(self, frame: dict) -> dict:
+        """The reply to any frame but a correctly versioned submit."""
+        version = frame.get("v", PROTO_VERSION)
+        if version != PROTO_VERSION:
+            return self._error(
+                f"protocol version {version!r} unsupported "
+                f"(server speaks {PROTO_VERSION})"
+            )
+        op = frame.get("op")
+        store = getattr(self.campaign, "store", None)
+        if op == "ping":
+            return {"op": "pong"}
+        if op == "hello":
+            return {
+                "op": "hello",
+                "server": SERVER_NAME,
+                "store": str(getattr(store, "cache_dir", "")),
+            }
+        if op == "stats":
+            return {
+                "op": "stats",
+                "counters": dict(self.counters),
+                "inflight": self.inflight,
+                "store_records": len(store) if store is not None else 0,
+            }
+        return self._error(f"unknown op {op!r}")
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -383,8 +418,7 @@ class TrialService:
             reader, writer = link.accept(reader, writer)
             if link.closed:
                 return
-        self.counters["connections"] += 1
-        self._count_metric("service.connections")
+        self._count("connections")
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
@@ -393,23 +427,16 @@ class TrialService:
         try:
             while True:
                 try:
-                    if self.idle_timeout is not None:
-                        try:
-                            line = await asyncio.wait_for(
-                                reader.readline(), self.idle_timeout
-                            )
-                        except asyncio.TimeoutError:
-                            # Only genuinely idle connections are shed:
-                            # one with a submit stream still running is
-                            # waiting on its own computation, so re-arm.
-                            if any(not s.done() for s in submits):
-                                continue
-                            self.counters["idle_closed"] += 1
-                            self._count_metric("service.idle_closed")
-                            self._emit_event("idle_closed")
-                            break
-                    else:
-                        line = await reader.readline()
+                    line = await asyncio.wait_for(reader.readline(), self.idle_timeout)
+                except asyncio.TimeoutError:
+                    # Only genuinely idle connections are shed: one
+                    # with a submit stream still running is waiting on
+                    # its own computation, so re-arm.
+                    if any(not s.done() for s in submits):
+                        continue
+                    self._count("idle_closed")
+                    self._emit_event("idle_closed")
+                    break
                 except (ValueError, ConnectionError):
                     # Frame over the stream limit, or transport death.
                     break
@@ -420,79 +447,16 @@ class TrialService:
                 try:
                     frame = decode_frame(line)
                 except ConfigurationError as exc:
-                    self.counters["errors"] += 1
-                    await self._send(writer, lock, {"v": PROTO_VERSION, "op": "error", "error": str(exc)})
+                    await self._send(writer, lock, self._error(str(exc)))
                     continue
-                version = frame.get("v", PROTO_VERSION)
-                op = frame.get("op")
-                if version != PROTO_VERSION:
-                    self.counters["errors"] += 1
-                    await self._send(
-                        writer,
-                        lock,
-                        {
-                            "v": PROTO_VERSION,
-                            "op": "error",
-                            "error": f"protocol version {version!r} unsupported "
-                            f"(server speaks {PROTO_VERSION})",
-                        },
-                    )
-                    continue
-                if op == "ping":
-                    await self._send(writer, lock, {"v": PROTO_VERSION, "op": "pong"})
-                elif op == "hello":
-                    await self._send(
-                        writer,
-                        lock,
-                        {
-                            "v": PROTO_VERSION,
-                            "op": "hello",
-                            "server": SERVER_NAME,
-                            "store": str(
-                                getattr(
-                                    getattr(self.campaign, "store", None),
-                                    "cache_dir",
-                                    "",
-                                )
-                            ),
-                        },
-                    )
-                elif op == "stats":
-                    await self._send(
-                        writer,
-                        lock,
-                        {
-                            "v": PROTO_VERSION,
-                            "op": "stats",
-                            "counters": dict(self.counters),
-                            "inflight": self.inflight,
-                            "store_records": (
-                                len(self.campaign.store)
-                                if getattr(self.campaign, "store", None)
-                                is not None
-                                else 0
-                            ),
-                        },
-                    )
-                elif op == "submit":
-                    submit = asyncio.create_task(
-                        self._guarded_submit(frame, writer, lock)
-                    )
+                if frame.get("op") == "submit" and frame.get("v", PROTO_VERSION) == PROTO_VERSION:
+                    submit = asyncio.create_task(self._guarded_submit(frame, writer, lock))
                     submits.add(submit)
                     submit.add_done_callback(submits.discard)
                     self._submit_tasks.add(submit)
                     submit.add_done_callback(self._submit_tasks.discard)
                 else:
-                    self.counters["errors"] += 1
-                    await self._send(
-                        writer,
-                        lock,
-                        {
-                            "v": PROTO_VERSION,
-                            "op": "error",
-                            "error": f"unknown op {op!r}",
-                        },
-                    )
+                    await self._send(writer, lock, self._answer(frame))
         except asyncio.CancelledError:
             # Shutdown path: close() cancelled us on purpose; finish
             # the cleanup below instead of logging a phantom error.
@@ -531,17 +495,8 @@ class TrialService:
         req_id = frame.get("id")
         trials = frame.get("trials")
         if not isinstance(trials, list):
-            self.counters["errors"] += 1
-            await self._send(
-                writer,
-                lock,
-                {
-                    "v": PROTO_VERSION,
-                    "op": "error",
-                    "id": req_id,
-                    "error": "submit frame carries no 'trials' list",
-                },
-            )
+            error = self._error("submit frame carries no 'trials' list", id=req_id)
+            await self._send(writer, lock, error)
             return
         if self._draining or self._queue.qsize() + len(trials) > self.max_pending:
             reason = (
@@ -549,25 +504,14 @@ class TrialService:
                 if self._draining
                 else f"pending queue full ({self._queue.qsize()}/{self.max_pending})"
             )
-            self.counters["busy_rejections"] += 1
-            self._count_metric("service.busy_rejections")
+            self._count("busy_rejections")
             self._emit_event("busy_rejection", reason=reason)
-            await self._send(
-                writer,
-                lock,
-                {
-                    "v": PROTO_VERSION,
-                    "op": "busy",
-                    "id": req_id,
-                    "retry_after": self.retry_after,
-                    "reason": reason,
-                },
-            )
+            await self._send(writer, lock, {
+                "op": "busy", "id": req_id, "retry_after": self.retry_after, "reason": reason,
+            })
             return
-        self.counters["requests"] += 1
-        self.counters["trials"] += len(trials)
-        self._count_metric("service.requests")
-        self._count_metric("service.trials", len(trials))
+        self._count("requests")
+        self._count("trials", len(trials))
         counts = {"hit": 0, "computed": 0, "dedup": 0, "failed": 0}
         # Frames owed but not yet written; specs that do not parse are
         # answered with the first wave.
