@@ -15,7 +15,7 @@ once per chunk, and the outcome travels back in the compact
 :meth:`~repro.sim.outcome.Outcome.to_wire` encoding instead of as
 pickled ndarrays. Chunk size is auto-tuned from the batch length and
 the worker count (several waves per worker, so stragglers still load
-balance); ``chunk_size`` pins it for tests and benchmarks.
+balance); there is no knob to pin it.
 
 Three more robustness properties:
 
@@ -48,7 +48,7 @@ import threading
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -274,13 +274,11 @@ class WorkerPool:
         workers: int | None = None,
         *,
         trial_timeout: float | None = None,
-        chunk_size: int | None = None,
         metrics=None,
         fault_plan: "FaultPlan | None" = None,
     ) -> None:
         self.workers = default_workers() if workers is None else max(0, workers)
         self.trial_timeout = trial_timeout
-        self.chunk_size = chunk_size
         #: Session MetricsRegistry (or None = metrics off). Inline
         #: trials write into it directly; parallel chunks return a
         #: per-chunk registry in the chunk wire format which is merged
@@ -305,12 +303,6 @@ class WorkerPool:
             )
         return self._executor
 
-    def _discard_executor(self) -> None:
-        """Drop a broken executor; the next submit rebuilds it."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
     def _chunk_for(self, total: int) -> int:
         """Chunk size for a batch of *total* specs.
 
@@ -319,8 +311,6 @@ class WorkerPool:
         above ``_MAX_CHUNK`` trials per task, so result pickles and the
         inline recovery path stay bounded.
         """
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
         waves = max(1, self.workers * _WAVES_PER_WORKER)
         return max(1, min(_MAX_CHUNK, -(-total // waves)))
 
@@ -334,26 +324,28 @@ class WorkerPool:
         specs = list(specs)
         collect = self.metrics is not None
         plan = self.fault_plan
-        if plan is not None and plan.origin_pid is None:
-            # Stamp the owning process so worker-only faults (kill,
-            # starve) can never fire inline — the degradation ladder's
-            # last rung must always terminate.
-            plan = plan.with_origin(os.getpid())
-        if not self.parallel or len(specs) <= 1:
-            injector = None
-            if plan is not None:
-                from repro.chaos.inject import FaultInjector
+        injector = None
+        if plan is not None:
+            from repro.chaos.inject import FaultInjector
 
-                injector = FaultInjector(plan)
-            for spec in specs:
-                yield _execute_one(
-                    spec, self.trial_timeout, self.metrics, injector
-                )
+            if plan.origin_pid is None:
+                # Stamp the owning process so worker-only faults (kill,
+                # starve) can never fire inline — a retry or a recovery
+                # on the inline path must always terminate.
+                plan = plan.with_origin(os.getpid())
+            injector = FaultInjector(plan)
+
+        def inline(batch: list[TrialSpec]) -> Iterator[ExecutionResult]:
+            for spec in batch:
+                yield _execute_one(spec, self.trial_timeout, self.metrics, injector)
+
+        if not self.parallel or len(specs) <= 1:
+            yield from inline(specs)
             return
 
         chunk = self._chunk_for(len(specs))
         chunks = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
-        window: deque[tuple[list[TrialSpec], Any]] = deque()
+        window: deque[tuple[list[TrialSpec], ProcessPoolExecutor, Any]] = deque()
         pending = iter(chunks)
         max_window = max(2, self.workers * _WINDOW_PER_WORKER)
 
@@ -361,44 +353,48 @@ class WorkerPool:
             batch = next(pending, None)
             if batch is None:
                 return False
-            future = self._ensure_executor().submit(
-                run_trial_batch, batch, self.trial_timeout, collect, plan
-            )
-            window.append((batch, future))
+            executor = self._ensure_executor()
+            try:
+                future = executor.submit(
+                    run_trial_batch, batch, self.trial_timeout, collect, plan
+                )
+            except BrokenProcessPool as exc:  # broke since the last submit
+                future = Future()
+                future.set_exception(exc)
+            window.append((batch, executor, future))
             return True
 
         while len(window) < max_window and submit_next():
             pass
         while window:
-            batch, future = window.popleft()
+            batch, executor, future = window.popleft()
             try:
-                payload = future.result()
+                outcomes, seconds, wire = future.result()
             except BrokenProcessPool:
                 # A worker died (OOM kill, hard crash). Rebuild the
                 # executor lazily and recover this chunk inline rather
                 # than failing the whole campaign; sibling in-flight
-                # chunks recover the same way as their futures fail.
-                self._discard_executor()
+                # chunks recover the same way as their futures fail,
+                # and never drop the executor that replaced theirs.
+                if self._executor is executor:
+                    executor.shutdown(wait=False)
+                    self._executor = None
                 if self.metrics is not None:
                     self.metrics.count("pool.broken_pool_recoveries")
-                payload = run_trial_batch(
-                    batch, self.trial_timeout, collect, plan
-                )
-            submit_next()
-            outcomes, seconds, wire = payload
-            if wire is not None:  # metrics on: merge the worker registry
-                from repro.obs.registry import MetricsRegistry
+                results = list(inline(batch))
+            else:
+                if wire is not None:  # metrics on: merge the worker registry
+                    from repro.obs.registry import MetricsRegistry
 
-                self.metrics.merge(MetricsRegistry.from_wire(wire))
-            for spec, (tag, result), secs in zip(batch, outcomes, seconds):
-                if tag == "ok":
-                    yield ExecutionResult(
-                        spec=spec,
-                        outcome=Outcome.from_wire(result),
-                        seconds=secs,
-                    )
-                else:
-                    yield ExecutionResult(spec=spec, outcome=None, error=result)
+                    self.metrics.merge(MetricsRegistry.from_wire(wire))
+                results = [
+                    ExecutionResult(spec, Outcome.from_wire(result), seconds=secs)
+                    if tag == "ok"
+                    else ExecutionResult(spec, None, error=result)
+                    for spec, (tag, result), secs in zip(batch, outcomes, seconds)
+                ]
+            submit_next()
+            yield from results
 
     def execute(self, specs: list[TrialSpec]) -> list[ExecutionResult]:
         """Run *specs*, returning results in submission order."""

@@ -84,6 +84,7 @@ try:  # POSIX-only; elsewhere appends are unlocked (warned + counted).
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
+from repro.campaign.retry import RetryPolicy
 from repro.errors import CampaignError
 from repro.sim.outcome import Outcome
 
@@ -106,12 +107,11 @@ INDEX_FILENAME = "store-index.json"
 #: Offset-index schema version (v1 indexed the retired sharded layout).
 INDEX_VERSION = 2
 
-#: Durability attempts per batch: ``fsync`` gets this many tries
-#: (small exponential backoff between them) before the append fails.
-_FSYNC_ATTEMPTS = 4
-
-#: Base backoff between fsync attempts, seconds (doubles per attempt).
-_FSYNC_BACKOFF = 0.01
+#: Durability retries per batch: ``fsync`` gets four tries, waiting
+#: 0.01, 0.02 and 0.04 s between them, before the append fails.
+_FSYNC_POLICY = RetryPolicy(
+    max_retries=3, base_backoff=0.01, backoff_factor=2.0, jitter=0.0
+)
 
 
 # -- record framing ------------------------------------------------------------
@@ -538,7 +538,7 @@ class TrialStore:
                 self._terminate_torn_tail()
                 self._tail_checked = True
             payload = ("\n".join(lines) + "\n").encode()
-            for attempt in range(_FSYNC_ATTEMPTS):
+            for attempt in range(_FSYNC_POLICY.max_retries + 1):
                 start = fh.tell()
                 # One write() of whole lines: no torn records mid-batch.
                 fh.write(payload)
@@ -551,12 +551,12 @@ class TrialStore:
                 except OSError as exc:
                     if self.metrics is not None:
                         self.metrics.count("store.fsync_retries")
-                    if attempt + 1 == _FSYNC_ATTEMPTS:
+                    if attempt == _FSYNC_POLICY.max_retries:
                         raise CampaignError(
                             f"cannot make the trial store durable after "
-                            f"{_FSYNC_ATTEMPTS} fsync attempts: {exc}"
+                            f"{attempt + 1} fsync attempts: {exc}"
                         ) from exc
-                    time.sleep(_FSYNC_BACKOFF * (2 ** attempt))
+                    _FSYNC_POLICY.wait(attempt + 1, "fsync")
         finally:
             if fcntl is not None:
                 fcntl.flock(fd, fcntl.LOCK_UN)

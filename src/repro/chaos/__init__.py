@@ -12,9 +12,9 @@ execution infrastructure (docs/ROBUSTNESS.md):
   failures, torn store tails, starved pools);
 - :mod:`repro.chaos.supervisor` — :class:`Supervisor` +
   :class:`RetryPolicy`: bounded retries with exponential backoff and
-  deterministic jitter, a degradation ladder (chunked-parallel →
-  smaller chunks → inline), and a quarantine ledger so deterministic
-  failures end a campaign *degraded*, never aborted;
+  deterministic jitter, each retry run inline in the supervising
+  process, and a quarantine ledger so deterministic failures end a
+  campaign *degraded*, never aborted;
 - :mod:`repro.chaos.doctor` — ``repro-ugf doctor``: scan a run
   directory for torn tails, bad content addresses and undecodable
   payloads (read-only); ``--repair`` heals, compacts and migrates.

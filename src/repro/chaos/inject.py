@@ -25,8 +25,8 @@ Injected trial failures surface exactly like organic ones — a full
 traceback in the execution result — so the supervisor's classifier is
 exercised on the same wire real faults travel. The worker-only guard
 (see :mod:`repro.chaos.plan`) keeps kill/starve faults out of the
-process that owns the campaign, which is what makes the degradation
-ladder's inline rung always terminate.
+process that owns the campaign, which is what makes every retry and
+recovery on the pool's inline path terminate.
 """
 
 from __future__ import annotations
@@ -62,9 +62,12 @@ def _trial_token(spec: "TrialSpec") -> str:
     """The stable identity of one trial for injection draws.
 
     Chunking, worker scheduling and retries must not move a fault from
-    one trial to another, so the token is the spec's coordinates — the
-    same fields the content address hashes — rather than any runtime
-    position.
+    one trial to another, so the token is the spec's coordinates rather
+    than any runtime position: protocol, adversary, n, f and seed only.
+    That is fewer fields than the content address hashes, so specs that
+    differ only in protocol or adversary kwargs, ``max_steps``,
+    environment or topology draw the same faults (changing the token
+    would move every shipped plan's faults).
     """
     return (
         f"{spec.protocol}/{spec.adversary}/n{spec.n}/f{spec.f}/s{spec.seed}"

@@ -8,9 +8,9 @@ and turns per-trial failures from "reported" into "managed":
    the :class:`RetryPolicy` lists) or *poison* (deterministic: the same
    spec will fail the same way every time);
 2. transient failures are **retried** with exponential backoff and
-   deterministic jitter, stepping down a **degradation ladder**:
-   chunked-parallel (as configured) → smaller chunks → inline in the
-   supervising process, where pool infrastructure cannot be the cause;
+   deterministic jitter: the first attempt runs as configured
+   (chunked-parallel), every retry runs inline in the supervising
+   process, where pool infrastructure cannot be the cause;
 3. poison failures — and transients that exhaust their retries — land
    in the **quarantine ledger** (``quarantine.jsonl`` beside the trial
    store) with their full tracebacks, and the campaign *completes*
@@ -33,7 +33,6 @@ the retry coordinates.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pathlib
 import time
@@ -43,7 +42,11 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.campaign.campaign import Campaign, TrialResult
 from repro.campaign.keys import spec_fingerprint, trial_key
-from repro.errors import ConfigurationError
+from repro.campaign.retry import (
+    DEFAULT_TRANSIENT_ERRORS,
+    RetryPolicy,
+    exception_name,
+)
 from repro.experiments.config import TrialSpec
 from repro.obs.telemetry import JsonlWriter, read_jsonl
 
@@ -51,6 +54,7 @@ __all__ = [
     "DEFAULT_TRANSIENT_ERRORS",
     "QUARANTINE_FILENAME",
     "RetryPolicy",
+    "exception_name",
     "QuarantineLedger",
     "QuarantineRecord",
     "SupervisedRun",
@@ -64,107 +68,9 @@ QUARANTINE_FILENAME = "quarantine.jsonl"
 #: Bump on breaking changes to the quarantine record shape.
 QUARANTINE_VERSION = 1
 
-#: Exception names (the last frame of the captured traceback) treated
-#: as transient by default: infrastructure weather, not trial identity.
-DEFAULT_TRANSIENT_ERRORS = (
-    "TrialTimeout",
-    "TimeoutError",
-    "InjectedTransientError",
-    "InjectedFsyncError",
-    "BrokenProcessPool",
-    "BrokenPipeError",
-    "ConnectionResetError",
-    "ConnectionRefusedError",
-    "EOFError",
-    "MemoryError",
-    # The campaign-service transport: a dead or busy daemon is weather,
-    # not trial identity (the client already fell back locally).
-    "ServiceError",
-    "ServiceTimeout",
-    "ServiceBusy",
-    "ServiceProtocolError",
-)
-
 #: Longest error excerpt carried into telemetry records; the ledger
 #: keeps the full traceback.
 _TELEMETRY_ERROR_CHARS = 240
-
-#: The ladder's rungs, by retry attempt. Past the end, the last rung
-#: repeats until retries are exhausted.
-_LADDER = ("smaller-chunks", "inline")
-
-
-def exception_name(error: str | None) -> str:
-    """The bare exception class name at the bottom of a traceback.
-
-    Works on both full tracebacks and bare ``Name: message`` strings;
-    dotted names (``repro.chaos.plan.InjectedTransientError``) reduce
-    to their final component.
-    """
-    if not error:
-        return ""
-    for line in reversed(error.strip().splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        name = line.split(":", 1)[0].strip()
-        if " " in name:  # e.g. "During handling of ..." separators
-            continue
-        return name.rsplit(".", 1)[-1]
-    return ""
-
-
-@dataclass(frozen=True, slots=True)
-class RetryPolicy:
-    """Bounded retries with exponential backoff and deterministic jitter.
-
-    ``max_retries`` counts *re-executions per trial* after the first
-    attempt. Backoff for retry ``k`` (1-based) is
-    ``base_backoff * backoff_factor**(k-1)``, capped at ``max_backoff``
-    and stretched by up to ``jitter`` (a fraction, hashed from the
-    retry coordinates — two supervisors replaying the same campaign
-    wait the same amount).
-    """
-
-    max_retries: int = 3
-    base_backoff: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff: float = 2.0
-    jitter: float = 0.25
-    transient_errors: tuple[str, ...] = DEFAULT_TRANSIENT_ERRORS
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.base_backoff < 0 or self.max_backoff < 0:
-            raise ConfigurationError("backoff bounds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be a fraction in [0, 1], got {self.jitter}"
-            )
-
-    def classify(self, error: str | None) -> str:
-        """``"transient"`` (worth retrying) or ``"poison"`` (never)."""
-        name = exception_name(error)
-        return "transient" if name in self.transient_errors else "poison"
-
-    def backoff_seconds(self, attempt: int, token: str) -> float:
-        """Wait before retry *attempt* (1-based) of the wave *token*."""
-        if attempt < 1 or self.base_backoff == 0:
-            return 0.0
-        base = min(
-            self.max_backoff,
-            self.base_backoff * self.backoff_factor ** (attempt - 1),
-        )
-        digest = hashlib.sha256(f"{token}:{attempt}".encode("utf-8")).digest()
-        fraction = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return base * (1.0 + self.jitter * fraction)
 
 
 def quarantine_path(run_dir: "str | os.PathLike") -> pathlib.Path:
@@ -270,17 +176,17 @@ class Supervisor:
     Parameters
     ----------
     campaign:
-        The campaign to supervise. The supervisor temporarily adjusts
-        the campaign pool's chunking/parallelism while walking the
-        degradation ladder and restores it afterwards.
+        The campaign to supervise. Each retry wave temporarily makes
+        the campaign pool inline and restores it afterwards.
     policy:
         Retry/backoff/classification policy (default: 3 retries,
         50 ms base backoff).
     ledger:
         Quarantine ledger; defaults to ``quarantine.jsonl`` beside the
-        campaign's trial store (in-memory-only campaigns get an
-        in-memory ledger path under no directory — pass one explicitly
-        to persist).
+        campaign's trial store. A campaign without a store gets no
+        ledger (``self.ledger`` is None): its quarantine records live
+        only on the returned :class:`SupervisedRun` — pass one
+        explicitly to persist them.
     sleep:
         Injection point for tests; defaults to :func:`time.sleep`.
     """
@@ -300,45 +206,21 @@ class Supervisor:
         self.ledger = ledger
         self._sleep = sleep
         self._quarantined: list[QuarantineRecord] = []
-        self.retries = 0
-
-    # -- degradation ladder ------------------------------------------------------
-
-    def _rung(self, attempt: int) -> str:
-        return _LADDER[min(attempt - 1, len(_LADDER) - 1)]
 
     @contextmanager
-    def _degraded_pool(self, rung: str):
-        """Apply one ladder rung to the campaign pool, then restore it.
-
-        ``smaller-chunks`` quarters the chunk size (stragglers and
-        per-chunk casualties shrink); ``inline`` pulls execution into
-        this process entirely, taking pool infrastructure out of the
-        fault surface.
-        """
+    def _inline_attempt(self, attempt: int):
+        """Run one retry wave inline under *attempt*'s faults, then
+        restore the pool: in this process, pool infrastructure is out
+        of the fault surface (worker-only faults never fire here)."""
         pool = self.campaign.pool
-        saved = (pool.workers, pool.chunk_size)
-        if rung == "smaller-chunks":
-            base = pool.chunk_size if pool.chunk_size is not None else 16
-            pool.chunk_size = max(1, base // 4)
-        elif rung == "inline":
-            pool.workers = 1
+        workers, plan = pool.workers, pool.fault_plan
+        pool.workers = 1
+        if plan is not None:
+            pool.fault_plan = plan.with_attempt(attempt)
         try:
             yield
         finally:
-            pool.workers, pool.chunk_size = saved
-
-    @contextmanager
-    def _attempt_plan(self, attempt: int):
-        """Advance the pool's fault plan to *attempt* for one wave."""
-        pool = self.campaign.pool
-        saved = pool.fault_plan
-        if saved is not None:
-            pool.fault_plan = saved.with_attempt(attempt)
-        try:
-            yield
-        finally:
-            pool.fault_plan = saved
+            pool.workers, pool.fault_plan = workers, plan
 
     # -- event plumbing ----------------------------------------------------------
 
@@ -395,7 +277,6 @@ class Supervisor:
         attempt = 0
         while pending and attempt < self.policy.max_retries:
             attempt += 1
-            rung = self._rung(attempt)
             retriable: list[int] = []
             for i in pending:
                 failed = results[i]
@@ -413,22 +294,19 @@ class Supervisor:
                 pending = []
                 break
 
-            delay = self.policy.backoff_seconds(attempt, f"wave{attempt}")
-            if delay > 0:
-                self._sleep(delay)
-            rungs_walked.append(rung)
+            delay = self.policy.wait(attempt, f"wave{attempt}", sleep=self._sleep)
+            rungs_walked.append("inline")
             run_retries += len(retriable)
-            self.retries += len(retriable)
             self._count("supervisor.retries", len(retriable))
-            self._count(f"supervisor.rung.{rung}", len(retriable))
+            self._count("supervisor.rung.inline", len(retriable))
             self._emit(
                 "retry",
                 attempt=attempt,
-                rung=rung,
+                rung="inline",
                 trials=len(retriable),
                 backoff=round(delay, 6),
             )
-            with self._attempt_plan(attempt), self._degraded_pool(rung):
+            with self._inline_attempt(attempt):
                 retried = self.campaign.run_trials(
                     [results[i].spec for i in retriable]
                 )
@@ -436,7 +314,7 @@ class Supervisor:
                 results[i] = fresh
             pending = [i for i in retriable if not results[i].ok]
 
-        # Anything still failing has exhausted the ladder. (With
+        # Anything still failing has exhausted its retries. (With
         # max_retries=0 this is also where poison lands unclassified.)
         for i in pending:
             failed = results[i]

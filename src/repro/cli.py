@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--supervise",
         action="store_true",
         help="run under the chaos supervisor: transient failures retry with "
-        "backoff down a degradation ladder, deterministic ones land in "
+        "backoff, inline in this process, deterministic ones land in "
         "quarantine.jsonl and the sweep completes degraded (exit 3) instead "
         "of aborting",
     )

@@ -13,7 +13,7 @@ local run.
 
 Failure posture (docs/SERVICE.md "Failure model") — the daemon is an
 *accelerator*, not a dependency. A transport failure is retried under
-a :class:`~repro.chaos.supervisor.RetryPolicy` (bounded attempts,
+a :class:`~repro.campaign.retry.RetryPolicy` (bounded attempts,
 exponential backoff, deterministic hashed jitter), resubmitting only
 the trials not yet answered; resubmission is idempotent because trials are
 content-addressed and the daemon's in-flight dedup table attaches a
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Container, Iterator, Sequence
 
 from repro.campaign.campaign import Campaign, TrialResult
-from repro.chaos.supervisor import RetryPolicy
+from repro.campaign.retry import RetryPolicy
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
 from repro.service.protocol import (
@@ -142,14 +142,14 @@ class ServiceClient:
     """Synchronous connection to a :class:`~repro.service.server.
     TrialService` over TCP or a unix socket.
 
-    With a *retry_policy*, :meth:`submit` becomes a bounded
-    reconnect-and-resubmit loop: transport failures, torn frames,
-    timeouts and ``busy`` rejections are retried with exponential
-    backoff and deterministic hashed jitter, resubmitting the trials
-    not yet answered — idempotent because the daemon deduplicates by
-    content address, so a resubmit attaches to work already in flight
-    instead of recomputing it. Without one (the default), every
-    failure surfaces immediately.
+    :meth:`submit` is a bounded reconnect-and-resubmit loop under
+    *retry_policy*: transport failures, torn frames, timeouts and
+    ``busy`` rejections are retried with exponential backoff and
+    deterministic hashed jitter, resubmitting the trials not yet
+    answered — idempotent because the daemon deduplicates by content
+    address, so a resubmit attaches to work already in flight instead
+    of recomputing it. The default, a zero-retry policy, surfaces every
+    failure immediately.
 
     *timeout* is the one read deadline, per reply frame; it also caps
     the connect, which never waits longer than ``CONNECT_TIMEOUT``.
@@ -160,7 +160,7 @@ class ServiceClient:
         address: "ServiceAddress | str",
         *,
         timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
+        retry_policy: RetryPolicy = RetryPolicy(max_retries=0),
         injector=None,
         metrics=None,
         on_event: Callable[[str, dict[str, Any]], None] | None = None,
@@ -377,15 +377,14 @@ class ServiceClient:
         answered: set[int] = set()
         self._batch_index += 1
         token = f"batch{self._batch_index - 1}"
-        policy = self.retry_policy
-        tries = 1 + (policy.max_retries if policy is not None else 0)
         last_error: Exception | None = None
-        for attempt in range(tries):
+        for attempt in range(1 + self.retry_policy.max_retries):
             if attempt:
-                assert policy is not None and last_error is not None
-                wait = policy.backoff_seconds(attempt, token)
-                if isinstance(last_error, ServiceBusy) and last_error.retry_after:
-                    wait = max(wait, last_error.retry_after)
+                busy = isinstance(last_error, ServiceBusy)
+                floor = last_error.retry_after if busy else None
+                wait = self.retry_policy.wait(
+                    attempt, token, floor=floor, sleep=self._sleep
+                )
                 self._count("service.retries")
                 self._event(
                     "retry",
@@ -394,8 +393,6 @@ class ServiceClient:
                     backoff=round(wait, 4),
                     error=str(last_error)[:240],
                 )
-                if wait > 0:
-                    self._sleep(wait)
             todo = [i for i in range(len(specs)) if i not in answered]
             try:
                 for i, reply in self._submit_once(specs, todo):
@@ -488,7 +485,7 @@ class ServiceCampaign(Campaign):
     telemetry trial records carry ``via="service"``.
 
     Transport failures are retried under the client's
-    :class:`~repro.chaos.supervisor.RetryPolicy`
+    :class:`~repro.campaign.retry.RetryPolicy`
     (:data:`DEFAULT_RETRY_POLICY` unless overridden); only when a
     batch exhausts the policy, or a reply's wire does not decode, does
     the campaign fall back to the local store and local execution for
@@ -505,13 +502,11 @@ class ServiceCampaign(Campaign):
         url: "str | ServiceAddress",
         *,
         timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
+        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
         **campaign_kwargs: Any,
     ) -> None:
         super().__init__(**campaign_kwargs)
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        )
+        self.retry_policy = retry_policy
         self.client = ServiceClient(
             url,
             timeout=timeout,

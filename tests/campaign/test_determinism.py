@@ -36,8 +36,6 @@ def test_inline_parallel_and_resumed_runs_are_byte_identical(tmp_path):
     assert all(r.ok for r in inline)
 
     with Campaign(workers=2, cache_dir=tmp_path) as campaign:
-        # Tiny chunks force multi-chunk dispatch even on this small grid.
-        campaign.pool.chunk_size = 2
         parallel = campaign.run_trials(specs)
     assert all(r.ok for r in parallel)
     assert not any(r.cached for r in parallel)

@@ -34,12 +34,6 @@ def test_chunk_size_auto_tunes_to_waves_per_worker():
     assert pool._chunk_for(100_000) == 64
 
 
-def test_chunk_size_can_be_pinned():
-    pool = WorkerPool(4, chunk_size=7)
-    assert pool._chunk_for(10) == 7
-    assert pool._chunk_for(100_000) == 7
-
-
 # -- result semantics ------------------------------------------------------------
 
 
@@ -55,7 +49,7 @@ def test_parallel_chunked_matches_inline():
     specs = [trial(seed) for seed in range(6)]
     with WorkerPool(1) as inline_pool:
         inline = inline_pool.execute(specs)
-    with WorkerPool(2, chunk_size=2) as pool:
+    with WorkerPool(2) as pool:
         chunked = pool.execute(specs)
     assert [r.spec for r in chunked] == specs
     assert wires(chunked) == wires(inline)
@@ -122,16 +116,55 @@ def test_broken_pool_recovers_chunks_inline():
     specs = [trial(seed) for seed in range(8)]
     with WorkerPool(1) as inline_pool:
         expected = wires(inline_pool.execute(specs))
-    pool = WorkerPool(2, chunk_size=2)
+    pool = WorkerPool(2)
     broken = _BrokenExecutor()
     pool._executor = broken
     try:
         results = pool.execute(specs)
     finally:
         pool.close()
-    # Every chunk was submitted, failed, and re-ran inline — results
-    # are complete, correct, and still in submission order.
+    # Auto-tuned chunks of 1 (2 workers x 4 waves over 8 trials): the
+    # dead executor got the in-flight window of 4, which re-ran inline;
+    # the rest went to the rebuilt executor. Results are complete,
+    # correct, and still in submission order.
     assert broken.submitted == 4
+    assert [r.spec for r in results] == specs
+    assert wires(results) == expected
+
+
+class _DyingExecutor:
+    """Stub executor whose worker dies once its first chunk is accepted:
+    that chunk completes, every later submit is refused — what a real
+    executor does once it knows it is broken."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        if self.submitted > 1:
+            raise BrokenProcessPool("a worker died abruptly")
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_submit_to_a_broken_pool_recovers_inline():
+    # A worker can die between two submits: the refused chunks recover
+    # inline like lost ones, and the chunks still in flight on the dead
+    # executor never drop the one rebuilt after it.
+    specs = [trial(seed) for seed in range(8)]
+    with WorkerPool(1) as inline_pool:
+        expected = wires(inline_pool.execute(specs))
+    pool = WorkerPool(2)
+    pool._executor = _DyingExecutor()
+    try:
+        results = pool.execute(specs)
+    finally:
+        pool.close()
     assert [r.spec for r in results] == specs
     assert wires(results) == expected
 
@@ -152,7 +185,7 @@ def test_sigkilled_worker_mid_chunk_recovers_and_pool_survives():
     with WorkerPool(1) as inline_pool:
         expected = wires(inline_pool.execute(specs))
     metrics = MetricsRegistry()
-    with WorkerPool(2, chunk_size=2, metrics=metrics, fault_plan=plan) as pool:
+    with WorkerPool(2, metrics=metrics, fault_plan=plan) as pool:
         results = pool.execute(specs)
         # The kill really happened — recovery ran, results are whole.
         assert metrics.counters["pool.broken_pool_recoveries"] >= 1

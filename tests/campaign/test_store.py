@@ -286,10 +286,11 @@ def test_transient_fsync_failure_is_absorbed(tmp_path):
     assert index["entries"][trial_key(spec)][0] == last
 
 
-def test_persistent_fsync_failure_raises_campaign_error(tmp_path):
+def test_persistent_fsync_failure_raises_campaign_error(tmp_path, monkeypatch):
+    import time
+
     import pytest
 
-    from repro.campaign import store as store_mod
     from repro.chaos.inject import FaultInjector
     from repro.chaos.plan import FaultPlan, FaultRule
     from repro.errors import CampaignError
@@ -298,12 +299,20 @@ def test_persistent_fsync_failure_raises_campaign_error(tmp_path):
         seed=17,
         rules=(FaultRule(site="store.fsync", rate=1.0, attempts=None),),
     )
+    attempts: list[int] = []
+    check_fsync = FaultInjector.check_fsync
+
+    def counted_check(injector, retry):
+        attempts.append(retry)
+        check_fsync(injector, retry)
+
+    waits: list[float] = []
+    monkeypatch.setattr(FaultInjector, "check_fsync", counted_check)
+    # Record the backoff instead of sleeping it: also keeps the test fast.
+    monkeypatch.setattr(time, "sleep", waits.append)
     spec = trial(0)
     with TrialStore(tmp_path, injector=FaultInjector(plan)) as store:
-        original_backoff = store_mod._FSYNC_BACKOFF
-        store_mod._FSYNC_BACKOFF = 0.0  # keep the failing test fast
-        try:
-            with pytest.raises(CampaignError, match="fsync attempts"):
-                store.put(trial_key(spec), spec_fingerprint(spec), run_trial(spec))
-        finally:
-            store_mod._FSYNC_BACKOFF = original_backoff
+        with pytest.raises(CampaignError, match="after 4 fsync attempts"):
+            store.put(trial_key(spec), spec_fingerprint(spec), run_trial(spec))
+    assert attempts == [0, 1, 2, 3]
+    assert waits == [0.01, 0.02, 0.04]

@@ -71,7 +71,6 @@ def supervised_run(run_dir, plan, *, max_retries=3):
         trial_timeout=_TRIAL_TIMEOUT.get(plan.name),
         fault_plan=plan,
     ) as campaign:
-        campaign.pool.chunk_size = 2
         with Supervisor(
             campaign, policy=RetryPolicy(max_retries=max_retries, base_backoff=0.0)
         ) as supervisor:

@@ -187,22 +187,21 @@ def test_exhausted_transients_walk_the_full_ladder(tmp_path):
     (quarantined,) = run.quarantined
     assert quarantined.classification == "transient-exhausted"
     assert quarantined.attempts == 2
-    assert quarantined.ladder == ("chunked-parallel", "smaller-chunks", "inline")
+    assert quarantined.ladder == ("chunked-parallel", "inline", "inline")
     counters = campaign.metrics.counters
-    assert counters["supervisor.rung.smaller-chunks"] == 1
-    assert counters["supervisor.rung.inline"] == 1
+    assert "supervisor.rung.smaller-chunks" not in counters
+    assert counters["supervisor.rung.inline"] == 2
     assert counters["supervisor.quarantined"] == 1
 
 
 def test_ladder_restores_pool_configuration(tmp_path):
     with Campaign(cache_dir=tmp_path, workers=1, fault_plan=ALWAYS_TRANSIENT) as campaign:
-        campaign.pool.chunk_size = 8
-        saved = (campaign.pool.workers, campaign.pool.chunk_size)
+        saved = campaign.pool.workers
         supervisor = Supervisor(
             campaign, policy=RetryPolicy(max_retries=3, base_backoff=0.0)
         )
         supervisor.run_trials([trial(0)])
-        assert (campaign.pool.workers, campaign.pool.chunk_size) == saved
+        assert campaign.pool.workers == saved
         assert campaign.pool.fault_plan == campaign.fault_plan
 
 
