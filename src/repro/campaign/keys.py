@@ -21,6 +21,7 @@ from typing import Any
 
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
+from repro.sim.topology import canonical_topology
 
 __all__ = [
     "KEY_VERSION",
@@ -35,6 +36,8 @@ KEY_VERSION = 1
 
 
 def _canonical_kwargs(kwargs: tuple[tuple[str, Any], ...]) -> list[list[Any]]:
+    if not kwargs:
+        return []
     pairs = sorted(kwargs, key=lambda kv: kv[0])
     names = [k for k, _ in pairs]
     if len(set(names)) != len(names):
@@ -45,16 +48,14 @@ def _canonical_kwargs(kwargs: tuple[tuple[str, Any], ...]) -> list[list[Any]]:
 def spec_fingerprint(spec: TrialSpec) -> dict[str, Any]:
     """The canonical JSON-safe payload :func:`trial_key` hashes.
 
-    Also stored verbatim next to each cache entry so the JSONL store
-    is auditable without re-deriving hashes.
+    Also the spec's one codec: stored verbatim next to each cache entry
+    (so the store is auditable) and carried by service submit frames.
 
     The ``topology`` key is present only for non-clique specs:
     ``None`` and every spelling of the complete graph canonicalise to
     *absence*, so clique fingerprints are byte-for-byte what they were
     before topology existed and pre-topology caches stay warm.
     """
-    from repro.sim.topology import canonical_topology
-
     payload = {
         "version": KEY_VERSION,
         "protocol": spec.protocol,
@@ -67,7 +68,7 @@ def spec_fingerprint(spec: TrialSpec) -> dict[str, Any]:
         "max_steps": spec.max_steps,
         "environment": spec.environment,
     }
-    topology = canonical_topology(getattr(spec, "topology", None))
+    topology = canonical_topology(spec.topology)
     if topology is not None:
         payload["topology"] = topology
     return payload

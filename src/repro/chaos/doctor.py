@@ -48,7 +48,7 @@ from repro.campaign.store import (
 )
 from repro.chaos.supervisor import read_quarantine
 from repro.obs.telemetry import read_telemetry, telemetry_path
-from repro.sim.outcome import Outcome
+from repro.sim.outcome import WIRE_VERSION, Outcome
 
 __all__ = ["DoctorFinding", "DoctorReport", "diagnose"]
 
@@ -253,6 +253,32 @@ def _merge_shards(run_dir: pathlib.Path, shards: list[pathlib.Path]) -> str:
     )
 
 
+#: The pre-wire outcome dict's fields that the wire lays out in the
+#: same order, between its version tag and ``crash_steps``.
+_LEGACY_LEAD = (
+    "n", "f", "seed", "protocol_name", "adversary_name", "completed", "rumor_gathering_ok",
+    "t_end", "max_local_step_time", "max_delivery_time", "sent", "received", "bytes_sent",
+    "crashed",
+)
+
+
+def _legacy_outcome(data: dict[str, Any]) -> Outcome:
+    """The :class:`Outcome` a pre-wire record's ``outcome`` field dict
+    describes, rebuilt through :meth:`Outcome.from_wire`. Raises
+    ``KeyError`` / ``TypeError`` / ``ValueError`` on a malformed dict."""
+    return Outcome.from_wire([
+        WIRE_VERSION,
+        *(data[name] for name in _LEGACY_LEAD),
+        [x for pid, step in data["crash_steps"] for x in (pid, step)],
+        data["sleep_counts"],
+        data["wake_counts"],
+        data.get("steps_simulated", 0),
+        data.get("strategy_label"),
+        data.get("sanitizer"),
+        data.get("topology"),
+    ])
+
+
 def _repair(run_dir: pathlib.Path, report: DoctorReport, scan) -> list[str]:
     """Heal the tail, merge legacy shards, then compact and migrate;
     returns the actions."""
@@ -280,7 +306,7 @@ def _repair(run_dir: pathlib.Path, report: DoctorReport, scan) -> list[str]:
         if latest.get(key) or fingerprint_key(fingerprint) != key:
             continue
         try:
-            migrated.append((key, fingerprint, Outcome.from_dict(outcome)))
+            migrated.append((key, fingerprint, _legacy_outcome(outcome)))
         except (KeyError, TypeError, ValueError):
             continue
     with TrialStore(run_dir) as store:

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import os
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.campaign.keys import spec_from_fingerprint, trial_key
 from repro.campaign.store import STORE_FILENAME, RecordDefect, scan_records
@@ -91,15 +93,20 @@ class CacheAudit:
         )
 
 
-def _outcome_payload(data: dict[str, Any]) -> dict[str, Any]:
-    """Outcome dict minus the sanitizer report (instrumentation, not result)."""
-    return {k: v for k, v in data.items() if k != "sanitizer"}
+def _disagreeing_fields(fresh: Outcome, cached: Outcome) -> list[str]:
+    """The outcome fields *fresh* and *cached* disagree on, the sanitizer
+    report aside (instrumentation, not result)."""
+    pairs = ((f.name, getattr(fresh, f.name), getattr(cached, f.name)) for f in fields(Outcome))
+    return [
+        name
+        for name, a, b in pairs
+        if name != "sanitizer"
+        and not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+    ]
 
 
 def _replay(spec: TrialSpec, cached: Outcome) -> RecordAudit | None:
     """Re-execute *spec* under the sanitizer; None means all good."""
-    from dataclasses import replace
-
     from repro.experiments.runner import run_trial
 
     outcome = run_trial(replace(spec, sanitize="warn"))
@@ -115,14 +122,8 @@ def _replay(spec: TrialSpec, cached: Outcome) -> RecordAudit | None:
             detail=str(first[0].get("message", "")),
             violations=total,
         )
-    fresh = _outcome_payload(outcome.to_dict())
-    stale = _outcome_payload(cached.to_dict())
-    if fresh != stale:
-        bad = sorted(
-            k
-            for k in set(fresh) | set(stale)
-            if fresh.get(k) != stale.get(k)
-        )
+    bad = _disagreeing_fields(outcome, cached)
+    if bad:
         return RecordAudit(
             line=0,
             key="",

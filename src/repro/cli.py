@@ -687,6 +687,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     supervisor = None
     with _make_campaign(args) as campaign:
         if args.supervise:
+            from repro.campaign import CampaignStats
             from repro.chaos import RetryPolicy, Supervisor
             from repro.experiments.runner import aggregate_sweep
 
@@ -698,9 +699,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             result = (
                 aggregate_sweep(spec, run.outcomes()) if not run.degraded else None
             )
+            # One count per trial, from its final attempt: campaign.stats
+            # also counts every attempt of every retry wave.
+            final = CampaignStats()
+            for r in run.results:
+                final.count("failed" if not r.ok else "cached" if r.cached else "executed")
+            stats = final.summary()
         else:
             result = campaign.run_sweep(spec)
-        stats = campaign.stats.summary()
+            stats = campaign.stats.summary()
     _note_telemetry(campaign)
     if result is not None:
         sys.stdout.write(sweep_csv(result))

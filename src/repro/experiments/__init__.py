@@ -46,12 +46,7 @@ from repro.experiments.decomposition import (
     dominant_strategy,
     run_decomposition,
 )
-from repro.experiments.serialization import (
-    dumps,
-    loads,
-    outcome_from_dict,
-    outcome_to_dict,
-)
+from repro.experiments.serialization import dumps, loads
 from repro.experiments.verdicts import PanelVerdict, check_panel
 from repro.experiments.tradeoff import TradeoffPoint, run_tradeoff
 
@@ -86,8 +81,6 @@ __all__ = [
     "run_tradeoff",
     "dumps",
     "loads",
-    "outcome_to_dict",
-    "outcome_from_dict",
     "StrategyGroup",
     "dominant_strategy",
     "run_decomposition",

@@ -4,10 +4,9 @@ Sweeps on the paper's full grid are expensive (SEARS at N=500 moves
 ~70k messages per global step); persisting results lets reports and
 charts be regenerated without recomputation, and gives CI a stable
 artefact format. Round-trip is exact for every aggregate the harness
-reports (specs, medians, quartiles, failure counters) and — via
-:func:`outcome_to_dict` / :func:`outcome_from_dict`, the format the
-campaign layer's trial cache persists — bit-identical for raw
-outcomes, numpy counters included.
+reports (specs, medians, quartiles, failure counters). Two record
+kinds exist, ``"sweep"`` and ``"panel"``; a raw outcome has its own
+codec, :meth:`~repro.sim.outcome.Outcome.to_wire`.
 """
 
 from __future__ import annotations
@@ -20,35 +19,17 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import SweepSpec
 from repro.experiments.figure3 import PANELS, PanelResult
 from repro.experiments.runner import SeriesPoint, SweepResult
-from repro.sim.outcome import Outcome
 
 __all__ = [
     "sweep_to_dict",
     "sweep_from_dict",
     "panel_to_dict",
     "panel_from_dict",
-    "outcome_to_dict",
-    "outcome_from_dict",
     "dumps",
     "loads",
 ]
 
 _FORMAT_VERSION = 1
-
-
-def outcome_to_dict(outcome: Outcome) -> dict[str, Any]:
-    """One raw outcome as a JSON-safe record (kind-tagged)."""
-    data = outcome.to_dict()
-    data["version"] = _FORMAT_VERSION
-    data["kind"] = "outcome"
-    return data
-
-
-def outcome_from_dict(data: dict[str, Any]) -> Outcome:
-    """Rebuild an outcome record written by :func:`outcome_to_dict`."""
-    if data.get("kind") not in (None, "outcome"):
-        raise ConfigurationError(f"not an outcome record: kind={data.get('kind')!r}")
-    return Outcome.from_dict(data)
 
 
 def _stats_to_dict(stats: RunStatistics) -> dict[str, Any]:
@@ -153,20 +134,16 @@ def panel_from_dict(data: dict[str, Any]) -> PanelResult:
     return PanelResult(spec=PANELS[panel], curves=curves)
 
 
-def dumps(
-    result: SweepResult | PanelResult | Outcome, *, indent: int | None = 2
-) -> str:
-    """Serialise a sweep, panel or raw outcome to JSON text."""
+def dumps(result: SweepResult | PanelResult, *, indent: int | None = 2) -> str:
+    """Serialise a sweep or panel to JSON text."""
     if isinstance(result, SweepResult):
         return json.dumps(sweep_to_dict(result), indent=indent)
     if isinstance(result, PanelResult):
         return json.dumps(panel_to_dict(result), indent=indent)
-    if isinstance(result, Outcome):
-        return json.dumps(outcome_to_dict(result), indent=indent)
     raise ConfigurationError(f"cannot serialise {type(result).__name__}")
 
 
-def loads(text: str) -> SweepResult | PanelResult | Outcome:
+def loads(text: str) -> SweepResult | PanelResult:
     """Deserialise JSON text produced by :func:`dumps`."""
     data = json.loads(text)
     kind = data.get("kind")
@@ -174,6 +151,4 @@ def loads(text: str) -> SweepResult | PanelResult | Outcome:
         return sweep_from_dict(data)
     if kind == "panel":
         return panel_from_dict(data)
-    if kind == "outcome":
-        return outcome_from_dict(data)
     raise ConfigurationError(f"unknown record kind {kind!r}")

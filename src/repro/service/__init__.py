@@ -24,13 +24,7 @@ dedups across time, the in-flight futures dedup across *now*.
 """
 
 from repro.service.client import ServiceCampaign, ServiceClient, ServiceError
-from repro.service.protocol import (
-    PROTO_VERSION,
-    ServiceAddress,
-    parse_service_url,
-    spec_from_wire,
-    spec_to_wire,
-)
+from repro.service.protocol import PROTO_VERSION, ServiceAddress, parse_service_url
 from repro.service.server import TrialService, serve_forever
 
 __all__ = [
@@ -42,6 +36,4 @@ __all__ = [
     "TrialService",
     "parse_service_url",
     "serve_forever",
-    "spec_from_wire",
-    "spec_to_wire",
 ]

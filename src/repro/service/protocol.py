@@ -15,7 +15,9 @@ Client → server ops (every frame carries ``"v": PROTO_VERSION`` and
   and identity. Optional but recommended: a version mismatch surfaces
   here instead of as a confusing submit failure.
 - ``submit`` — ``{"id": <client-chosen tag>, "trials": [<spec wire>…]}``,
-  at most :data:`MAX_SUBMIT_TRIALS` trials a frame. The server streams
+  at most :data:`MAX_SUBMIT_TRIALS` trials a frame. A spec wire is the
+  spec's key fingerprint (:func:`~repro.campaign.keys.spec_fingerprint`)
+  plus ``"sanitize"`` when the spec sets it. The server streams
   one ``outcome`` frame per trial, one scheduler wave at a time (claim
   order within a wave), and finishes with a ``done`` frame. ``i``
   indexes into the submitted batch so the client can restore
@@ -46,16 +48,19 @@ so an outcome fetched through the service is byte-identical at the
 differential battery in ``tests/service`` holds the daemon to that.
 
 Trial identity on the wire is the spec, not the key: the server
-recomputes the content address itself (never trusting a client hash),
-exactly as the local campaign does.
+decodes the fingerprint and recomputes the content address from the
+decoded spec itself (never trusting a client hash), exactly as the
+local campaign does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.campaign.keys import spec_fingerprint, spec_from_fingerprint
+from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
 
 __all__ = [
@@ -72,7 +77,7 @@ __all__ = [
 
 #: Bump on breaking frame-shape changes; both ends refuse a mismatch
 #: at hello time rather than guessing.
-PROTO_VERSION = 1
+PROTO_VERSION = 2
 
 SERVER_NAME = "repro-ugf-service"
 
@@ -141,30 +146,13 @@ def parse_service_url(url: str) -> ServiceAddress:
 
 
 def spec_to_wire(spec: TrialSpec) -> dict[str, Any]:
-    """JSON-safe encoding of one :class:`TrialSpec`.
-
-    Kwargs travel as pair lists (tuples are not JSON); the sanitizer
-    spec rides along because the *executing* side honours it, even
-    though — like locally — it is instrumentation, not trial identity.
-    """
-    wire: dict[str, Any] = {
-        "protocol": spec.protocol,
-        "adversary": spec.adversary,
-        "n": spec.n,
-        "f": spec.f,
-        "seed": spec.seed,
-        "max_steps": spec.max_steps,
-    }
-    if spec.protocol_kwargs:
-        wire["protocol_kwargs"] = [[k, v] for k, v in spec.protocol_kwargs]
-    if spec.adversary_kwargs:
-        wire["adversary_kwargs"] = [[k, v] for k, v in spec.adversary_kwargs]
-    if spec.environment is not None:
-        wire["environment"] = spec.environment
+    """One :class:`TrialSpec` as a submit frame carries it: its key
+    fingerprint (:func:`~repro.campaign.keys.spec_fingerprint`), plus
+    ``sanitize`` when set — instrumentation, not trial identity, but
+    the *executing* side honours it."""
+    wire = spec_fingerprint(spec)
     if spec.sanitize is not None:
         wire["sanitize"] = spec.sanitize
-    if spec.topology is not None:
-        wire["topology"] = spec.topology
     return wire
 
 
@@ -175,25 +163,11 @@ def spec_from_wire(wire: dict[str, Any]) -> TrialSpec:
     if not isinstance(wire, dict):
         raise ConfigurationError(f"trial spec wire must be an object, got {type(wire).__name__}")
     try:
-        return TrialSpec(
-            protocol=str(wire["protocol"]),
-            adversary=str(wire["adversary"]),
-            n=int(wire["n"]),
-            f=int(wire["f"]),
-            seed=int(wire["seed"]),
-            max_steps=int(wire.get("max_steps", 5_000_000)),
-            protocol_kwargs=tuple(
-                (str(k), v) for k, v in wire.get("protocol_kwargs", [])
-            ),
-            adversary_kwargs=tuple(
-                (str(k), v) for k, v in wire.get("adversary_kwargs", [])
-            ),
-            environment=wire.get("environment"),
-            sanitize=wire.get("sanitize"),
-            topology=wire.get("topology"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = spec_from_fingerprint(wire)
+    except CampaignError as exc:
         raise ConfigurationError(f"malformed trial spec wire: {exc}") from exc
+    sanitize = wire.get("sanitize")
+    return spec if sanitize is None else replace(spec, sanitize=sanitize)
 
 
 # -- frame encoding ------------------------------------------------------------
@@ -201,8 +175,6 @@ def spec_from_wire(wire: dict[str, Any]) -> TrialSpec:
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
     """One NDJSON frame, newline-terminated, ready for the socket."""
-    import json
-
     return json.dumps(frame, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
@@ -210,8 +182,6 @@ def decode_frame(line: bytes) -> dict[str, Any]:
     """Parse one received line; raises ``ConfigurationError`` when it
     is not a JSON object (the caller converts that to an error frame
     or a client-side :class:`~repro.service.client.ServiceError`)."""
-    import json
-
     try:
         frame = json.loads(line.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

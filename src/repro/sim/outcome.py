@@ -17,21 +17,14 @@ Runs that hit ``max_steps`` before quiescence are flagged
 :class:`~repro.errors.IncompleteRunError` unless explicitly overridden,
 because a truncated ``T_end`` silently biases medians downward.
 
-Outcomes are also the unit of persistence for the campaign layer's
-content-addressed trial cache: :meth:`Outcome.to_dict` /
-:meth:`Outcome.from_dict` round-trip every field — numpy counters
-included — bit-identically through JSON.
-
-For the hot paths — worker-pool IPC and ``trials.jsonl`` store lines —
-there is additionally a *compact wire format*: :meth:`Outcome.to_wire`
-/ :meth:`Outcome.from_wire`. It is positional (no repeated field
-names), converts each numpy counter exactly once via ``tolist()``
-(an order of magnitude cheaper than a per-element ``int()``
-comprehension), and stays JSON-safe so the same representation is
-pickled across the process pool and appended to the store. The wire
-format is additive: ``to_dict`` records remain readable everywhere,
-and campaign cache keys hash the *spec*, never the outcome encoding,
-so existing caches stay valid.
+Outcomes have one codec, the *wire*: :meth:`Outcome.to_wire` /
+:meth:`Outcome.from_wire`. It serves worker-pool IPC, ``trials.jsonl``
+store lines and the campaign service's outcome frames. It is
+positional (no repeated field names), converts each numpy counter
+exactly once via ``tolist()``, and stays JSON-safe, so the same list
+is pickled across the process pool, appended to the store and framed
+on the socket, and round-trips bit-identically through JSON. Campaign
+cache keys hash the *spec*, never the outcome encoding.
 """
 
 from __future__ import annotations
@@ -155,64 +148,6 @@ class Outcome:
         )
 
     # -- persistence --------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe dict; exact inverse of :meth:`from_dict`.
-
-        Per-process numpy counters become plain int lists;
-        ``crash_steps`` becomes a ``[pid, step]`` pair list (JSON
-        object keys would stringify the pids).
-        """
-        return {
-            "n": self.n,
-            "f": self.f,
-            "seed": self.seed,
-            "protocol_name": self.protocol_name,
-            "adversary_name": self.adversary_name,
-            "completed": self.completed,
-            "rumor_gathering_ok": self.rumor_gathering_ok,
-            "t_end": int(self.t_end),
-            "max_local_step_time": self.max_local_step_time,
-            "max_delivery_time": self.max_delivery_time,
-            "sent": self.sent.tolist(),
-            "received": self.received.tolist(),
-            "bytes_sent": self.bytes_sent.tolist(),
-            "crashed": [int(p) for p in self.crashed],
-            "crash_steps": [[int(p), int(s)] for p, s in sorted(self.crash_steps.items())],
-            "sleep_counts": self.sleep_counts.tolist(),
-            "wake_counts": self.wake_counts.tolist(),
-            "steps_simulated": self.steps_simulated,
-            "strategy_label": self.strategy_label,
-            "sanitizer": self.sanitizer,
-            "topology": self.topology,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Outcome":
-        """Rebuild an outcome serialised by :meth:`to_dict`."""
-        return cls(
-            n=int(data["n"]),
-            f=int(data["f"]),
-            seed=int(data["seed"]),
-            protocol_name=data["protocol_name"],
-            adversary_name=data["adversary_name"],
-            completed=bool(data["completed"]),
-            rumor_gathering_ok=bool(data["rumor_gathering_ok"]),
-            t_end=int(data["t_end"]),
-            max_local_step_time=int(data["max_local_step_time"]),
-            max_delivery_time=int(data["max_delivery_time"]),
-            sent=np.asarray(data["sent"], dtype=np.int64),
-            received=np.asarray(data["received"], dtype=np.int64),
-            bytes_sent=np.asarray(data["bytes_sent"], dtype=np.int64),
-            crashed=tuple(int(p) for p in data["crashed"]),
-            crash_steps={int(p): int(s) for p, s in data["crash_steps"]},
-            sleep_counts=np.asarray(data["sleep_counts"], dtype=np.int64),
-            wake_counts=np.asarray(data["wake_counts"], dtype=np.int64),
-            steps_simulated=int(data.get("steps_simulated", 0)),
-            strategy_label=data.get("strategy_label"),
-            sanitizer=data.get("sanitizer"),
-            topology=data.get("topology"),
-        )
 
     def to_wire(self) -> list[Any]:
         """Compact positional encoding; exact inverse of :meth:`from_wire`.

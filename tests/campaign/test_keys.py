@@ -68,3 +68,29 @@ def test_key_stable_across_processes():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout == trial_key(spec(adversary_kwargs=(("q1", 0.5),)))
+
+
+#: Keys written into existing caches; a change to any literal orphans
+#: every cached trial of that shape.
+PINNED_KEYS = [
+    (spec(), "201097699ed8baf42e685f9d9140e32b66a02ac5526b238f63cba77be1282d46"),
+    (
+        spec(
+            protocol_kwargs=(("fanout", 3), ("eps", 0.0)),
+            adversary_kwargs=(("q2", 0.25), ("q1", 0.5)),
+        ),
+        "f5099a97cc4eab4d993e12c66079f4ca99b2f9719b071a3ec5d2d8251e5514e6",
+    ),
+    (
+        spec(environment="jitter:2,2"),
+        "68b5c45ba7db0d078cc3c07d2fbe7b6461cc0af90a15efc417134727793b2c2f",
+    ),
+    (spec(topology="ring"), "40157ce2abfd4ac41c31f6204f12f73e5010939d01904245bcf6b6f309f2df48"),
+    (spec(topology="ring:1"), "40157ce2abfd4ac41c31f6204f12f73e5010939d01904245bcf6b6f309f2df48"),
+    (spec(sanitize="strict"), "201097699ed8baf42e685f9d9140e32b66a02ac5526b238f63cba77be1282d46"),
+]
+
+
+@pytest.mark.parametrize("trial, key", PINNED_KEYS)
+def test_keys_are_pinned(trial, key):
+    assert trial_key(trial) == key

@@ -1,10 +1,11 @@
 """Tests for the append-only JSONL trial store."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
-from repro.campaign.keys import spec_fingerprint, trial_key
+from repro.campaign.keys import spec_fingerprint, spec_from_fingerprint, trial_key
 from repro.campaign.store import TrialStore
 from repro.experiments.config import TrialSpec
 from repro.experiments.runner import run_trial
@@ -144,19 +145,17 @@ def test_new_records_are_wire_format(tmp_path):
     assert "outcome" not in record
 
 
-def test_legacy_dict_records_are_skipped_until_doctor_migrates_them(tmp_path):
+def test_legacy_dict_records_are_skipped_until_doctor_migrates_them(tmp_path, legacy_record):
     from repro.chaos.doctor import diagnose
 
-    spec = trial()
+    record = json.loads(legacy_record)
+    spec = spec_from_fingerprint(record["spec"])
     key = trial_key(spec)
-    outcome = run_trial(spec)
-    legacy = {
-        "key": key,
-        "spec": spec_fingerprint(spec),
-        "outcome": outcome.to_dict(),
-    }
+    assert record["key"] == key
+    # The frozen record carries no sanitizer report, whatever REPRO_SANITIZE says.
+    outcome = run_trial(replace(spec, sanitize="off"))
     path = tmp_path / "trials.jsonl"
-    path.write_text(json.dumps(legacy, separators=(",", ":")) + "\n")
+    path.write_bytes(legacy_record)
 
     # The loader skips (and counts) the PR-1 shape like any unusable line.
     store = TrialStore(tmp_path)

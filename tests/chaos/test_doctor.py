@@ -232,7 +232,7 @@ def store_layout(data: bytes) -> list[tuple[str, int]]:
 
 
 @pytest.mark.parametrize("layout", ["jsonl", "sharded"])
-def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout):
+def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout, legacy_record):
     """ROADMAP 6(b), after arXiv:2311.08859: a property stated as a
     predicate, and every byte offset of an append as a candidate
     counterexample. At each cut the loader, doctor and ``check
@@ -242,9 +242,10 @@ def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout):
     starts on a cache left by each earlier layout."""
     specs = [
         TrialSpec(protocol="flood", adversary="none", n=6, f=0, seed=s)
-        for s in range(6)
+        for s in range(5)
     ]
-    wire_specs, legacy_spec, late = specs[:4], specs[4], specs[5]
+    wire_specs, late = specs[:4], specs[4]
+    legacy_key = json.loads(legacy_record)["key"]
     outcomes = {trial_key(s): run_trial(s) for s in specs}
 
     def items(batch):
@@ -258,13 +259,8 @@ def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout):
     with TrialStore(built) as store:
         store.put_many(items(wire_specs[:1]))
     path = built / "trials.jsonl"
-    legacy = {
-        "key": trial_key(legacy_spec),
-        "spec": spec_fingerprint(legacy_spec),
-        "outcome": outcomes[trial_key(legacy_spec)].to_dict(),
-    }
-    with path.open("a") as fh:
-        fh.write(json.dumps(legacy, separators=(",", ":")) + "\n")
+    with path.open("ab") as fh:
+        fh.write(legacy_record)
     with TrialStore(built) as store:
         store.put_many(items(wire_specs[1:2]))
     # A kill mid-append leaves the index the previous session closed with.
@@ -274,7 +270,7 @@ def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout):
     data = path.read_bytes()
     layout = store_layout(data)
     start = len(before_last[path.name])
-    every_key = {trial_key(s) for s in specs} | set(carried)
+    every_key = {trial_key(s) for s in specs} | {legacy_key} | set(carried)
 
     run = tmp_path / "run"
     for cut in range(start, len(data) + 1):
@@ -298,7 +294,7 @@ def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout):
             store.put_many(items([late]))
         with TrialStore(run) as store:
             served = {k for k in every_key if store.get(k) is not None}
-        assert served == complete | {trial_key(legacy_spec), trial_key(late)}, cut
+        assert served == complete | {legacy_key, trial_key(late)}, cut
 
 
 # -- cross-checks ----------------------------------------------------------------

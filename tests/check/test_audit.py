@@ -73,21 +73,24 @@ def test_tampered_outcome_is_a_mismatch(cache):
     assert "t_end" in bad.detail
 
 
-def test_legacy_dict_records_are_unreadable_until_migrated(cache):
+def test_legacy_dict_records_are_unreadable_until_migrated(cache, legacy_record):
     # PR-1 caches stored the outcome as a field dict under "outcome".
     # No reader serves that shape; the audit says so until
-    # `doctor --repair` migrates the record, then audits it clean.
+    # `doctor --repair` migrates the record, then audits it clean. The
+    # frozen record is the sweep's seed-0 trial: it takes that line.
     from repro.chaos.doctor import diagnose
 
     path, lines = _lines(cache)
-    record = json.loads(lines[0])
-    record["outcome"] = Outcome.from_wire(record.pop("wire")).to_dict()
-    lines[0] = json.dumps(record, separators=(",", ":"))
+    (i,) = [
+        i for i, line in enumerate(lines)
+        if json.loads(line)["key"] == json.loads(legacy_record)["key"]
+    ]
+    lines[i] = legacy_record.decode().rstrip("\n")
     path.write_text("\n".join(lines) + "\n")
     audit = audit_cache(cache)
     assert not audit.ok
     assert audit.counts == {"unreadable": 1, "ok": SWEEP.n_trials - 1}
-    assert "legacy-record" in audit.records[0].detail
+    assert "legacy-record" in audit.records[i].detail
 
     assert diagnose(cache, repair=True).ok
     audit = audit_cache(cache)

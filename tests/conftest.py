@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -113,6 +114,15 @@ def carry_over():
         return lines
 
     return build
+
+
+@pytest.fixture
+def legacy_record() -> bytes:
+    """One pre-wire store line, frozen as such a cache wrote it: the
+    ``{"key", "spec", "outcome"}`` record of a small crashing trial
+    (flood vs ugf, N=8, F=2, seed 0) whose outcome is a field dict. No
+    reader serves it until ``doctor --repair`` migrates it."""
+    return (pathlib.Path(__file__).parent / "data" / "legacy_outcome_record.json").read_bytes()
 
 
 @pytest.fixture(autouse=True)

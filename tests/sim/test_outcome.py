@@ -1,9 +1,13 @@
-"""Unit tests for the Outcome record and complexity measures."""
+"""Unit tests for the Outcome record, its wire and complexity measures."""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.errors import IncompleteRunError
+from repro.experiments.config import TrialSpec
+from repro.experiments.runner import run_trial
 from repro.sim.outcome import Outcome
 
 
@@ -83,24 +87,37 @@ def test_summary_mentions_truncation():
 # -- wire format -----------------------------------------------------------------
 
 
+def assert_outcomes_identical(a, b):
+    """Field-by-field bit-identity, numpy arrays included."""
+    for name in (
+        "n", "f", "seed", "protocol_name", "adversary_name", "completed",
+        "rumor_gathering_ok", "t_end", "max_local_step_time",
+        "max_delivery_time", "crashed", "crash_steps", "steps_simulated",
+        "strategy_label", "topology",
+    ):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("sent", "received", "bytes_sent", "sleep_counts", "wake_counts"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype, name
+        assert np.array_equal(left, right), name
+
+
 def test_wire_round_trip_preserves_every_field():
     outcome = make_outcome(
         strategy_label="str-2.1.0",
         sanitizer={"mode": "warn", "total_violations": 0},
     )
     back = Outcome.from_wire(outcome.to_wire())
-    assert back.to_dict() == outcome.to_dict()
-    assert back.crash_steps == outcome.crash_steps
+    assert_outcomes_identical(outcome, back)
+    assert back.sanitizer == outcome.sanitizer
 
 
 def test_wire_survives_json_byte_identically():
-    import json
-
     outcome = make_outcome()
     wire = outcome.to_wire()
     decoded = json.loads(json.dumps(wire))
     assert decoded == wire
-    assert Outcome.from_wire(decoded).to_dict() == outcome.to_dict()
+    assert Outcome.from_wire(decoded).to_wire() == wire
 
 
 def test_wire_rejects_unknown_versions():
@@ -112,7 +129,37 @@ def test_wire_rejects_unknown_versions():
         Outcome.from_wire([])
 
 
-def test_wire_and_dict_agree():
-    outcome = make_outcome()
-    assert Outcome.from_wire(outcome.to_wire()).to_dict() == outcome.to_dict()
-    assert Outcome.from_dict(outcome.to_dict()).to_wire() == outcome.to_wire()
+def json_round_trip(outcome: Outcome) -> Outcome:
+    return Outcome.from_wire(json.loads(json.dumps(outcome.to_wire())))
+
+
+def test_outcome_round_trip_bit_identical():
+    outcome = run_trial(
+        TrialSpec(protocol="push-pull", adversary="ugf", n=14, f=4, seed=3)
+    )
+    back = json_round_trip(outcome)
+    assert_outcomes_identical(outcome, back)
+    assert back.message_complexity(allow_truncated=True) == outcome.message_complexity(
+        allow_truncated=True
+    )
+    assert back.time_complexity(allow_truncated=True) == outcome.time_complexity(
+        allow_truncated=True
+    )
+
+
+def test_outcome_round_trip_preserves_crash_records():
+    outcome = run_trial(
+        TrialSpec(protocol="ears", adversary="str-1", n=12, f=6, seed=0)
+    )
+    assert outcome.crashed  # Strategy 1 crashes its group
+    back = json_round_trip(outcome)
+    assert_outcomes_identical(outcome, back)
+    assert back.crash_steps == outcome.crash_steps
+
+
+def test_outcome_round_trip_preserves_strategy_label():
+    outcome = run_trial(
+        TrialSpec(protocol="flood", adversary="ugf", n=10, f=3, seed=1)
+    )
+    assert outcome.strategy_label in ("str-1", "str-2.1.0", "str-2.1.1")
+    assert json_round_trip(outcome).strategy_label == outcome.strategy_label

@@ -231,7 +231,7 @@ def test_topology_rides_the_outcome_and_its_wire():
     from repro.sim.outcome import Outcome
 
     assert Outcome.from_wire(wire).topology == "ring:3"
-    assert Outcome.from_dict(out.to_dict()).topology == "ring:3"
+    assert Outcome.from_wire(wire).to_wire() == wire
 
 
 def test_topology_stream_is_independent_of_protocol_randomness():

@@ -615,6 +615,33 @@ def test_sweep_store_backend_auto_detects_a_sharded_cache(tmp_path, capsys):
     assert "0 executed, 2 cached" in capsys.readouterr().err
 
 
+def test_supervised_sweep_counts_each_trial_once(tmp_path, capsys):
+    # A retried trial is one trial: the stats line reads each trial's
+    # final attempt, not every attempt of every retry wave.
+    from repro.chaos.plan import shipped_plans
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(shipped_plans()["transient-exception"].to_dict()))
+    argv = ["sweep", "--protocol", "flood", "--adversary", "none", "--n", "8",
+            "--seeds", "3", "--workers", "1", "--no-cache", "--supervise",
+            "--fault-plan", str(plan)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert "1 retry" in err and "verdict: clean" in err
+    assert "3 trials: 3 executed, 0 cached, 0 failed" in err
+
+
+def test_plot_refuses_an_outcome_record(tmp_path, capsys, legacy_record):
+    # The "outcome" record kind is retired: plot names it as bad input.
+    outcome = json.loads(legacy_record)["outcome"]
+    path = tmp_path / "outcome.json"
+    path.write_text(json.dumps({**outcome, "version": 1, "kind": "outcome"}))
+    assert main(["plot", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro-ugf plot: error: ")
+    assert "unknown record kind 'outcome'" in line
+
+
 @pytest.mark.parametrize(
     "argv",
     [
