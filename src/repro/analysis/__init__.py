@@ -19,7 +19,7 @@ from repro.analysis.bounds import (
     theorem1_lower_bounds,
     Theorem1Bounds,
 )
-from repro.analysis.complexity import complexities, ComplexityPoint
+from repro.analysis.complexity import aggregate_outcomes
 from repro.analysis.paired import DamageSummary, paired_damage
 from repro.analysis.spread import ExposureProfile, exposure_times
 from repro.analysis.timeline import StepActivity, Timeline, build_timeline
@@ -40,8 +40,7 @@ __all__ = [
     "strategy_probabilities",
     "theorem1_lower_bounds",
     "Theorem1Bounds",
-    "complexities",
-    "ComplexityPoint",
+    "aggregate_outcomes",
     "DamageSummary",
     "paired_damage",
     "ExposureProfile",

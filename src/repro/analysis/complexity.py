@@ -2,48 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.aggregate import RunStatistics, aggregate_runs
 from repro.sim.outcome import Outcome
 
-__all__ = ["ComplexityPoint", "complexities", "aggregate_outcomes"]
-
-
-@dataclass(frozen=True, slots=True)
-class ComplexityPoint:
-    """One run's (M, T) pair, as plotted in Figure 3."""
-
-    n: int
-    f: int
-    seed: int
-    message_complexity: int
-    time_complexity: float
-    completed: bool
-    rumor_gathering_ok: bool
-
-
-def complexities(outcome: Outcome, *, allow_truncated: bool = False) -> ComplexityPoint:
-    """Extract the (M, T) pair from one outcome."""
-    return ComplexityPoint(
-        n=outcome.n,
-        f=outcome.f,
-        seed=outcome.seed,
-        message_complexity=outcome.message_complexity(allow_truncated=allow_truncated),
-        time_complexity=outcome.time_complexity(allow_truncated=allow_truncated),
-        completed=outcome.completed,
-        rumor_gathering_ok=outcome.rumor_gathering_ok,
-    )
+__all__ = ["aggregate_outcomes"]
 
 
 def aggregate_outcomes(
     outcomes: Iterable[Outcome], *, allow_truncated: bool = False
 ) -> tuple[RunStatistics, RunStatistics]:
-    """Median/quartile pair ``(messages, time)`` across outcomes."""
-    points: Sequence[ComplexityPoint] = [
-        complexities(o, allow_truncated=allow_truncated) for o in outcomes
-    ]
-    msgs = aggregate_runs([p.message_complexity for p in points])
-    times = aggregate_runs([p.time_complexity for p in points])
+    """Median/quartile pair ``(messages, time)`` of M(O) and T(O) across
+    outcomes (Defs. II.3–II.4); a truncated run raises
+    :class:`~repro.errors.IncompleteRunError` unless *allow_truncated*."""
+    outcomes = list(outcomes)
+    msgs = aggregate_runs(
+        [o.message_complexity(allow_truncated=allow_truncated) for o in outcomes]
+    )
+    times = aggregate_runs(
+        [o.time_complexity(allow_truncated=allow_truncated) for o in outcomes]
+    )
     return msgs, times

@@ -527,26 +527,12 @@ class Campaign:
             raise CampaignError(f"trial failed: {result.error} (spec: {spec})")
         return result.outcome
 
-    def run_sweep(
-        self,
-        spec: SweepSpec,
-        *,
-        allow_truncated: bool = True,
-        progress: ProgressCallback | None = None,
-    ):
-        """Every trial of *spec*, aggregated per (N, F) cell."""
-        from repro.experiments.runner import aggregate_sweep
+    def run_sweep(self, spec: SweepSpec, *, allow_truncated: bool = True):
+        """Every trial of *spec*, aggregated per (N, F) cell
+        (:func:`repro.experiments.runner.run_sweep` in this session)."""
+        from repro.experiments.runner import run_sweep
 
-        results = self.run_trials(list(spec.trials()), progress=progress)
-        failures = [r for r in results if r.outcome is None]
-        if failures:
-            shown = "; ".join(str(f.error) for f in failures[:3])
-            raise CampaignError(
-                f"{len(failures)}/{len(results)} trials of the sweep failed "
-                f"(first errors: {shown})"
-            )
-        outcomes = [r.outcome for r in results if r.outcome is not None]
-        return aggregate_sweep(spec, outcomes, allow_truncated=allow_truncated)
+        return run_sweep(spec, allow_truncated=allow_truncated, campaign=self)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -1,6 +1,10 @@
 """Experiment harness: every evaluated artefact of the paper.
 
-See DESIGN.md §3 for the experiment index. The entry points are:
+See DESIGN.md §3 for the experiment index. Every entry point builds
+labelled per-seed cells, runs them through :func:`measure` and
+aggregates per label with
+:func:`repro.analysis.complexity.aggregate_outcomes`. The entry points
+are:
 
 - :func:`run_figure3_panel` — regenerate one panel of Figure 3;
 - :func:`run_tradeoff` — the Theorem 1 trade-off frontier;
@@ -38,6 +42,7 @@ from repro.experiments.runner import (
     SeriesPoint,
     SweepResult,
     aggregate_sweep,
+    measure,
     run_sweep,
     run_trial,
 )
@@ -75,6 +80,7 @@ __all__ = [
     "SeriesPoint",
     "SweepResult",
     "aggregate_sweep",
+    "measure",
     "run_sweep",
     "run_trial",
     "TradeoffPoint",

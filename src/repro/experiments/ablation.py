@@ -10,18 +10,20 @@
   not sufficiently powerful to harm the dissemination"; measured
   side by side with UGF and the null baseline.
 
-All cells execute through the campaign layer: pass a shared
-:class:`~repro.campaign.Campaign` to reuse its worker pool and trial
-cache across ablations (the full report does); without one an
-ephemeral inline campaign preserves the historical serial behaviour.
+Every grid runs through :func:`repro.experiments.runner.measure`: pass a
+shared :class:`~repro.campaign.Campaign` to reuse its worker pool and
+trial cache across ablations (the full report does); without one the
+cells run in an ephemeral inline, memo-only session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.aggregate import RunStatistics, aggregate_runs
+from repro.analysis.aggregate import RunStatistics
+from repro.analysis.complexity import aggregate_outcomes
 from repro.experiments.config import TrialSpec, f_fraction
+from repro.experiments.runner import measure
 
 __all__ = [
     "AblationCell",
@@ -46,51 +48,13 @@ def _measure_cells(
     cells: list[tuple[str, TrialSpec]],
     campaign,
 ) -> list[AblationCell]:
-    """Execute every (label, per-seed spec) pair and aggregate per label.
-
-    Submitting the whole grid as one batch lets a parallel campaign
-    fan all cells out together instead of seed-by-seed.
-    """
-    from repro.campaign import Campaign
-    from repro.errors import CampaignError
-
-    if campaign is None:
-        with Campaign(workers=1) as ephemeral:
-            return _measure_cells(cells, ephemeral)
-
-    results = campaign.run_trials([spec for _, spec in cells])
-    by_label: dict[str, list[tuple[int, int, int, float]]] = {}
-    order: list[str] = []
-    for (label, spec), result in zip(cells, results):
-        outcome = result.outcome
-        if outcome is None:
-            raise CampaignError(
-                f"ablation trial failed: {result.error} (spec: {spec})"
-            )
-        if label not in by_label:
-            order.append(label)
-        by_label.setdefault(label, []).append(
-            (
-                spec.n,
-                spec.f,
-                outcome.message_complexity(allow_truncated=True),
-                outcome.time_complexity(allow_truncated=True),
-            )
+    """Measure every (label, per-seed spec) pair; (M, T) per label."""
+    return [
+        AblationCell(
+            label, runs[0].n, runs[0].f, *aggregate_outcomes(runs, allow_truncated=True)
         )
-    result = []
-    for label in order:
-        rows = by_label[label]
-        (n, f) = (rows[0][0], rows[0][1])
-        result.append(
-            AblationCell(
-                label=label,
-                n=n,
-                f=f,
-                messages=aggregate_runs([m for _, _, m, _ in rows]),
-                time=aggregate_runs([t for _, _, _, t in rows]),
-            )
-        )
-    return result
+        for label, runs in measure(cells, campaign).items()
+    ]
 
 
 def _cell_specs(

@@ -13,9 +13,10 @@ else judges the reproduction.
 
 Claims with a ``run_*`` function run it and add only the predicate; the
 rest measure labelled per-seed :class:`TrialSpec` cells
-(:func:`measure`). All sizes come from the scale: ``n_values`` /
-``seeds`` for the panels and Example 1, ``ablation_n`` / ``F = 0.3 N`` /
-``ablation_seeds`` for everything else, ``tradeoff`` for Theorem 1.
+(:func:`repro.experiments.runner.measure`, which every ``run_*`` uses
+too). All sizes come from the scale: ``n_values`` / ``seeds`` for the
+panels and Example 1, ``ablation_n`` / ``F = 0.3 N`` / ``ablation_seeds``
+for everything else, ``tradeoff`` for Theorem 1.
 
 Imported only by :mod:`repro.experiments.full_report` (never by the
 package ``__init__``), so no measured process loads it.
@@ -30,7 +31,6 @@ from typing import Any, Callable, Iterable
 
 from repro.analysis.complexity import aggregate_outcomes
 from repro.analysis.paired import paired_damage
-from repro.errors import CampaignError
 from repro.experiments.ablation import (
     AblationCell,
     run_adversary_comparison,
@@ -46,14 +46,14 @@ from repro.experiments.report import (
     panel_table,
     shape_summary,
 )
+from repro.experiments.runner import measure
 from repro.experiments.tradeoff import TradeoffPoint, run_tradeoff
 from repro.experiments.verdicts import MIN_POINTS_FOR_FAMILIES, check_panel
 from repro.sim.outcome import Outcome
 
-__all__ = ["CLAIMS", "Claim", "ClaimVerdict", "measure"]
+__all__ = ["CLAIMS", "Claim", "ClaimVerdict"]
 
 Checks = Iterable[tuple[str, bool]]
-Cells = list[tuple[str, TrialSpec]]
 Measured = dict[str, list[Outcome]]
 
 
@@ -104,17 +104,6 @@ class ClaimVerdict:
 
 
 # ------------------------------------------------------------------ measuring
-
-
-def measure(cells: Cells, campaign) -> Measured:
-    """Run every (label, spec) through *campaign*; outcomes grouped by label."""
-    results = campaign.run_trials([spec for _, spec in cells])
-    measured: Measured = {}
-    for (label, spec), result in zip(cells, results):
-        if result.outcome is None:
-            raise CampaignError(f"claim trial failed: {result.error} (spec: {spec})")
-        measured.setdefault(label, []).append(result.outcome)
-    return measured
 
 
 def _measure_grid(protocols, adversaries, *, n, f, seeds, campaign, **spec) -> Measured:

@@ -8,9 +8,9 @@ group the outcomes by the strategy each run drew (recorded on
 aggregate per group.
 
 Because the drawn strategy travels on the outcome, decomposition runs
-through the campaign layer like every other experiment — cached,
-resumable and pool-parallel — instead of holding live adversary
-objects to interrogate afterwards.
+through :func:`repro.experiments.runner.measure` like every other
+experiment — cached, resumable and pool-parallel — instead of holding
+live adversary objects to interrogate afterwards.
 
 The output both identifies the per-protocol worst case (compare with
 :data:`repro.experiments.figure3.PANELS`) and shows the mixture
@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.aggregate import RunStatistics, aggregate_runs
+from repro.analysis.aggregate import RunStatistics
+from repro.analysis.complexity import aggregate_outcomes
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
+from repro.experiments.runner import measure
+from repro.sim.outcome import Outcome
 
 __all__ = ["StrategyGroup", "run_decomposition", "dominant_strategy"]
 
@@ -54,64 +57,35 @@ def run_decomposition(
     Returns groups sorted by label. With the default equiprobable
     mixture and 30 seeds, each family collects ~10 runs.
     """
-    from repro.campaign import Campaign
-
     if not seeds:
         raise ConfigurationError("need at least one seed")
-    if campaign is None:
-        with Campaign(workers=1) as ephemeral:
-            return run_decomposition(
-                protocol,
+    cells = [
+        (
+            "ugf",
+            TrialSpec(
+                protocol=protocol,
+                adversary="ugf",
                 n=n,
                 f=f,
-                seeds=seeds,
+                seed=seed,
                 max_steps=max_steps,
-                campaign=ephemeral,
-                **ugf_kwargs,
-            )
-
-    specs = [
-        TrialSpec(
-            protocol=protocol,
-            adversary="ugf",
-            n=n,
-            f=f,
-            seed=seed,
-            max_steps=max_steps,
-            adversary_kwargs=tuple(sorted(ugf_kwargs.items())),
+                adversary_kwargs=tuple(sorted(ugf_kwargs.items())),
+            ),
         )
         for seed in seeds
     ]
-    buckets: dict[str, list[tuple[int, float]]] = {}
-    for result in campaign.run_trials(specs):
-        outcome = result.outcome
-        if outcome is None:
-            raise CampaignError(
-                f"decomposition trial failed: {result.error} (spec: {result.spec})"
-            )
+    buckets: dict[str, list[Outcome]] = {}
+    for outcome in measure(cells, campaign)["ugf"]:
         if outcome.strategy_label is None:
             raise CampaignError(
                 "UGF outcome carries no strategy label; the cache entry "
                 "predates strategy recording — rerun with --fresh"
             )
-        buckets.setdefault(outcome.strategy_label, []).append(
-            (
-                outcome.message_complexity(allow_truncated=True),
-                outcome.time_complexity(allow_truncated=True),
-            )
-        )
-    groups = []
-    for label in sorted(buckets):
-        cells = buckets[label]
-        groups.append(
-            StrategyGroup(
-                label=label,
-                runs=len(cells),
-                messages=aggregate_runs([m for m, _ in cells]),
-                time=aggregate_runs([t for _, t in cells]),
-            )
-        )
-    return groups
+        buckets.setdefault(outcome.strategy_label, []).append(outcome)
+    return [
+        StrategyGroup(label, len(runs), *aggregate_outcomes(runs, allow_truncated=True))
+        for label, runs in sorted(buckets.items())
+    ]
 
 
 def dominant_strategy(groups: list[StrategyGroup], quantity: str) -> StrategyGroup:

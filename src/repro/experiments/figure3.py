@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SweepSpec
-from repro.experiments.runner import SweepResult
+from repro.experiments.runner import SweepResult, aggregate_sweep, measure
 
 __all__ = [
     "PANELS",
@@ -141,28 +141,22 @@ def run_figure3_panel(
     n_values: tuple[int, ...] | None = None,
     seeds: tuple[int, ...] | None = None,
     f_of_n: float = F_FRACTION,
-    workers: int | None = None,
     campaign=None,
     topology: str | None = None,
 ) -> PanelResult:
     """Regenerate one Figure 3 panel (three curves).
 
-    The three curves — and, when a shared *campaign* is passed, every
-    other panel of the run — share one worker pool and one trial
-    cache, so e.g. the push-pull baseline sweep 3a and 3c both need is
-    simulated once.
+    The three curves are one :func:`~repro.experiments.runner.measure`
+    call. Pass a shared *campaign* and every other panel of the run
+    shares its worker pool and trial cache too, so e.g. the push-pull
+    baseline sweep 3a and 3c both need is simulated once; without one
+    the panel runs in an ephemeral inline, memo-only session.
     """
-    from repro.campaign import Campaign
-
     sweeps = figure3_sweeps(
         panel, full=full, n_values=n_values, seeds=seeds, f_of_n=f_of_n,
         topology=topology,
     )
-    if campaign is None:
-        with Campaign(workers=workers) as ephemeral:
-            curves = {
-                name: ephemeral.run_sweep(s) for name, s in sweeps.items()
-            }
-    else:
-        curves = {name: campaign.run_sweep(s) for name, s in sweeps.items()}
+    cells = [(name, trial) for name, s in sweeps.items() for trial in s.trials()]
+    measured = measure(cells, campaign)
+    curves = {name: aggregate_sweep(s, measured[name]) for name, s in sweeps.items()}
     return PanelResult(spec=PANELS[panel], curves=curves)

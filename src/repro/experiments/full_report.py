@@ -122,18 +122,17 @@ class ReproductionReport:
 def run_full_reproduction(
     scale: str | ReproductionScale = "laptop",
     *,
-    workers: int | None = None,
     progress: Callable[[str], None] | None = None,
     campaign=None,
 ) -> ReproductionReport:
     """Measure and judge every claim at the given scale.
 
     Every claim runs through one :class:`~repro.campaign.Campaign` —
-    the caller's, or an ephemeral one sized by *workers* — so the
-    whole report shares a single worker pool and trial cache (cells two
-    claims both need are simulated once). With a persistent cache dir an
-    interrupted report resumes: completed trials replay from the store
-    and only missing ones execute.
+    the caller's, or an ephemeral inline, memo-only one — so the whole
+    report shares a single trial memo (cells two claims both need are
+    simulated once), and with the caller's a worker pool and store too.
+    With a persistent cache dir an interrupted report resumes: completed
+    trials replay from the store and only missing ones execute.
     """
     from repro.campaign import Campaign
 
@@ -147,10 +146,8 @@ def run_full_reproduction(
     say = progress or (lambda _: None)
 
     if campaign is None:
-        with Campaign(workers=workers) as ephemeral:
-            return run_full_reproduction(
-                scale, workers=workers, progress=progress, campaign=ephemeral
-            )
+        with Campaign(workers=1) as ephemeral:
+            return run_full_reproduction(scale, progress=progress, campaign=ephemeral)
 
     evidence: dict[str, Any] = {}
     verdicts: dict[str, ClaimVerdict] = {}

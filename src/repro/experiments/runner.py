@@ -1,33 +1,36 @@
-"""Trial and sweep execution.
+"""Trial and sweep execution: the experiments' one measurement path.
 
 A *trial* is one simulated execution; a *sweep* is a grid of trials
 (N values x seeds for one protocol/adversary pair). Specs are plain
 picklable dataclasses and the worker rebuilds protocol and adversary
 from the registries, so nothing stateful crosses process boundaries.
 
-Execution is delegated to the campaign layer
-(:class:`repro.campaign.Campaign`): :func:`run_sweep` without an
-explicit campaign spins up an ephemeral one, while callers running
-several sweeps (figure panels, full reports) pass a shared campaign
-so all sweeps reuse one worker pool and one trial cache — identical
-trials are computed exactly once per session, and once ever with a
-persistent cache dir.
+Every experiment builds labelled per-seed cells and hands them to
+:func:`measure`, the only code here that submits trials to a
+:class:`repro.campaign.Campaign` and the only one that raises on a
+failed trial. Omit ``campaign=`` and the cells run in an ephemeral
+inline, memo-only session; pass one to get a worker pool, a persistent
+store or a daemon, and to share its memo across several grids (figure
+panels, full reports) so identical trials are computed once.
 
-Trials within one (protocol, adversary, N, F) cell differ only by
-seed and are aggregated into the paper's median/quartile series.
+Per-label outcomes then aggregate through
+:func:`repro.analysis.complexity.aggregate_outcomes` into the paper's
+median/quartile series (:func:`aggregate_sweep` per (N, F) cell).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Sequence
 
-from repro.analysis.aggregate import RunStatistics, aggregate_runs
+from repro.analysis.aggregate import RunStatistics
+from repro.analysis.complexity import aggregate_outcomes
 from repro.errors import CampaignError, ConfigurationError, IncompleteRunError
 from repro.experiments.config import SweepSpec, TrialSpec
 from repro.sim.outcome import Outcome
 
 __all__ = [
+    "measure",
     "run_trial",
     "run_sweep",
     "aggregate_sweep",
@@ -148,10 +151,7 @@ def aggregate_sweep(
                 "quiescence and allow_truncated is False; raise max_steps or "
                 "pass allow_truncated=True"
             )
-        msgs = aggregate_runs(
-            [o.message_complexity(allow_truncated=True) for o in usable]
-        )
-        times = aggregate_runs([o.time_complexity(allow_truncated=True) for o in usable])
+        msgs, times = aggregate_outcomes(usable, allow_truncated=True)
         points.append(
             SeriesPoint(
                 n=n,
@@ -167,29 +167,50 @@ def aggregate_sweep(
     return SweepResult(spec=spec, points=tuple(points))
 
 
+def measure(
+    cells: Sequence[tuple[Hashable, TrialSpec]], campaign=None
+) -> dict[Hashable, list[Outcome]]:
+    """Run every ``(label, spec)`` cell; outcomes grouped by label.
+
+    The whole grid is one :meth:`~repro.campaign.Campaign.run_trials`
+    call, so a pool or the batch engine sees every cell at once. Labels
+    keep their first-seen order and each label's outcomes their
+    submission order. Any failed trial raises :class:`CampaignError`
+    naming how many failed and the first of them. Without a *campaign*
+    the cells run in an ephemeral inline, memo-only session.
+    """
+    if campaign is None:
+        from repro.campaign import Campaign
+
+        with Campaign(workers=1) as ephemeral:
+            return measure(cells, ephemeral)
+
+    results = campaign.run_trials([spec for _, spec in cells])
+    failed = [r for r in results if r.outcome is None]
+    if failed:
+        shown = "; ".join(f"{r.error} (spec: {r.spec})" for r in failed[:3])
+        raise CampaignError(f"{len(failed)}/{len(results)} trials failed: {shown}")
+    measured: dict[Hashable, list[Outcome]] = {}
+    for (label, _), result in zip(cells, results):
+        measured.setdefault(label, []).append(result.outcome)
+    return measured
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
-    workers: int | None = None,
     allow_truncated: bool = True,
     campaign=None,
 ) -> SweepResult:
-    """Run every trial of *spec* and aggregate per (N, F).
+    """Run every trial of *spec* through :func:`measure` and aggregate
+    per (N, F).
 
-    ``workers=0`` or ``1`` runs inline (useful under pytest and for
-    debugging); ``None`` uses CPU count - 1. Truncated runs (hit
-    ``max_steps``) are counted per point and — when
+    Truncated runs (hit ``max_steps``) are counted per point and — when
     ``allow_truncated`` — included in the aggregates with their
     truncated measurements, which under-reports the attack rather than
     over-reporting it.
-
-    With a *campaign*, execution goes through its shared pool and
-    trial cache (``workers`` is then ignored); without one, an
-    ephemeral in-memory campaign is used.
     """
-    from repro.campaign import Campaign
-
-    if campaign is not None:
-        return campaign.run_sweep(spec, allow_truncated=allow_truncated)
-    with Campaign(workers=workers) as ephemeral:
-        return ephemeral.run_sweep(spec, allow_truncated=allow_truncated)
+    measured = measure([("sweep", trial) for trial in spec.trials()], campaign)
+    return aggregate_sweep(
+        spec, measured.get("sweep", []), allow_truncated=allow_truncated
+    )

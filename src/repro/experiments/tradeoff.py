@@ -27,8 +27,10 @@ from dataclasses import dataclass
 
 from repro.analysis.aggregate import RunStatistics, aggregate_runs
 from repro.analysis.bounds import Theorem1Bounds, theorem1_lower_bounds
+from repro.analysis.complexity import aggregate_outcomes
 from repro.errors import ConfigurationError
 from repro.experiments.config import TrialSpec
+from repro.experiments.runner import measure
 
 __all__ = ["TradeoffPoint", "run_tradeoff"]
 
@@ -71,27 +73,12 @@ def run_tradeoff(
     astronomically long — which is the theorem's point, but not a
     useful way to spend a benchmark budget.
 
-    The whole (k, seed, strategy) grid is submitted as one campaign
-    batch, so a parallel campaign overlaps the slow high-k isolation
-    runs with everything else.
+    The whole (k, seed, strategy) grid is one :func:`measure` call, so
+    a parallel campaign overlaps the slow high-k isolation runs with
+    everything else.
     """
-    from repro.campaign import Campaign
-    from repro.errors import CampaignError
-
     if tau <= 1:
         raise ConfigurationError(f"tau must be > 1, got {tau}")
-    if campaign is None:
-        with Campaign(workers=1) as ephemeral:
-            return run_tradeoff(
-                protocol,
-                n=n,
-                f=f,
-                tau=tau,
-                k_values=k_values,
-                seeds=seeds,
-                max_steps=max_steps,
-                campaign=ephemeral,
-            )
 
     def spec(k: int, variant: int, seed: int) -> TrialSpec:
         return TrialSpec(
@@ -104,37 +91,26 @@ def run_tradeoff(
             adversary_kwargs=(("tau", tau),),
         )
 
-    grid = [
-        (k, variant, seed)
+    cells = [
+        ((k, variant), spec(k, variant, seed))
         for k in k_values
         for seed in seeds
         for variant in (0, 1)
     ]
-    results = campaign.run_trials([spec(k, v, s) for k, v, s in grid])
-    by_cell: dict[tuple[int, int], list] = {}
-    for (k, variant, _), result in zip(grid, results):
-        if result.outcome is None:
-            raise CampaignError(
-                f"trade-off trial failed: {result.error} (spec: {result.spec})"
-            )
-        by_cell.setdefault((k, variant), []).append(result.outcome)
+    measured = measure(cells, campaign)
 
     points = []
     for k in k_values:
-        iso = by_cell[(k, 0)]
-        dly = by_cell[(k, 1)]
+        iso = measured[(k, 0)]
+        dly = measured[(k, 1)]
         alpha = max(1, -(-(tau**k) // max(1, f)))  # ceil(tau^k / F)
         points.append(
             TradeoffPoint(
                 k=k,
                 alpha=alpha,
-                time_under_isolation=aggregate_runs(
-                    [o.time_complexity(allow_truncated=True) for o in iso]
-                ),
+                time_under_isolation=aggregate_outcomes(iso, allow_truncated=True)[1],
                 steps_under_isolation=aggregate_runs([float(o.t_end) for o in iso]),
-                messages_under_delay=aggregate_runs(
-                    [o.message_complexity(allow_truncated=True) for o in dly]
-                ),
+                messages_under_delay=aggregate_outcomes(dly, allow_truncated=True)[0],
                 bounds=theorem1_lower_bounds(n, f, alpha=alpha, tau=tau),
             )
         )

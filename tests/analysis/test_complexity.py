@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.complexity import aggregate_outcomes, complexities
+from repro.analysis.complexity import aggregate_outcomes
 from repro.errors import IncompleteRunError
 from repro.sim.outcome import Outcome
 
@@ -34,17 +34,18 @@ def make_outcome(seed=0, sent_total=10, t_end=20, completed=True):
 
 
 def test_complexities_extracts_pair():
-    point = complexities(make_outcome(sent_total=42, t_end=10))
-    assert point.message_complexity == 42
-    assert point.time_complexity == 5.0
-    assert point.n == 4 and point.f == 1
+    msgs, times = aggregate_outcomes([make_outcome(sent_total=42, t_end=10)])
+    # One run: M(O) = 42 messages, T(O) = T_end / (delta + d) = 10 / 2.
+    assert (msgs.median, msgs.q1, msgs.q3, msgs.n_runs) == (42.0, 42.0, 42.0, 1)
+    assert (times.median, times.n_runs) == (5.0, 1)
 
 
 def test_complexities_guards_truncation():
+    truncated = [make_outcome(), make_outcome(seed=1, completed=False)]
     with pytest.raises(IncompleteRunError):
-        complexities(make_outcome(completed=False))
-    point = complexities(make_outcome(completed=False), allow_truncated=True)
-    assert not point.completed
+        aggregate_outcomes(truncated)
+    msgs, times = aggregate_outcomes(truncated, allow_truncated=True)
+    assert msgs.n_runs == times.n_runs == 2
 
 
 def test_aggregate_outcomes():

@@ -34,7 +34,7 @@ def test_cached_sweep_matches_legacy_runner():
     with Campaign(workers=1) as campaign:
         cached = campaign.run_sweep(SWEEP)
         again = campaign.run_sweep(SWEEP)
-    assert cached == run_sweep(SWEEP, workers=1)
+    assert cached == run_sweep(SWEEP)
     assert again == cached
 
 

@@ -29,7 +29,7 @@ def test_resume_executes_only_missing_trials(tmp_path):
     # The resumed trials are exactly the ones the first session missed.
     assert {e.spec for e in executed} == set(trials[7:])
     # And the stitched result is identical to an uninterrupted run.
-    assert result == run_sweep(SWEEP, workers=1)
+    assert result == run_sweep(SWEEP)
 
 
 def test_resume_across_experiment_entry_points(tmp_path):
@@ -67,4 +67,4 @@ def test_interrupted_write_resumes_cleanly(tmp_path):
         result = resumed.run_sweep(SWEEP)
     assert sum(e.kind == "executed" for e in events) == len(trials) - 4
     assert sum(e.kind == "cached" for e in events) == 4
-    assert result == run_sweep(SWEEP, workers=1)
+    assert result == run_sweep(SWEEP)

@@ -41,9 +41,7 @@ def test_unknown_panel_rejected():
 
 
 def test_run_panel_tiny_grid():
-    result = run_figure3_panel(
-        "3a", n_values=(10, 14), seeds=(0, 1), workers=1
-    )
+    result = run_figure3_panel("3a", n_values=(10, 14), seeds=(0, 1))
     assert set(result.curves) == set(CURVES)
     ns, medians = result.series("no-adversary")
     assert ns == [10, 14]
@@ -51,7 +49,7 @@ def test_run_panel_tiny_grid():
 
 
 def test_panel_attack_exceeds_baseline_messages():
-    result = run_figure3_panel("3d", n_values=(20, 30), seeds=(0, 1, 2), workers=1)
+    result = run_figure3_panel("3d", n_values=(20, 30), seeds=(0, 1, 2))
     _, base = result.series("no-adversary")
     _, attacked = result.series("max-ugf")
     assert all(a > b for a, b in zip(attacked, base))

@@ -42,7 +42,7 @@ PROGRESS: list[str] = []
 
 @pytest.fixture(scope="module")
 def report():
-    return run_full_reproduction(TINY, workers=1, progress=PROGRESS.append)
+    return run_full_reproduction(TINY, progress=PROGRESS.append)
 
 
 def test_scales_registered():

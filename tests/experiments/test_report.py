@@ -16,7 +16,7 @@ from repro.experiments.config import SweepSpec
 
 
 def small_panel():
-    return run_figure3_panel("3a", n_values=(8, 12), seeds=(0, 1), workers=1)
+    return run_figure3_panel("3a", n_values=(8, 12), seeds=(0, 1))
 
 
 def test_format_table_alignment():
@@ -43,7 +43,6 @@ def test_shape_summary_mentions_expectations():
 def test_sweep_csv_parses_back():
     result = run_sweep(
         SweepSpec(protocol="flood", adversary="none", n_values=(5,), seeds=(0, 1)),
-        workers=1,
     )
     text = sweep_csv(result)
     rows = list(csv.DictReader(io.StringIO(text)))

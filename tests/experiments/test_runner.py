@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.campaign import Campaign
 from repro.errors import CampaignError
+from repro.experiments.ablation import run_f_sweep
 from repro.experiments.config import SweepSpec, TrialSpec
-from repro.experiments.runner import aggregate_sweep, run_sweep, run_trial
+from repro.experiments.runner import aggregate_sweep, measure, run_sweep, run_trial
+from repro.experiments.tradeoff import run_tradeoff
 
 
 def test_run_trial_builds_from_names():
@@ -39,7 +42,7 @@ def test_run_sweep_inline_aggregates_per_n():
         n_values=(6, 10),
         seeds=(0, 1, 2),
     )
-    result = run_sweep(sweep, workers=1)
+    result = run_sweep(sweep)
     assert [p.n for p in result.points] == [6, 10]
     # Round-robin is deterministic: quartiles collapse onto the median.
     p6 = result.points[0]
@@ -56,19 +59,63 @@ def test_run_sweep_parallel_matches_inline():
         n_values=(10, 16),
         seeds=(0, 1, 2, 3),
     )
-    inline = run_sweep(sweep, workers=1)
-    parallel = run_sweep(sweep, workers=2)
+    inline = run_sweep(sweep)
+    # This cell routes batch under "auto", which runs inline whatever the
+    # pool size; forcing scalar is what sends it through the two workers.
+    with Campaign(workers=2, backend="scalar") as campaign:
+        parallel = run_sweep(sweep, campaign=campaign)
+        assert campaign.pool._executor is not None
+    assert [p.n for p in parallel.points] == [p.n for p in inline.points] == [10, 16]
     for a, b in zip(inline.points, parallel.points):
-        assert a.n == b.n
         assert a.messages.median == b.messages.median
         assert a.time.median == b.time.median
+
+
+FLOOD = TrialSpec("flood", "none", 4, 1, 0)
+BAD = TrialSpec("flood", "nope", 4, 1, 0)
+
+
+def test_measure_groups_outcomes_by_label_in_submission_order():
+    other = TrialSpec("flood", "none", 6, 1, 0)
+    measured = measure([("b", other), ("a", FLOOD), ("b", FLOOD)])
+    assert list(measured) == ["b", "a"]
+    assert [o.n for o in measured["b"]] == [6, 4]
+
+
+@pytest.mark.parametrize(
+    "entry, failed",
+    [
+        # measure's own default session, then two entry points handed a
+        # campaign: none of them may swallow the failure.
+        (lambda campaign: measure([("ok", FLOOD), ("bad", BAD)]), "1/2"),
+        (
+            lambda campaign: run_f_sweep(
+                "flood", n=4, fractions=(0.3,), seeds=(0,), adversary="nope",
+                campaign=campaign,
+            ),
+            "1/1",
+        ),
+        (
+            lambda campaign: run_tradeoff(
+                "nope", n=4, f=1, tau=2, k_values=(1,), seeds=(0,), campaign=campaign
+            ),
+            "2/2",
+        ),
+    ],
+    ids=["measure", "run_f_sweep", "run_tradeoff"],
+)
+def test_failed_trials_raise_naming_the_count_and_spec(entry, failed):
+    with Campaign(workers=1) as campaign:
+        with pytest.raises(CampaignError, match=f"{failed} trials failed") as info:
+            entry(campaign)
+    assert "nope" in str(info.value)
 
 
 def test_series_accessor():
     sweep = SweepSpec(
         protocol="flood", adversary="none", n_values=(5, 8), seeds=(0,)
     )
-    result = run_sweep(sweep, workers=1)
+    result = run_sweep(sweep)
     ns, msgs = result.series("messages")
     assert ns == [5, 8]
     assert msgs == [20.0, 56.0]
@@ -82,7 +129,7 @@ def test_quartiles_accessor():
     sweep = SweepSpec(
         protocol="push-pull", adversary="ugf", n_values=(10, 16), seeds=(0, 1, 2)
     )
-    result = run_sweep(sweep, workers=1)
+    result = run_sweep(sweep)
     ns, q1s, q3s = result.quartiles("messages")
     assert ns == [10, 16]
     assert q1s == [p.messages.q1 for p in result.points]
@@ -153,7 +200,7 @@ def test_all_truncated_without_allow_raises():
         max_steps=3,
     )
     with pytest.raises(IncompleteRunError, match="max_steps"):
-        run_sweep(sweep, workers=1, allow_truncated=False)
+        run_sweep(sweep, allow_truncated=False)
 
 
 def test_truncated_runs_counted():
@@ -168,5 +215,5 @@ def test_truncated_runs_counted():
         seeds=(0, 1),
         max_steps=3,
     )
-    result = run_sweep(sweep, workers=1)
+    result = run_sweep(sweep)
     assert result.points[0].truncated_runs == 2

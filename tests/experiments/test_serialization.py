@@ -25,7 +25,6 @@ def small_sweep():
             seeds=(0, 1),
             environment=None,
         ),
-        workers=1,
     )
 
 
@@ -38,7 +37,7 @@ def test_sweep_round_trip():
 
 
 def test_panel_round_trip():
-    result = run_figure3_panel("3a", n_values=(8,), seeds=(0, 1), workers=1)
+    result = run_figure3_panel("3a", n_values=(8,), seeds=(0, 1))
     back = loads(dumps(result))
     assert back.spec == result.spec
     for curve in result.curves:
@@ -54,7 +53,6 @@ def test_environment_preserved():
             seeds=(0,),
             environment="jitter:2,2",
         ),
-        workers=1,
     )
     back = loads(dumps(result))
     assert back.spec.environment == "jitter:2,2"

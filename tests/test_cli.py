@@ -290,7 +290,6 @@ def test_plot_sweep_json(tmp_path, capsys):
 
     result = run_sweep(
         SweepSpec(protocol="flood", adversary="none", n_values=(6, 10, 14), seeds=(0,)),
-        workers=1,
     )
     path = tmp_path / "sweep.json"
     path.write_text(dumps(result))
@@ -705,7 +704,7 @@ def test_table_commands_print_what_the_report_embeds(capsys, monkeypatch):
         decomposition_seeds=(0, 1, 2),
         tradeoff={"n": 8, "f": 2, "tau": 2, "k_values": (1,), "seeds": (0,)},
     )
-    report = run_full_reproduction(scale, workers=1)
+    report = run_full_reproduction(scale)
     text = render_markdown(report)
     # The report compares seven adversaries where the command defaults to
     # three: hand 'ablate' the report's own cells.

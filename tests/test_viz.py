@@ -67,9 +67,9 @@ def test_validation():
 def test_render_panel_uses_log_for_messages():
     from repro.experiments.figure3 import run_figure3_panel
 
-    result = run_figure3_panel("3c", n_values=(8, 12), seeds=(0,), workers=1)
+    result = run_figure3_panel("3c", n_values=(8, 12), seeds=(0,))
     out = render_panel(result)
     assert "Figure 3c" in out
     assert "log10 y" in out
-    result_t = run_figure3_panel("3a", n_values=(8, 12), seeds=(0,), workers=1)
+    result_t = run_figure3_panel("3a", n_values=(8, 12), seeds=(0,))
     assert "log10 y" not in render_panel(result_t)
