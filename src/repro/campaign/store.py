@@ -24,12 +24,12 @@ A run directory's store is two files (docs/CAMPAIGN.md):
 Load reads the index, then scans only the bytes past the watermark; a
 file shorter than its watermark — or with no line boundary there — was
 rewritten behind the index and is rescanned in full. Payloads stay on
-disk and are seek-read on :meth:`TrialStore.get`, so a store of
-millions of trials costs a long-lived daemon an index entry, not a
-resident outcome, per record. The index is a pure cache: deleting it
-makes the next load a full scan (which is how a store written before
-the index existed is first read), and it is rewritten atomically (tmp
-+ rename) on :meth:`TrialStore.close` and after compaction.
+disk and are seek-read (:meth:`TrialStore.get`, or the daemon's
+:meth:`TrialStore.wire_text`), so a store of millions of trials costs a
+long-lived daemon an index entry, not a resident outcome, per record.
+The index is a pure cache: deleting it makes the next load a full scan
+(which is how a store written before the index existed is first read),
+and it is rewritten atomically (tmp + rename) on close and compaction.
 
 Append-only makes the store crash-safe by construction — an
 interrupted run leaves at most one torn final line, which the reader
@@ -319,6 +319,8 @@ class TrialStore:
         self._append_fh = None
         self._reader = None
         self._tail_checked = False
+        #: Offset -> wire start (None: not found yet) of lines checked or appended here.
+        self._checked: dict[int, int | None] = {}
 
     def store_files(self) -> list[pathlib.Path]:
         """``[trials.jsonl]`` once it exists (the benchmark suite sizes
@@ -353,6 +355,7 @@ class TrialStore:
                 stacklevel=4,
             )
         self._close_reader()
+        self._checked = {}
         index = None if full else self._read_index()
         if index is None:
             self._entries, self._size, self._skipped = {}, 0, 0
@@ -455,14 +458,45 @@ class TrialStore:
     def _seek_read(self, key: str, entry: Any) -> list[Any] | None:
         """The wire stored at *entry*, or None unless it is *key*'s."""
         try:
-            offset, length = entry
-            if self._reader is None:
-                self._reader = self.path.open("rb")
-            self._reader.seek(offset)
-            found, _fingerprint, wire = decode_record(self._reader.read(length))
+            found, _fingerprint, wire = decode_record(self._read_line(entry))
         except (OSError, TypeError, ValueError):  # RecordDefect is a ValueError
             return None
         return wire if found == key else None
+
+    def _read_line(self, entry: Any) -> bytes:
+        offset, length = entry
+        if self._reader is None:
+            self._reader = self.path.open("rb")
+        self._reader.seek(offset)
+        return self._reader.read(length)
+
+    def wire_text(self, key: str) -> bytes | None:
+        """*key*'s wire as its line's bytes, which are a frame's ``to_wire()``
+        text; None if the line does not start as *key*'s record or fails
+        its first read's full check (decode, ``from_wire``, canonical dump),
+        uncounted: :meth:`get` then serves or counts it."""
+        entry = self._ensure_loaded().get(key)
+        if entry is None:
+            return None
+        head, offset = b'{"key":"%s","spec":' % key.encode(), entry[0]
+        try:
+            line = self._read_line(entry)
+            if not line.startswith(head):
+                return None
+            start = self._checked.get(offset)
+            if start is None:
+                _fingerprint, end = json.JSONDecoder().raw_decode(line.decode("ascii"), len(head))
+                start = end + len(b',"wire":')
+                if offset not in self._checked:
+                    found, _fingerprint, wire = decode_record(line)
+                    Outcome.from_wire(wire)
+                    canonical = json.dumps(wire, separators=(",", ":")).encode()
+                    if found != key or line[start:-1] != canonical:
+                        return None
+                self._checked[offset] = start
+        except (OSError, LookupError, TypeError, ValueError):
+            return None
+        return line[start:-1]
 
     # -- writes ------------------------------------------------------------------
 
@@ -499,6 +533,7 @@ class TrialStore:
         cursor = start
         for key, line in records:
             entries[key] = (cursor, len(line))
+            self._checked[cursor] = None
             cursor += len(line) + 1
         self._size = cursor
         self._dirty = True
@@ -634,6 +669,7 @@ class TrialStore:
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
         self._entries, self._size, self._skipped = entries, cursor, 0
+        self._checked = {}
         self.skipped_lines = 0
         self._write_index()
         report = CompactionReport(

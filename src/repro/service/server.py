@@ -10,17 +10,15 @@ connections onto it.
 The scheduling core is the **in-flight table**: ``content address →
 asyncio.Future``. Every submitted trial resolves its key; a key with a
 live future attaches to it (counted ``dedup_inflight`` — the second
-requester never recomputes, it *waits*), a fresh key enqueues for
-execution. A single scheduler task drains the queue in waves of at
-most ``MAX_SUBMIT_TRIALS`` trials and runs them on a one-thread
-executor through the campaign, handing it the keys already claimed
-so each trial is hashed once. The campaign, which
-is not thread-safe, thus always executes from exactly one thread while
-the event loop keeps accepting frames. Store hits
-inside the campaign stay cheap; real misses fan out across the worker
-pool / batch engine exactly as they do locally. As each wave
-finishes, its futures resolve and every waiting connection writes the
-frames that wave owes it in one write, in claim order within the wave.
+requester never recomputes, it *waits*), a fresh key enqueues. A
+single scheduler task drains the queue in waves of at most
+``MAX_SUBMIT_TRIALS`` trials, each one call on a one-thread executor
+(the campaign and its store are not thread-safe): a key the store holds
+is answered from its line's bytes, spliced into the frame; the misses
+run through the campaign with their claimed keys, fanning out across
+the worker pool / batch engine as locally. As each wave finishes, its
+futures resolve and every waiting connection writes the frames that
+wave owes it in one write, in claim order within the wave.
 
 Each connection reads a line and either starts a submit task or sends
 the reply ``_answer`` builds for any other frame; ``_error`` builds
@@ -35,8 +33,8 @@ Failure posture (docs/SERVICE.md "Failure model"): a malformed frame
 gets an ``error`` frame, not a dropped connection; a failing trial
 gets a ``failed`` outcome frame carrying the worker traceback; a
 batch-level execution crash fails only the futures of that batch. A
-submit that would push the pending queue past ``max_pending`` (or
-arrives while draining) is refused with a typed ``busy`` frame
+submit that would push a non-empty pending queue past ``max_pending``
+(or arrives while draining) is refused with a typed ``busy`` frame
 carrying a ``retry_after`` hint; a connection idle past
 ``idle_timeout`` is closed (``idle_closed``); a submitter that
 vanishes mid-wait has its dead streams counted (``aborted_streams``)
@@ -50,7 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
+import json
 import os
 import pathlib
 import threading
@@ -326,31 +324,46 @@ class TrialService:
                     items.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            keys = [key for key, _spec, _fut in items]
-            specs = [spec for _key, spec, _fut in items]
             try:
-                # Hashed once: the campaign takes the claimed keys.
-                results = await loop.run_in_executor(
-                    self._executor,
-                    functools.partial(self.campaign.run_trials, specs, keys=keys),
-                )
+                answers = await loop.run_in_executor(self._executor, self._run_wave, items)
             except Exception as exc:
                 for key, _spec, fut in items:
                     self._inflight.pop(key, None)
                     self._fail_future(fut, f"batch execution failed: {exc}")
                 continue
-            for (key, _spec, fut), result in zip(items, results):
+            for (key, _spec, fut), answer in zip(items, answers):
                 self._inflight.pop(key, None)
                 # Once per claim, here: a request cut off mid-stream
                 # still counts what was computed for it.
-                if result.outcome is None:
-                    self.counters["failed"] += 1
-                elif result.cached:
-                    self.counters["hits"] += 1
-                else:
-                    self.counters["computed"] += 1
+                self.counters["hits" if answer[0] == "hit" else answer[0]] += 1
                 if not fut.done():
-                    fut.set_result(result)
+                    fut.set_result(answer)
+
+    def _run_wave(self, items: list[tuple]) -> list[tuple]:
+        """``(status, wire text or error, backend)`` per claimed ``(key,
+        spec, future)``, on the executor thread: a stored key is a hit
+        (counted ``service.hits``), the misses run through the campaign
+        with their keys, and a computed wire is read back from its line."""
+        campaign, store = self.campaign, self.campaign.store
+        look = store is not None and not campaign.fresh
+        keys = [key for key, _spec, _fut in items]
+        answers: list[Any] = [("hit", look and store.wire_text(key), None) for key in keys]
+        misses = [i for i, answer in enumerate(answers) if not answer[1]]
+        if len(misses) < len(keys):
+            self._count_metric("service.hits", len(keys) - len(misses))
+        if not misses:
+            return answers
+        results = campaign.run_trials(
+            [items[i][1] for i in misses], keys=[keys[i] for i in misses]
+        )
+        for i, result in zip(misses, results):
+            if result.outcome is None:
+                answers[i] = ("failed", result.error, None)
+                continue
+            read_back = store is not None and not result.cached and store.wire_text(keys[i])
+            text = read_back or json.dumps(result.outcome.to_wire(), separators=(",", ":")).encode()
+            answers[i] = ("hit" if result.cached else "computed", text, result.backend)
+        return answers
 
     def _count_metric(self, name: str, value: int = 1) -> None:
         metrics = getattr(self.campaign, "metrics", None)
@@ -498,11 +511,15 @@ class TrialService:
             error = self._error("submit frame carries no 'trials' list", id=req_id)
             await self._send(writer, lock, error)
             return
-        if self._draining or self._queue.qsize() + len(trials) > self.max_pending:
+        # An empty queue admits any frame, so none is refused forever.
+        pending = self._queue.qsize()
+        if self._draining or pending >= self.max_pending or (
+            pending and pending + len(trials) > self.max_pending
+        ):
             reason = (
                 "draining"
                 if self._draining
-                else f"pending queue full ({self._queue.qsize()}/{self.max_pending})"
+                else f"pending queue full ({pending}/{self.max_pending})"
             )
             self._count("busy_rejections")
             self._emit_event("busy_rejection", reason=reason)
@@ -536,6 +553,7 @@ class TrialService:
         # One write per scheduler wave. asyncio.wait never cancels what
         # it waits on: a stream cut off here leaves the computations
         # running for every client attached to them.
+        head = encode_frame({"v": PROTO_VERSION, "op": "outcome", "id": req_id})[:-2]
         waiting = set(claims)
         while waiting:
             done, waiting = await asyncio.wait(
@@ -550,32 +568,31 @@ class TrialService:
                         "error": str(fut.exception()),
                     }))
                     continue
-                result = fut.result()
-                out: dict[str, Any] = {
-                    "v": PROTO_VERSION,
-                    "op": "outcome",
-                    "id": req_id,
-                    "i": i,
-                    "key": key,
-                }
-                if result.outcome is not None:
-                    status = (
-                        "dedup" if attached else ("hit" if result.cached else "computed")
-                    )
-                    out["status"] = status
-                    out["wire"] = result.outcome.to_wire()
-                    if result.backend is not None:
-                        out["backend"] = result.backend
-                    counts[status] += 1
-                else:
-                    out["status"] = "failed"
-                    out["error"] = result.error
-                    counts["failed"] += 1
-                frames.append(encode_frame(out))
+                status, body, backend = fut.result()
+                if attached and status != "failed":
+                    status = "dedup"
+                counts[status] += 1
+                if status != "failed":
+                    frames.append(splice_outcome_frame(head, i, key, status, body, backend))
+                    continue
+                frames.append(encode_frame({
+                    "v": PROTO_VERSION, "op": "outcome", "id": req_id, "i": i,
+                    "key": key, "status": status, "error": body,
+                }))
             await self._write(writer, lock, frames)
             frames = []
         final = {"v": PROTO_VERSION, "op": "done", "id": req_id, "counts": counts}
         await self._write(writer, lock, [*frames, encode_frame(final)])
+
+
+def splice_outcome_frame(
+    head: bytes, i: int, key: str, status: str, wire: bytes, backend: str | None
+) -> bytes:
+    """:func:`encode_frame` of ``{v, op, id, i, key, status, wire[, backend]}``
+    around *wire*'s JSON text; *head* is ``{v, op, id`` encoded."""
+    fields = b',"i":%d,"key":"%s","status":"%s","wire":' % (i, key.encode(), status.encode())
+    tail = b"}\n" if backend is None else b',"backend":%s}\n' % json.dumps(backend).encode()
+    return head + fields + wire + tail
 
 
 # -- hosting -------------------------------------------------------------------

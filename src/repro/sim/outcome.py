@@ -202,7 +202,9 @@ class Outcome:
 
         Accepts lists or tuples (JSON decodes to lists, pickle keeps
         whatever was sent). Raises ``ValueError`` on an unknown wire
-        version rather than guessing at positional semantics.
+        version rather than guessing at positional semantics, and on
+        per-process arrays not of length ``n``, a crashed pid outside
+        ``[0, n)`` or crash steps not in distinct ``pid, step`` pairs.
         """
         if not wire or wire[0] != WIRE_VERSION:
             version = wire[0] if wire else None
@@ -234,7 +236,7 @@ class Outcome:
             sanitizer,
         ) = wire[:21]
         topology = wire[21] if len(wire) > 21 else None
-        return cls(
+        o = cls(
             n=int(n),
             f=int(f),
             seed=int(seed),
@@ -250,8 +252,7 @@ class Outcome:
             bytes_sent=np.asarray(bytes_sent, dtype=np.int64),
             crashed=tuple(int(p) for p in crashed),
             crash_steps={
-                int(crash_steps[i]): int(crash_steps[i + 1])
-                for i in range(0, len(crash_steps), 2)
+                int(pid): int(step) for pid, step in zip(crash_steps[::2], crash_steps[1::2])
             },
             sleep_counts=np.asarray(sleep_counts, dtype=np.int64),
             wake_counts=np.asarray(wake_counts, dtype=np.int64),
@@ -260,3 +261,9 @@ class Outcome:
             sanitizer=sanitizer,
             topology=topology,
         )
+        counters = (o.sent, o.received, o.bytes_sent, o.sleep_counts, o.wake_counts)
+        if any(a.shape != (o.n,) for a in counters) or 2 * len(o.crash_steps) != len(crash_steps):
+            raise ValueError(f"outcome wire does not describe {o.n} processes")
+        if not all(0 <= p < o.n for p in o.crashed):
+            raise ValueError(f"outcome wire crashes a pid outside [0, {o.n})")
+        return o

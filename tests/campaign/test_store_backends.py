@@ -258,43 +258,57 @@ def test_compact_drop_keys_quarantines_records(tmp_path):
 # -- corrupt records: a counted miss, removed from disk only by the operator ----
 
 
-def append_corrupt_record(path, spec: TrialSpec) -> bytes:
+def append_corrupt_record(path, spec: TrialSpec, wire=()) -> bytes:
     """Append to *path* a record of *spec* that is valid JSON with a good
-    key but whose wire no longer decodes; returns the line."""
-    record = {"key": trial_key(spec), "spec": spec_fingerprint(spec), "wire": []}
+    key but whose wire (default ``[]``) no longer decodes; returns the line."""
+    record = {"key": trial_key(spec), "spec": spec_fingerprint(spec), "wire": list(wire)}
     bad = json.dumps(record)
     with path.open("a") as fh:
         fh.write(bad + "\n")
     return bad.encode()
 
 
+def short_array_wire(spec: TrialSpec) -> list:
+    """*spec*'s real wire with each per-process array cut to one element:
+    well-formed, but it cannot describe ``spec.n`` processes."""
+    wire = run_trial(spec).to_wire()
+    for field in (11, 12, 13, 16, 17):  # sent .. bytes_sent, sleep and wake counts
+        wire[field] = wire[field][:1]
+    return wire
+
+
 @pytest.mark.parametrize("layout", ["jsonl", "sharded"])
 def test_corrupt_record_is_a_counted_miss_until_repair(tmp_path, carry_over, layout):
     from repro.campaign import Campaign
 
-    spec = trial(0)
+    spec, short = trial(0), trial(2)
     carried = carry_over(tmp_path, layout)
     with TrialStore(tmp_path) as store:
         fill(store, [1])
     path = tmp_path / "trials.jsonl"
-    bad = append_corrupt_record(path, spec)
+    bad = [
+        append_corrupt_record(path, spec),
+        append_corrupt_record(path, short, short_array_wire(short)),
+    ]
 
     # The campaign sees a miss, counts it, and recomputes; the file is
     # not rewritten — the recompute's append is what the next load serves.
     with Campaign(cache_dir=tmp_path, workers=1, metrics=True) as campaign:
-        (result,) = campaign.run_trials([spec])
-        assert result.ok and not result.cached
-        assert campaign.metrics.counters["store.corrupt_records"] == 1
-    assert bad in path.read_bytes()
+        results = campaign.run_trials([spec, short])
+        assert all(r.ok and not r.cached for r in results)
+        assert campaign.metrics.counters["store.corrupt_records"] == 2
+    assert all(line in path.read_bytes() for line in bad)
     with Campaign(cache_dir=tmp_path, workers=1) as campaign:
-        (result,) = campaign.run_trials([spec])
-        assert result.ok and result.cached
+        results = campaign.run_trials([spec, short])
+        assert all(r.ok and r.cached for r in results)
+        assert results[1].outcome.to_wire() == run_trial(short).to_wire()
 
     # The bad line leaves disk on the operator's repair, nothing else does.
     assert diagnose(tmp_path, repair=True).ok
-    assert bad not in path.read_bytes()
+    assert not any(line in path.read_bytes() for line in bad)
     with TrialStore(tmp_path) as reloaded:
         assert reloaded.get(trial_key(spec)) is not None
+        assert reloaded.get(trial_key(short)) is not None
         assert reloaded.get(trial_key(trial(1))) is not None
         assert all(reloaded.get(key) is not None for key in carried)
         assert reloaded.skipped_lines == 0

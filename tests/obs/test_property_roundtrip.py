@@ -1,9 +1,9 @@
 """Seeded-random round-trip properties for the wire encodings.
 
-No hypothesis here (deliberately — the generators would add little
-over a seeded ``numpy`` RNG for flat payload shapes): each test draws
-a few hundred randomized payloads from ``np.random.default_rng`` with
-a fixed seed, so failures replay exactly.
+Flat payloads come from a seeded ``np.random.default_rng`` (a
+generator would add little for their shapes): each test draws a few
+hundred with a fixed seed, so failures replay exactly. The one nested
+property, the daemon's spliced outcome frame, draws with hypothesis.
 
 Properties pinned:
 
@@ -13,6 +13,9 @@ Properties pinned:
   (``wire(a.merge(b)) == wire(from_wire(wire(a)).merge(from_wire(wire(b))))``);
 - ``Outcome`` wire round-trips losslessly through JSON over randomized
   payloads, and un-versioned / unknown-version wires raise;
+- the daemon's outcome frame spliced from a store line's wire text is
+  byte for byte ``encode_frame`` of the dict carrying ``to_wire()``,
+  for arbitrary outcomes, fingerprints and request ids;
 - telemetry records missing a kind load as ``"unknown"``, and
   un-versioned ones are skipped and counted.
 """
@@ -20,13 +23,19 @@ Properties pinned:
 from __future__ import annotations
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.campaign.store import STORE_FILENAME, TrialStore, encode_record
 from repro.obs import Histogram, MetricsRegistry
 from repro.obs.registry import DEFAULT_TIME_BOUNDS, DEFAULT_VALUE_BOUNDS
 from repro.obs.telemetry import TELEMETRY_FILENAME, read_telemetry
+from repro.service.protocol import PROTO_VERSION, encode_frame
+from repro.service.server import splice_outcome_frame
 from repro.sim.outcome import Outcome
 
 SEED = 0xC0FFEE
@@ -163,6 +172,91 @@ class TestOutcomeRoundTrip:
         wire[0] = 999
         with pytest.raises(ValueError):
             Outcome.from_wire(wire)
+
+
+#: Any JSON value a request id, a fingerprint or a sanitizer report may
+#: hold: nested, non-ASCII and escape-heavy text included.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def outcomes(draw) -> Outcome:
+    n = draw(st.integers(1, 12))
+    counters = st.lists(st.integers(0, 2**62), min_size=n, max_size=n)
+    crashed = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return Outcome(
+        n=n,
+        f=draw(st.integers(0, n)),
+        seed=draw(st.integers(0, 2**31)),
+        protocol_name=draw(st.text(max_size=10)),
+        adversary_name=draw(st.text(max_size=10)),
+        completed=draw(st.booleans()),
+        rumor_gathering_ok=draw(st.booleans()),
+        t_end=draw(st.integers(0, 10**6)),
+        max_local_step_time=draw(st.integers(1, 100)),
+        max_delivery_time=draw(st.integers(1, 100)),
+        sent=np.asarray(draw(counters), dtype=np.int64),
+        received=np.asarray(draw(counters), dtype=np.int64),
+        bytes_sent=np.asarray(draw(counters), dtype=np.int64),
+        crashed=tuple(crashed),
+        crash_steps={p: draw(st.integers(0, 10**6)) for p in crashed},
+        sleep_counts=np.asarray(draw(counters), dtype=np.int64),
+        wake_counts=np.asarray(draw(counters), dtype=np.int64),
+        steps_simulated=draw(st.integers(0, 10**6)),
+        strategy_label=draw(st.none() | st.text(max_size=10)),
+        topology=draw(st.none() | st.sampled_from(["ring:2", "expander", "random-regular:4"])),
+        sanitizer=draw(st.none() | st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4)),
+    )
+
+
+class TestSplicedOutcomeFrame:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        outcome=outcomes(),
+        key=st.text("0123456789abcdef", min_size=64, max_size=64),
+        fingerprint=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4),
+        req_id=JSON_VALUES,
+        i=st.integers(0, 511),
+    )
+    def test_spliced_frame_is_encode_frame_of_the_dict(
+        self, outcome, key, fingerprint, req_id, i
+    ):
+        """The wire text :meth:`TrialStore.wire_text` slices from
+        ``encode_record``'s line — on a line this process appended, on its
+        first read by another process, and on a repeated read — spliced
+        into a frame, equals ``encode_frame`` of the frame dict, for
+        ``hit``, ``computed`` and ``dedup``, with and without ``backend``."""
+        wire = outcome.to_wire()
+        with tempfile.TemporaryDirectory() as run_dir:
+            with TrialStore(run_dir) as writer:
+                writer.put_many([(key, fingerprint, outcome)])
+                appended = writer.wire_text(key)
+            with open(f"{run_dir}/{STORE_FILENAME}") as fh:
+                assert fh.read() == encode_record(key, fingerprint, wire) + "\n"
+            reader = TrialStore(run_dir)
+            texts = [appended, reader.wire_text(key), reader.wire_text(key)]
+            reader.close()
+        head = encode_frame({"v": PROTO_VERSION, "op": "outcome", "id": req_id})[:-2]
+        for status in ("hit", "computed", "dedup"):
+            for backend in (None, "scalar", "batch"):
+                frame = {
+                    "v": PROTO_VERSION, "op": "outcome", "id": req_id,
+                    "i": i, "key": key, "status": status, "wire": wire,
+                }
+                if backend is not None:
+                    frame["backend"] = backend
+                for text in texts:
+                    spliced = splice_outcome_frame(head, i, key, status, text, backend)
+                    assert spliced == encode_frame(frame)
 
 
 class TestUnversionedTelemetry:

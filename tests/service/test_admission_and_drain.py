@@ -7,6 +7,9 @@
   When one of those frames fails, only the trials without a reply
   are resubmitted or fall back, and a refusal addressed to a request
   an earlier attempt abandoned costs no retry.
+- A frame larger than ``max_pending`` is admitted when nothing is
+  pending, so a daemon run with a bound below ``MAX_SUBMIT_TRIALS``
+  still serves every frame a client sends.
 - ``host.stop(drain=True)`` — the ``serve`` SIGTERM path, minus the
   signal — under a real, ungated load: the submitter still gets every
   reply, and the daemon's store holds every trial it accepted.
@@ -65,6 +68,30 @@ FLOOD = [
     TrialSpec(protocol="flood", adversary="none", n=8, f=2, seed=seed)
     for seed in range(MAX_SUBMIT_TRIALS + 1)
 ]
+
+
+def test_a_frame_over_max_pending_is_admitted_by_an_empty_queue(tmp_path):
+    """``serve --max-pending 100`` and a 200-trial frame: the idle daemon
+    computes it, where a bound checked without regard to the empty
+    queue answered ``busy`` on every retry and the client fell back to
+    local execution with a RuntimeWarning."""
+    specs = [
+        TrialSpec(protocol="flood", adversary="none", n=8, f=2, seed=seed)
+        for seed in range(200)
+    ]
+    daemon_campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
+    with ServiceThread(
+        daemon_campaign, unix_path=str(tmp_path / "svc.sock"), max_pending=100
+    ) as host:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with ServiceCampaign(host.url, cache_dir=None, workers=0) as campaign:
+                results = campaign.run_trials(specs)
+        counters = dict(host.service.counters)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert all(r.ok for r in results)
+    assert counters["busy_rejections"] == 0
+    assert counters["computed"] == len(specs)
 
 
 @contextlib.contextmanager

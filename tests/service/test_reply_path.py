@@ -4,20 +4,28 @@ A submit's claims resolve a scheduler wave at a time, and each wave
 leaves the daemon as a single socket write whose frames are byte for
 byte what :func:`encode_frame` makes of the same dict. The scheduler
 hands the campaign the keys it claimed, so ``trial_key`` runs once per
-trial in the daemon process. These tests pin all of that at the
-transport: raw unix-socket conversations, a spy on
-``StreamWriter.write``, and a counter on the one hashing function.
+trial in the daemon process. A stored wire is spliced into its frame
+from the store line's bytes: a record is decoded once per daemon
+process, a computed wire is encoded once, and a line that does not
+decode or is not canonical is never spliced. These tests pin all of
+that at the transport: raw unix-socket conversations, a spy on
+``StreamWriter.write``, and counters on the hashing function and the
+outcome codec.
 """
 
 import asyncio
+import collections
 import json
 import socket
+import threading
 from dataclasses import replace
 
 import pytest
 
 import repro.campaign.keys as keys_module
 from repro.campaign import Campaign, trial_key
+from repro.campaign.keys import spec_fingerprint
+from repro.campaign.store import encode_record
 from repro.chaos import shipped_service_plans
 from repro.errors import ConfigurationError
 from repro.experiments.config import TrialSpec
@@ -29,6 +37,7 @@ from repro.service.protocol import (
     spec_to_wire,
 )
 from repro.service.server import ServiceThread
+from repro.sim.outcome import Outcome
 
 
 def trial(seed: int = 0, **overrides) -> TrialSpec:
@@ -167,6 +176,165 @@ def test_trial_key_runs_once_per_trial_in_the_daemon(host, monkeypatch):
         replies = client.submit(specs)
     assert [r.status for r in replies] == ["computed"] * len(specs)
     assert len(calls) == len(specs)
+
+
+@pytest.fixture
+def daemon_codec_calls(monkeypatch):
+    """Per step of the outcome codec, how often the daemon's threads ran
+    it: ``from_wire``, ``to_wire``, ``json.loads`` of a store line and
+    ``json.dumps`` of anything carrying a wire (a list, or a store line
+    or frame dict with one)."""
+    calls = collections.Counter()
+    real_from_wire, real_to_wire = Outcome.from_wire.__func__, Outcome.to_wire
+    real_loads, real_dumps = json.loads, json.dumps
+
+    def count(step):
+        if threading.current_thread().name.startswith("trial-service"):
+            calls[step] += 1
+
+    def from_wire(cls, wire):
+        count("from_wire")
+        return real_from_wire(cls, wire)
+
+    def to_wire(self):
+        count("to_wire")
+        return real_to_wire(self)
+
+    def loads(text, *args, **kwargs):
+        head = text[:7]
+        if head in ('{"key":', b'{"key":'):
+            count("loads_line")
+        return real_loads(text, *args, **kwargs)
+
+    def dumps(obj, *args, **kwargs):
+        carried = obj.get("wire") if isinstance(obj, dict) else obj
+        if isinstance(carried, list):
+            count("dumps_wire")
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(Outcome, "from_wire", classmethod(from_wire))
+    monkeypatch.setattr(Outcome, "to_wire", to_wire)
+    monkeypatch.setattr(json, "loads", loads)
+    monkeypatch.setattr(json, "dumps", dumps)
+    return calls
+
+
+def test_a_repeated_hit_decodes_and_encodes_nothing_in_the_daemon(
+    tmp_path, daemon_codec_calls
+):
+    """A record's first hit in a daemon process decodes its line once,
+    rebuilds its Outcome once and dumps its wire once (the canonical
+    check); every later hit, and every hit on a line the daemon appended
+    itself, does none of that. A computed trial encodes its wire once,
+    for the store line, and a dedup claim encodes nothing."""
+    primed = [trial(seed) for seed in range(6)]
+    with Campaign(cache_dir=tmp_path / "shared", workers=0) as prime:
+        inline = prime.run_trials(primed)
+    campaign = Campaign(cache_dir=tmp_path / "shared", workers=0)
+    with ServiceThread(campaign, unix_path=str(tmp_path / "svc.sock")) as host:
+        path = host.addresses[0].path
+
+        def submit(req_id, specs):
+            daemon_codec_calls.clear()
+            wires = [spec_to_wire(spec) for spec in specs]
+            lines = converse(path, submit_frame(req_id, wires))
+            statuses = [json.loads(line)["status"] for line in lines[:-1]]
+            return lines, statuses, dict(daemon_codec_calls)
+
+        lines, statuses, first_touch = submit(1, primed)
+        assert statuses == ["hit"] * 6
+        assert first_touch == {"loads_line": 6, "from_wire": 6, "dumps_wire": 6}
+        for line, spec, result in zip(lines, primed, inline):
+            i = json.loads(line)["i"]
+            assert line == encode_frame(outcome_frame(1, i, trial_key(spec), "hit", result))
+
+        lines, statuses, repeated = submit(2, primed)
+        assert statuses == ["hit"] * 6 and repeated == {}
+
+        fresh = [trial(8), trial(9), trial(8)]
+        _, statuses, computed = submit(3, fresh)
+        assert statuses == ["computed", "computed", "dedup"]
+        assert computed == {"to_wire": 2, "dumps_wire": 2}
+
+        _, statuses, appended = submit(4, fresh)
+        assert statuses == ["hit", "hit", "dedup"] and appended == {}
+
+
+def _short_arrays(wire: list) -> list:
+    for field in (11, 12, 13, 16, 17):  # sent .. bytes_sent, sleep and wake counts
+        wire[field] = wire[field][:1]
+    return wire
+
+
+def _non_integer_sent(wire: list) -> list:
+    wire[11] = ["x"]
+    return wire
+
+
+def _unpaired_crash_step(wire: list) -> list:
+    wire[15] = [3]  # a crashed pid with no step
+    return wire
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_short_arrays, lambda wire: [], _non_integer_sent, _unpaired_crash_step],
+    ids=["short-arrays", "empty-wire", "non-integer-sent", "unpaired-crash-step"],
+)
+def test_a_corrupt_record_behind_the_daemon_is_a_counted_miss(corrupt, tmp_path):
+    """A canonical line whose wire does not rebuild an Outcome is never
+    spliced: the first submit recomputes it (``store.corrupt_records``
+    counts it once), and the second is a spliced hit of the recomputed
+    outcome, whose wire is an inline run's."""
+    spec = trial(0)
+    with Campaign(workers=0) as local:
+        (inline,) = local.run_trials([spec])
+    store_dir = tmp_path / "shared"
+    store_dir.mkdir()
+    bad_wire = corrupt(inline.outcome.to_wire())
+    line = encode_record(trial_key(spec), spec_fingerprint(spec), bad_wire)
+    (store_dir / "trials.jsonl").write_text(line + "\n")
+
+    campaign = Campaign(cache_dir=store_dir, workers=0, metrics=True)
+    with ServiceThread(campaign, unix_path=str(tmp_path / "svc.sock")) as host:
+        path = host.addresses[0].path
+        first = converse(path, submit_frame(1, [spec_to_wire(spec)]))
+        second = converse(path, submit_frame(2, [spec_to_wire(spec)]))
+        corrupt_count = campaign.metrics.counters["store.corrupt_records"]
+
+    key = trial_key(spec)
+    assert first[0] == encode_frame(outcome_frame(1, 0, key, "computed", inline))
+    assert second[0] == encode_frame(outcome_frame(2, 0, key, "hit", inline))
+    assert corrupt_count == 1
+
+
+def test_a_non_canonical_record_is_served_but_never_spliced(tmp_path):
+    """A well-formed line in ``json.dumps``'s default formatting (spaces
+    after separators) is served through the campaign and re-encoded:
+    both submits are hits whose frames are encode_frame of the dict, and
+    nothing counts as corrupt."""
+    spec = trial(0)
+    with Campaign(workers=0) as local:
+        (inline,) = local.run_trials([spec])
+    store_dir = tmp_path / "shared"
+    store_dir.mkdir()
+    record = {
+        "key": trial_key(spec),
+        "spec": spec_fingerprint(spec),
+        "wire": inline.outcome.to_wire(),
+    }
+    (store_dir / "trials.jsonl").write_text(json.dumps(record) + "\n")
+
+    campaign = Campaign(cache_dir=store_dir, workers=0, metrics=True)
+    with ServiceThread(campaign, unix_path=str(tmp_path / "svc.sock")) as host:
+        path = host.addresses[0].path
+        replies = [converse(path, submit_frame(n, [spec_to_wire(spec)])) for n in (1, 2)]
+        counters = dict(campaign.metrics.counters)
+
+    for n, lines in enumerate(replies, start=1):
+        assert lines[0] == encode_frame(outcome_frame(n, 0, trial_key(spec), "hit", inline))
+    assert "store.corrupt_records" not in counters
+    assert "service.hits" not in counters
 
 
 @pytest.mark.parametrize("campaign_sanitize", [None, "warn"])
