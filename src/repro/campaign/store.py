@@ -10,8 +10,9 @@ A run directory's store is two files (docs/CAMPAIGN.md):
   (see :meth:`repro.sim.outcome.Outcome.to_wire`). Every reader — the
   loader, compaction, ``doctor`` and ``check`` — reads lines through
   :func:`scan_records` / :func:`decode_record`, so all agree on what a
-  line is. Pre-wire ``"outcome"``-dict records are skipped like any
-  unusable line until ``repro-ugf doctor --repair`` migrates them.
+  line is. Any other line (the pre-wire ``"outcome"``-dict record
+  included) is a miss: every trial is recomputable from its spec, so
+  the store is a cache and a line it cannot serve costs one recompute.
 - ``store-index.json`` — the persisted offset index, ``{"v": 2,
   "size": W, "skipped": S, "entries": {key: [offset, length]}}``. *W*
   is the *synced watermark*: the byte offset up to which the entries
@@ -65,8 +66,7 @@ besides the append that writes the store file, and it rewrites in
 place (atomic tmp + rename), so it needs exclusive ownership of the
 directory — a concurrent writer's later appends would land in the
 unlinked file. Only the operator runs it, through ``repro-ugf doctor
---repair``, which also migrates the ``trials-NN.jsonl`` shards of the
-retired sharded layout (:func:`legacy_shards`) into ``trials.jsonl``.
+--repair``.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ __all__ = [
     "CompactionReport",
     "STORE_FILENAME",
     "INDEX_FILENAME",
-    "legacy_shards",
     "encode_record",
     "decode_record",
     "scan_records",
@@ -132,15 +131,12 @@ class RecordDefect(ValueError):
     """Why a store line is not a servable record.
 
     :attr:`kind` is the ``doctor`` finding: ``corrupt-line``,
-    ``torn-tail``, ``foreign-record`` or ``legacy-record`` — a pre-wire
-    record, whose ``(key, fingerprint, outcome dict)`` :attr:`legacy`
-    holds for the migration.
+    ``torn-tail`` or ``foreign-record``.
     """
 
-    def __init__(self, kind: str, detail: str, legacy: Any = None) -> None:
+    def __init__(self, kind: str, detail: str) -> None:
         super().__init__(detail)
         self.kind = kind
-        self.legacy = legacy
 
 
 def decode_record(line: "str | bytes") -> tuple[str, dict[str, Any], list[Any]]:
@@ -152,7 +148,7 @@ def decode_record(line: "str | bytes") -> tuple[str, dict[str, Any], list[Any]]:
     """
     try:
         record = json.loads(line)
-    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise RecordDefect(
             "corrupt-line", "not valid JSON; readers skip it (data lost)"
         ) from None
@@ -160,18 +156,9 @@ def decode_record(line: "str | bytes") -> tuple[str, dict[str, Any], list[Any]]:
         key = record.get("key")
         fingerprint = record.get("spec")
         wire = record.get("wire")
-        if isinstance(key, str) and isinstance(fingerprint, dict):
-            if isinstance(wire, list):
-                return key, fingerprint, wire
-            outcome = record.pop("outcome", None)
-            if wire is None and isinstance(outcome, dict):
-                raise RecordDefect(
-                    "legacy-record",
-                    "pre-wire outcome-dict record; readers skip it until "
-                    "doctor --repair migrates it",
-                    (key, fingerprint, outcome),
-                )
-    raise RecordDefect("foreign-record", "not a trial record; readers skip it")
+        if isinstance(key, str) and isinstance(fingerprint, dict) and isinstance(wire, list):
+            return key, fingerprint, wire
+    raise RecordDefect("foreign-record", "not a wire trial record; readers skip it")
 
 
 def scan_records(data: bytes, start: int = 0) -> Iterator[tuple[int, int, bytes, Any]]:
@@ -205,19 +192,6 @@ def scan_records(data: bytes, start: int = 0) -> Iterator[tuple[int, int, bytes,
         cursor = end + 1
 
 
-def legacy_shards(run_dir: "str | os.PathLike") -> list[pathlib.Path]:
-    """The ``trials-NN.jsonl`` shard files of the retired sharded layout.
-
-    No reader serves them; ``repro-ugf doctor --repair`` appends their
-    records to ``trials.jsonl`` and removes them.
-    """
-    return sorted(
-        path
-        for path in pathlib.Path(run_dir).glob("trials-*.jsonl")
-        if path.stem[len("trials-") :].isdigit()
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class CompactionReport:
     """What one :meth:`TrialStore.compact` pass rewrote."""
@@ -225,10 +199,11 @@ class CompactionReport:
     records_kept: int = 0
     #: Superseded rewrites of keys that survive (last write wins).
     duplicates_dropped: int = 0
-    #: Unusable lines (corrupt, torn, foreign, legacy) removed from disk.
+    #: Unusable lines (corrupt, torn, foreign) removed from disk.
     corrupt_dropped: int = 0
-    #: Records removed because their key was explicitly quarantined.
-    quarantined_dropped: int = 0
+    #: Records of the *drop_keys* the caller named: ``doctor`` drops each
+    #: key whose latest record it cannot serve (mis-addressed, bad wire).
+    unservable_dropped: int = 0
     bytes_reclaimed: int = 0
 
     @property
@@ -236,7 +211,7 @@ class CompactionReport:
         return (
             self.duplicates_dropped
             + self.corrupt_dropped
-            + self.quarantined_dropped
+            + self.unservable_dropped
         )
 
     def summary(self) -> str:
@@ -244,7 +219,7 @@ class CompactionReport:
             f"compacted {STORE_FILENAME}: kept {self.records_kept}, "
             f"dropped {self.duplicates_dropped} duplicate(s), "
             f"{self.corrupt_dropped} corrupt, "
-            f"{self.quarantined_dropped} quarantined; "
+            f"{self.unservable_dropped} unservable; "
             f"reclaimed {self.bytes_reclaimed} byte(s)"
         )
 
@@ -344,16 +319,6 @@ class TrialStore:
 
     def _load(self, *, full: bool = False) -> None:
         """Read the index (unless *full*), then scan past its watermark."""
-        shards = legacy_shards(self.cache_dir)
-        if shards:
-            warnings.warn(
-                f"{self.cache_dir} holds {len(shards)} shard file(s) of the "
-                f"retired sharded layout ({', '.join(p.name for p in shards)}) "
-                f"that no reader serves; run 'repro-ugf doctor --repair "
-                f"{self.cache_dir}' to migrate them into {STORE_FILENAME}",
-                RuntimeWarning,
-                stacklevel=4,
-            )
         self._close_reader()
         self._checked = {}
         index = None if full else self._read_index()
@@ -385,7 +350,7 @@ class TrialStore:
                     fh.seek(size - 1)
                     if fh.read(1) != b"\n":
                         return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return None
         return index
 
@@ -494,7 +459,7 @@ class TrialStore:
                     if found != key or line[start:-1] != canonical:
                         return None
                 self._checked[offset] = start
-        except (OSError, LookupError, TypeError, ValueError):
+        except (OSError, LookupError, TypeError, ValueError, RecursionError):
             return None
         return line[start:-1]
 
@@ -645,14 +610,14 @@ class TrialStore:
             return CompactionReport()
         data = self.path.read_bytes()
         latest: dict[str, bytes] = {}
-        duplicates = corrupt = quarantined = 0
+        duplicates = corrupt = unservable = 0
         for _line_no, _offset, raw, item in scan_records(data):
             if isinstance(item, RecordDefect):
                 corrupt += 1
                 continue
             key = item[0]
             if key in drop_keys:
-                quarantined += 1
+                unservable += 1
                 continue
             if key in latest:
                 duplicates += 1
@@ -676,7 +641,7 @@ class TrialStore:
             records_kept=len(latest),
             duplicates_dropped=duplicates,
             corrupt_dropped=corrupt,
-            quarantined_dropped=quarantined,
+            unservable_dropped=unservable,
             bytes_reclaimed=max(0, len(data) - cursor),
         )
         if self.metrics is not None:

@@ -17,7 +17,7 @@ execution infrastructure (docs/ROBUSTNESS.md):
   campaign *degraded*, never aborted;
 - :mod:`repro.chaos.doctor` — ``repro-ugf doctor``: scan a run
   directory for torn tails, bad content addresses and undecodable
-  payloads (read-only); ``--repair`` heals, compacts and migrates.
+  payloads (read-only); ``--repair`` heals and compacts.
 
 The headline contract, pinned by ``tests/chaos``: under every shipped
 fault plan (:func:`shipped_plans`) a supervised campaign converges to

@@ -7,27 +7,27 @@ reader as every loader (:func:`~repro.campaign.store.scan_records`):
 
 - **tails**: a torn fragment (``kill -9`` mid-append) with its byte
   offset, or a complete final record missing its newline;
-- **skipped lines**: corrupt or foreign lines (warnings: the data is
-  already lost) and pre-wire ``legacy-record`` lines (errors until
-  ``--repair`` migrates them);
+- **skipped lines**: corrupt or foreign lines — a pre-wire
+  ``{"key","spec","outcome"}`` record is one — are warnings: every
+  reader skips them, and each trial they held is recomputed on its
+  next miss;
 - **content addresses**: every record's ``key`` is recomputed from its
   stored spec fingerprint; a mismatch means an edit in place;
 - **wire payloads**: every outcome wire must decode;
-- **layout**: each ``trials-NN.jsonl`` shard of the retired sharded
-  layout is a ``legacy-layout`` error — no reader serves it;
 - **cross-checks**: the quarantine ledger and telemetry stream beside
   the store are validated, and quarantined trials whose latest record
-  is good are flagged as recovered (information, not error).
+  is good are flagged as recovered (information, not error);
+- **shard files**: ``trials-NN.jsonl`` files of the retired sharded
+  layout are named in one ``info`` finding — no reader reads them, so
+  an old cache reads as empty.
 
 Findings carry a severity: ``error`` (doctor exits non-zero),
 ``warn`` (data already lost or ignorable), ``info``. Without
-``--repair`` doctor only reads. ``--repair`` heals the tail and
-appends the shards' decodable records to ``trials.jsonl`` (removing
-the shards and their index), then — if anything else is left —
-compacts (dropping duplicates, skipped lines and every key whose
-latest record is mis-addressed or undecodable) and appends each legacy
-record's wire rewrite. Compaction renames the store file, so repair
-needs exclusive ownership of the directory.
+``--repair`` doctor only reads. ``--repair`` heals the tail, then — if
+anything else is left — compacts, dropping duplicates, skipped lines
+and every key whose latest record is mis-addressed or undecodable.
+Compaction renames the store file, so repair needs exclusive ownership
+of the directory.
 """
 
 from __future__ import annotations
@@ -38,17 +38,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.campaign.keys import fingerprint_key
-from repro.campaign.store import (
-    INDEX_FILENAME,
-    STORE_FILENAME,
-    RecordDefect,
-    TrialStore,
-    legacy_shards,
-    scan_records,
-)
+from repro.campaign.store import STORE_FILENAME, RecordDefect, TrialStore, scan_records
 from repro.chaos.supervisor import read_quarantine
 from repro.obs.telemetry import read_telemetry, telemetry_path
-from repro.sim.outcome import WIRE_VERSION, Outcome
+from repro.sim.outcome import Outcome
 
 __all__ = ["DoctorFinding", "DoctorReport", "diagnose"]
 
@@ -56,7 +49,6 @@ __all__ = ["DoctorFinding", "DoctorReport", "diagnose"]
 _DEFECT_SEVERITY = {
     "corrupt-line": "warn",
     "foreign-record": "warn",
-    "legacy-record": "error",
     "torn-tail": "error",
 }
 
@@ -68,20 +60,11 @@ class DoctorFinding:
     severity: str  # "error" | "warn" | "info"
     kind: str
     detail: str
-    #: 1-based store line (None for findings outside the store files).
+    #: 1-based line of ``trials.jsonl`` (None for findings outside it).
     line: int | None = None
-    #: Store file the finding is about (its basename): ``trials.jsonl``
-    #: or a legacy shard.
-    file: str | None = None
 
     def __str__(self) -> str:
-        where = ""
-        if self.file is not None and self.line is not None:
-            where = f"{self.file} line {self.line}: "
-        elif self.file is not None:
-            where = f"{self.file}: "
-        elif self.line is not None:
-            where = f"line {self.line}: "
+        where = "" if self.line is None else f"{STORE_FILENAME} line {self.line}: "
         return f"[{self.severity}] {where}{self.kind} — {self.detail}"
 
 
@@ -91,8 +74,6 @@ class DoctorReport:
 
     run_dir: str
     store_path: str
-    #: Complete, well-formed records (by content address).
-    records: int = 0
     findings: list[DoctorFinding] = field(default_factory=list)
     #: Repair actions taken (empty without --repair or nothing to do).
     repairs: list[str] = field(default_factory=list)
@@ -103,6 +84,11 @@ class DoctorReport:
     backend_counts: dict[str, int] = field(default_factory=dict)
     #: Keys whose latest record is well-formed — what a loader serves.
     record_keys: set[str] = field(default_factory=set, init=False)
+
+    @property
+    def records(self) -> int:
+        """Keys a loader serves (superseded rewrites count once)."""
+        return len(self.record_keys)
 
     @property
     def errors(self) -> list[DoctorFinding]:
@@ -155,18 +141,16 @@ def _record_problem(
 
 
 def _scan(run_dir: pathlib.Path, report: DoctorReport):
-    """Scan the store file into *report* and flag legacy shards.
+    """Scan the store file into *report*.
 
-    Returns ``(latest, legacy, tail)``: whether each key's latest
-    record is well-formed, each key's latest legacy record, and the
-    defective tail as ``(byte offset, torn)`` or None.
+    Returns ``(latest, tail)``: whether each key's latest record is
+    well-formed, and the defective tail as ``(byte offset, torn)`` or
+    None.
     """
     latest: dict[str, bool] = {}
-    legacy: dict[str, tuple[str, dict[str, Any], dict[str, Any]]] = {}
     tail: tuple[int, bool] | None = None
     decoded = 0
-    path = run_dir / STORE_FILENAME
-    data = path.read_bytes() if path.exists() else b""
+    data = (run_dir / STORE_FILENAME).read_bytes()
     line_no = 0
     for line_no, offset, _raw, item in scan_records(data):
         if isinstance(item, RecordDefect):
@@ -174,22 +158,14 @@ def _scan(run_dir: pathlib.Path, report: DoctorReport):
             if item.kind == "torn-tail":
                 detail += "; repair truncates them"
                 tail = (offset, True)
-            elif item.legacy is not None:
-                legacy[item.legacy[0]] = item.legacy
             severity = _DEFECT_SEVERITY[item.kind]
-            report.findings.append(
-                DoctorFinding(severity, item.kind, detail, line_no, path.name)
-            )
+            report.findings.append(DoctorFinding(severity, item.kind, detail, line_no))
             continue
         decoded += 1
         problem = _record_problem(*item)
         latest[item[0]] = problem is None
-        if problem is None:
-            report.records += 1
-        else:
-            report.findings.append(
-                DoctorFinding("error", *problem, line_no, path.name)
-            )
+        if problem is not None:
+            report.findings.append(DoctorFinding("error", *problem, line_no))
     if data and not data.endswith(b"\n") and tail is None:
         tail = (len(data), False)
         report.findings.append(
@@ -199,17 +175,6 @@ def _scan(run_dir: pathlib.Path, report: DoctorReport):
                 "final record is complete but missing its newline; "
                 "repair terminates it",
                 line_no,
-                path.name,
-            )
-        )
-    for shard in legacy_shards(run_dir):
-        report.findings.append(
-            DoctorFinding(
-                "error",
-                "legacy-layout",
-                "shard file of the retired sharded layout; no reader serves "
-                f"it — repair merges its records into {STORE_FILENAME}",
-                file=shard.name,
             )
         )
     report.record_keys = {key for key, good in latest.items() if good}
@@ -227,62 +192,12 @@ def _scan(run_dir: pathlib.Path, report: DoctorReport):
                 ),
             )
         )
-    return latest, legacy, tail
-
-
-def _merge_shards(run_dir: pathlib.Path, shards: list[pathlib.Path]) -> str:
-    """Durably append the legacy shards' decodable records to the store
-    file, then remove the shards and their index."""
-    lines = [
-        raw.strip()
-        for shard in shards
-        for _line_no, _offset, raw, item in scan_records(shard.read_bytes())
-        if not isinstance(item, RecordDefect)
-    ]
-    if lines:
-        with open(run_dir / STORE_FILENAME, "ab") as fh:
-            fh.write(b"\n".join(lines) + b"\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-    for shard in shards:
-        shard.unlink()
-    (run_dir / INDEX_FILENAME).unlink(missing_ok=True)
-    return (
-        f"merged {len(lines)} record(s) of {len(shards)} legacy shard "
-        f"file(s) into {STORE_FILENAME}"
-    )
-
-
-#: The pre-wire outcome dict's fields that the wire lays out in the
-#: same order, between its version tag and ``crash_steps``.
-_LEGACY_LEAD = (
-    "n", "f", "seed", "protocol_name", "adversary_name", "completed", "rumor_gathering_ok",
-    "t_end", "max_local_step_time", "max_delivery_time", "sent", "received", "bytes_sent",
-    "crashed",
-)
-
-
-def _legacy_outcome(data: dict[str, Any]) -> Outcome:
-    """The :class:`Outcome` a pre-wire record's ``outcome`` field dict
-    describes, rebuilt through :meth:`Outcome.from_wire`. Raises
-    ``KeyError`` / ``TypeError`` / ``ValueError`` on a malformed dict."""
-    return Outcome.from_wire([
-        WIRE_VERSION,
-        *(data[name] for name in _LEGACY_LEAD),
-        [x for pid, step in data["crash_steps"] for x in (pid, step)],
-        data["sleep_counts"],
-        data["wake_counts"],
-        data.get("steps_simulated", 0),
-        data.get("strategy_label"),
-        data.get("sanitizer"),
-        data.get("topology"),
-    ])
+    return latest, tail
 
 
 def _repair(run_dir: pathlib.Path, report: DoctorReport, scan) -> list[str]:
-    """Heal the tail, merge legacy shards, then compact and migrate;
-    returns the actions."""
-    latest, legacy, tail = scan
+    """Heal the tail, then compact; returns the actions."""
+    latest, tail = scan
     path = run_dir / STORE_FILENAME
     actions: list[str] = []
     if tail is not None:
@@ -297,26 +212,9 @@ def _repair(run_dir: pathlib.Path, report: DoctorReport, scan) -> list[str]:
         actions.append(f"{path.name}: {action}")
     if all(f.kind in ("torn-tail", "unterminated-tail") for f in report.findings):
         return actions  # the heal cleared everything
-    shards = legacy_shards(run_dir)
-    if shards:
-        actions.append(_merge_shards(run_dir, shards))
-        latest, legacy, _tail = _scan(run_dir, DoctorReport(str(run_dir), str(path)))
-    migrated = []
-    for key, fingerprint, outcome in legacy.values():
-        if latest.get(key) or fingerprint_key(fingerprint) != key:
-            continue
-        try:
-            migrated.append((key, fingerprint, _legacy_outcome(outcome)))
-        except (KeyError, TypeError, ValueError):
-            continue
     with TrialStore(run_dir) as store:
         dropped = {key for key, good in latest.items() if not good}
         actions.append(store.compact(drop_keys=dropped).summary())
-        if migrated:
-            store.put_many(migrated)
-            actions.append(
-                f"migrated {len(migrated)} legacy record(s) to the wire format"
-            )
     return actions
 
 
@@ -367,18 +265,15 @@ def _cross_check(run_dir: pathlib.Path, report: DoctorReport) -> None:
 def diagnose(run_dir: "str | os.PathLike", *, repair: bool = False) -> DoctorReport:
     """Scan (and with *repair*, heal) a run directory.
 
-    The store is ``trials.jsonl``, read as every loader reads it; each
-    ``trials-NN.jsonl`` shard of the retired sharded layout is a
-    ``legacy-layout`` error until ``--repair`` merges it in.
-
-    Without *repair* nothing under *run_dir* is written. After a repair
-    the store is rescanned so the returned report — and the CLI's exit
-    code — describe the *healed* state.
+    The store is ``trials.jsonl``, read as every loader reads it. Without
+    *repair* nothing under *run_dir* is written. After a repair the store
+    is rescanned so the returned report — and the CLI's exit code —
+    describe the *healed* state.
     """
     run_dir = pathlib.Path(run_dir)
     store_path = str(run_dir / STORE_FILENAME)
     report = DoctorReport(run_dir=str(run_dir), store_path=store_path)
-    if not (run_dir / STORE_FILENAME).exists() and not legacy_shards(run_dir):
+    if not (run_dir / STORE_FILENAME).exists():
         report.findings.append(
             DoctorFinding(
                 severity="error",
@@ -386,15 +281,26 @@ def diagnose(run_dir: "str | os.PathLike", *, repair: bool = False) -> DoctorRep
                 detail=f"no {STORE_FILENAME} under {run_dir}",
             )
         )
-        return report
-
-    scan = _scan(run_dir, report)
-    actions = _repair(run_dir, report, scan) if repair else []
-    if actions:
-        # Rescan: the report (and exit code) must describe the healed
-        # store.
-        report = DoctorReport(run_dir=str(run_dir), store_path=store_path)
-        _scan(run_dir, report)
-        report.repairs.extend(actions)
-    _cross_check(run_dir, report)
+    else:
+        scan = _scan(run_dir, report)
+        actions = _repair(run_dir, report, scan) if repair else []
+        if actions:
+            # Rescan: the report (and exit code) must describe the healed
+            # store.
+            report = DoctorReport(run_dir=str(run_dir), store_path=store_path)
+            _scan(run_dir, report)
+            report.repairs.extend(actions)
+        _cross_check(run_dir, report)
+    shards = sorted(path.name for path in run_dir.glob("trials-[0-9]*.jsonl"))
+    if shards:
+        report.findings.append(
+            DoctorFinding(
+                severity="info",
+                kind="shard-files",
+                detail=(
+                    f"{', '.join(shards)}: the retired sharded layout; no "
+                    "reader reads them, so their trials are recomputed"
+                ),
+            )
+        )
     return report

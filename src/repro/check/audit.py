@@ -144,9 +144,9 @@ def audit_cache(
 ) -> CacheAudit:
     """Audit every record in *cache_dir*'s trial store.
 
-    What is audited is what the loader serves: ``trials.jsonl``. Shards
-    of the retired sharded layout are not read until ``repro-ugf doctor
-    --repair`` merges them in.
+    What is audited is every line of ``trials.jsonl``, read as the
+    loader reads it: a line no loader serves (a pre-wire record, say)
+    audits as ``unreadable``.
 
     ``replay=False`` restricts the audit to structural checks (parse +
     content address), which is cheap enough for very large caches;

@@ -370,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repair",
         action="store_true",
-        help="heal the tail, compact, migrate legacy records, then rescan "
-        "(needs exclusive ownership of the directory)",
+        help="heal the tail, compact away every line no reader serves, then "
+        "rescan (needs exclusive ownership of the directory)",
     )
 
     p = command(

@@ -119,14 +119,15 @@ def read_jsonl(
     path: pathlib.Path, parse: Callable[[dict[str, Any]], Any]
 ) -> tuple[list[Any], int]:
     """``(records, skipped)`` of a diagnostic log: *parse* of every
-    JSON-object line. Other lines (corrupt, crash-truncated) and
-    objects *parse* rejects with ``KeyError`` / ``TypeError`` /
-    ``ValueError`` count as skipped; a missing file is empty."""
+    JSON-object line. Other lines (corrupt, crash-truncated, not UTF-8,
+    nested too deep to parse) and objects *parse* rejects with
+    ``KeyError`` / ``TypeError`` / ``ValueError`` count as skipped; a
+    missing file is empty."""
     records: list[Any] = []
     skipped = 0
     if not path.exists():
         return records, skipped
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line in fh:
             if not line.strip():
                 continue
@@ -135,7 +136,7 @@ def read_jsonl(
                 if not isinstance(raw, dict):
                     raise TypeError("not a JSON object")
                 records.append(parse(raw))
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, RecursionError):
                 skipped += 1
     return records, skipped
 

@@ -184,7 +184,7 @@ def decode_frame(line: bytes) -> dict[str, Any]:
     or a client-side :class:`~repro.service.client.ServiceError`)."""
     try:
         frame = json.loads(line.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"undecodable service frame: {exc}") from exc
     if not isinstance(frame, dict):
         raise ConfigurationError(

@@ -7,7 +7,9 @@ so concurrent campaigns sharing a cache directory interleave at
 real processes (not threads: flock contention is cross-process) and
 assert every record survives, and that the offset index the last
 writer to close persisted serves what a full scan does. The writers
-start on a cache left by each earlier layout, whose records survive too.
+start on a cache written before the offset index existed, whose
+records survive too, and open the store under each spelling the frozen
+benchmark suite passes.
 """
 
 import json
@@ -27,10 +29,10 @@ _WRITER = textwrap.dedent(
     from repro.campaign.keys import spec_fingerprint, trial_key
     from repro.experiments.runner import run_trial
 
-    cache_dir, start, count = sys.argv[1:4]
+    cache_dir, start, count, backend = sys.argv[1:5]
     spec = TrialSpec(protocol="flood", adversary="none", n=8, f=2, seed=0)
     outcome = run_trial(spec)  # one real outcome, re-keyed per record
-    store = TrialStore(cache_dir)
+    store = TrialStore(cache_dir, backend=backend)
     for i in range(int(start), int(start) + int(count)):
         # Distinct fingerprints -> distinct keys; tiny batches so the
         # two writers' flock acquisitions interleave heavily.
@@ -42,10 +44,10 @@ _WRITER = textwrap.dedent(
 )
 
 
-@pytest.mark.parametrize("layout", ["jsonl", "sharded"])
-def test_two_processes_append_without_corruption(tmp_path, carry_over, layout):
+@pytest.mark.parametrize("backend", ["jsonl", "sharded"])
+def test_two_processes_append_without_corruption(tmp_path, carry_over, backend):
     per_writer = 40
-    carried = carry_over(tmp_path, layout)
+    carried = carry_over(tmp_path)
     procs = [
         subprocess.Popen(
             [
@@ -55,6 +57,7 @@ def test_two_processes_append_without_corruption(tmp_path, carry_over, layout):
                 str(tmp_path),
                 str(start),
                 str(per_writer),
+                backend,
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,

@@ -163,19 +163,27 @@ def test_superseded_rewrites_are_informational(tmp_path):
     report = diagnose(tmp_path)
     assert report.ok
     assert kinds(report, "info") == {"duplicate-keys"}
+    assert report.records == len(report.record_keys) == 1
+    # An undecodable latest line leaves the key with nothing to serve.
+    bad = {"key": trial_key(spec), "spec": spec_fingerprint(spec), "wire": []}
+    with (tmp_path / "trials.jsonl").open("a") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    report = diagnose(tmp_path)
+    assert report.records == len(report.record_keys) == 0
+    assert "— 0 record(s)" in report.summary()
 
 
 def snapshot(run_dir) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
 
 
-@pytest.mark.parametrize("layout", ["jsonl", "sharded"])
-def test_doctor_without_repair_writes_nothing(tmp_path, carry_over, layout):
+@pytest.mark.parametrize("backend", ["jsonl", "sharded"])
+def test_doctor_without_repair_writes_nothing(tmp_path, carry_over, backend):
     # A quarantined key whose latest wire does not decode, plus a
     # superseded duplicate: plenty for a reader tempted to "fix" things.
     specs = [trial(s) for s in range(3)]
-    carried = carry_over(tmp_path, layout)
-    with TrialStore(tmp_path) as store:
+    carried = carry_over(tmp_path)
+    with TrialStore(tmp_path, backend=backend) as store:
         store.put_many(
             [(trial_key(s), spec_fingerprint(s), run_trial(s)) for s in specs]
         )
@@ -192,13 +200,14 @@ def test_doctor_without_repair_writes_nothing(tmp_path, carry_over, layout):
     assert snapshot(tmp_path) == before
     assert kinds(report) == {"bad-wire", "duplicate-keys"}
     assert report.record_keys == {trial_key(s) for s in specs[1:]} | set(carried)
+    assert report.records == len(report.record_keys)
 
 
-@pytest.mark.parametrize("layout", ["jsonl", "sharded"])
-def test_every_reader_serves_an_unterminated_final_record(tmp_path, carry_over, layout):
+@pytest.mark.parametrize("backend", ["jsonl", "sharded"])
+def test_every_reader_serves_an_unterminated_final_record(tmp_path, carry_over, backend):
     specs = [trial(s) for s in range(2)]
-    carried = carry_over(tmp_path, layout)
-    with TrialStore(tmp_path) as store:
+    carried = carry_over(tmp_path)
+    with TrialStore(tmp_path, backend=backend) as store:
         store.put_many(
             [(trial_key(s), spec_fingerprint(s), run_trial(s)) for s in specs]
         )
@@ -208,7 +217,7 @@ def test_every_reader_serves_an_unterminated_final_record(tmp_path, carry_over, 
     keys = {trial_key(s) for s in specs} | set(carried)
     report = diagnose(tmp_path)
     audited = audit_cache(tmp_path, replay=False)
-    with TrialStore(tmp_path) as store:
+    with TrialStore(tmp_path, backend=backend) as store:
         served = {k for k in keys if store.get(k) is not None}
         assert store.skipped_lines == 0
     assert served == report.record_keys == keys
@@ -231,21 +240,22 @@ def store_layout(data: bytes) -> list[tuple[str, int]]:
     return layout
 
 
-@pytest.mark.parametrize("layout", ["jsonl", "sharded"])
-def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout, legacy_record):
+@pytest.mark.parametrize("backend", ["jsonl", "sharded"])
+def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, backend, pre_wire_line):
     """ROADMAP 6(b), after arXiv:2311.08859: a property stated as a
     predicate, and every byte offset of an append as a candidate
     counterexample. At each cut the loader, doctor and ``check
     --no-replay`` agree on the served keys, which are exactly the
     records whose line was complete before the cut; ``doctor --repair``
     then leaves a clean store that one more append extends. The store
-    starts on a cache left by each earlier layout."""
+    starts on a cache written before the offset index existed, and holds
+    a pre-wire line of the late trial: a miss, so that trial is served
+    only once it is recomputed and appended."""
     specs = [
         TrialSpec(protocol="flood", adversary="none", n=6, f=0, seed=s)
         for s in range(5)
     ]
     wire_specs, late = specs[:4], specs[4]
-    legacy_key = json.loads(legacy_record)["key"]
     outcomes = {trial_key(s): run_trial(s) for s in specs}
 
     def items(batch):
@@ -255,22 +265,22 @@ def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout, le
         ]
 
     built = tmp_path / "built"
-    carried = carry_over(built, layout)
-    with TrialStore(built) as store:
+    carried = carry_over(built)
+    with TrialStore(built, backend=backend) as store:
         store.put_many(items(wire_specs[:1]))
     path = built / "trials.jsonl"
     with path.open("ab") as fh:
-        fh.write(legacy_record)
-    with TrialStore(built) as store:
+        fh.write(pre_wire_line(late))
+    with TrialStore(built, backend=backend) as store:
         store.put_many(items(wire_specs[1:2]))
     # A kill mid-append leaves the index the previous session closed with.
     before_last = snapshot(built)
-    with TrialStore(built) as store:
+    with TrialStore(built, backend=backend) as store:
         store.put_many(items(wire_specs[2:]))
     data = path.read_bytes()
     layout = store_layout(data)
     start = len(before_last[path.name])
-    every_key = {trial_key(s) for s in specs} | {legacy_key} | set(carried)
+    every_key = {trial_key(s) for s in specs} | set(carried)
 
     run = tmp_path / "run"
     for cut in range(start, len(data) + 1):
@@ -283,18 +293,19 @@ def test_kill_at_every_byte_offset_of_an_append(tmp_path, carry_over, layout, le
 
         report = diagnose(run)
         audited = {r.key for r in audit_cache(run, replay=False).records if r.ok}
-        with TrialStore(run) as store:
+        with TrialStore(run, backend=backend) as store:
             served = {k for k in every_key if store.get(k) is not None}
         assert served == report.record_keys == audited == complete, cut
+        assert trial_key(late) not in served, cut
 
         assert diagnose(run, repair=True).ok, cut
         rescan = diagnose(run)
         assert rescan.ok and rescan.findings == [], (cut, rescan.findings)
-        with TrialStore(run) as store:
+        with TrialStore(run, backend=backend) as store:
             store.put_many(items([late]))
-        with TrialStore(run) as store:
+        with TrialStore(run, backend=backend) as store:
             served = {k for k in every_key if store.get(k) is not None}
-        assert served == complete | {legacy_key, trial_key(late)}, cut
+        assert served == complete | {trial_key(late)}, cut
 
 
 # -- cross-checks ----------------------------------------------------------------
@@ -311,11 +322,12 @@ def test_recovered_quarantine_entries_are_flagged(tmp_path):
 
 def test_corrupt_side_ledgers_warn(tmp_path):
     seeded_store(tmp_path, count=1)
-    quarantine_path(tmp_path).write_text("not json\n")
-    (tmp_path / "telemetry.jsonl").write_text("also not json\n")
+    quarantine_path(tmp_path).write_bytes(b"not json\n" + b"[" * 200_000 + b"\n")
+    (tmp_path / "telemetry.jsonl").write_bytes(b"also not json\n\xff\xfe\n")
     report = diagnose(tmp_path)
     assert report.ok
     assert kinds(report, "warn") == {"quarantine-corrupt", "telemetry-corrupt"}
+    assert report.quarantine_records == report.telemetry_records == 0
 
 
 # -- CLI -------------------------------------------------------------------------

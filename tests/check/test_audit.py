@@ -73,29 +73,25 @@ def test_tampered_outcome_is_a_mismatch(cache):
     assert "t_end" in bad.detail
 
 
-def test_legacy_dict_records_are_unreadable_until_migrated(cache, legacy_record):
-    # PR-1 caches stored the outcome as a field dict under "outcome".
-    # No reader serves that shape; the audit says so until
-    # `doctor --repair` migrates the record, then audits it clean. The
-    # frozen record is the sweep's seed-0 trial: it takes that line.
+def test_pre_wire_records_are_unreadable(cache, pre_wire_line):
+    # Early caches stored the outcome as a field dict under "outcome".
+    # No reader serves that shape: the audit calls it unreadable, and
+    # `doctor --repair` drops it like any line no reader serves.
     from repro.chaos.doctor import diagnose
 
     path, lines = _lines(cache)
-    (i,) = [
-        i for i, line in enumerate(lines)
-        if json.loads(line)["key"] == json.loads(legacy_record)["key"]
-    ]
-    lines[i] = legacy_record.decode().rstrip("\n")
+    spec = spec_from_fingerprint(json.loads(lines[0])["spec"])
+    lines[0] = pre_wire_line(spec).decode().rstrip("\n")
     path.write_text("\n".join(lines) + "\n")
     audit = audit_cache(cache)
     assert not audit.ok
     assert audit.counts == {"unreadable": 1, "ok": SWEEP.n_trials - 1}
-    assert "legacy-record" in audit.records[i].detail
+    assert "foreign-record" in audit.records[0].detail
 
     assert diagnose(cache, repair=True).ok
     audit = audit_cache(cache)
     assert audit.ok
-    assert audit.counts == {"ok": SWEEP.n_trials}
+    assert audit.counts == {"ok": SWEEP.n_trials - 1}
 
 
 def test_tampered_key_is_caught(cache):
@@ -110,10 +106,11 @@ def test_tampered_key_is_caught(cache):
 
 def test_garbage_lines_are_unreadable_not_fatal(cache):
     path, lines = _lines(cache)
+    lines.append("[" * 200_000)  # nested deeper than the parser recurses
     lines.append('{"key": "truncated-by-a-cra')
     path.write_text("\n".join(lines) + "\n")
     audit = audit_cache(cache, replay=False)
-    assert audit.counts == {"ok": SWEEP.n_trials, "unreadable": 1}
+    assert audit.counts == {"ok": SWEEP.n_trials, "unreadable": 2}
 
 
 def test_max_records_bounds_the_audit(cache):

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import json
-import pathlib
 
 import pytest
 
 from repro.campaign.keys import spec_fingerprint, trial_key
-from repro.campaign.store import INDEX_FILENAME, encode_record
-from repro.chaos.doctor import diagnose
+from repro.campaign.store import encode_record
 from repro.core.adversary import NullAdversary
 from repro.core.registry import make_adversary
 from repro.experiments.config import TrialSpec
@@ -47,62 +45,18 @@ def null_adversary() -> NullAdversary:
     return NullAdversary()
 
 
-def _legacy_sharded_dir(run_dir, specs, shards: int = 16) -> dict[str, bytes]:
-    """*run_dir* as the retired sharded layout left it: ``trials-NN.jsonl``
-    shards placed by the key's first two hex digits, plus that layout's
-    v1 offset index. Returns each key's store line."""
-    lines: dict[str, bytes] = {}
-    placed: dict[int, list[tuple[str, bytes]]] = {}
-    for spec in specs:
-        key = trial_key(spec)
-        line = encode_record(key, spec_fingerprint(spec), run_trial(spec).to_wire())
-        lines[key] = line.encode()
-        placed.setdefault(int(key[:2], 16) % shards, []).append((key, lines[key]))
-    entries, sizes = {}, {}
-    run_dir.mkdir(parents=True, exist_ok=True)
-    for shard, items in placed.items():
-        offset = 0
-        for key, line in items:
-            entries[key] = [shard, offset, len(line)]
-            offset += len(line) + 1
-        (run_dir / f"trials-{shard:02d}.jsonl").write_bytes(
-            b"".join(line + b"\n" for _, line in items)
-        )
-        sizes[str(shard)] = offset
-    index = {"v": 1, "shards": shards, "sizes": sizes, "entries": entries}
-    (run_dir / INDEX_FILENAME).write_text(json.dumps(index))
-    return lines
-
-
-@pytest.fixture
-def legacy_sharded_dir():
-    """Builds a directory in the retired sharded layout; see
-    :func:`_legacy_sharded_dir`."""
-    return _legacy_sharded_dir
-
-
 @pytest.fixture
 def carry_over():
-    """``carry_over(run_dir, layout)`` leaves *run_dir* as a cache that the
-    store inherits from one of its earlier layouts, holding two records
-    no test writes itself, and returns each key's store line.
+    """``carry_over(run_dir)`` leaves *run_dir* as a cache written before
+    the offset index existed: a bare ``trials.jsonl``, which the first
+    load scans in full and indexes, holding two records no test writes
+    itself. Returns each key's store line."""
 
-    * ``"jsonl"``: a bare ``trials.jsonl`` with no offset index, which the
-      first load scans in full and indexes;
-    * ``"sharded"``: ``trials-NN.jsonl`` shards plus their v1 index,
-      migrated by ``doctor --repair`` into ``trials.jsonl``.
-    """
-
-    def build(run_dir, layout: str) -> dict[str, bytes]:
+    def build(run_dir) -> dict[str, bytes]:
         specs = [
             TrialSpec(protocol="flood", adversary="none", n=5, f=1, seed=100 + s)
             for s in range(2)
         ]
-        if layout == "sharded":
-            lines = _legacy_sharded_dir(run_dir, specs)
-            assert diagnose(run_dir, repair=True).ok
-            return lines
-        assert layout == "jsonl", layout
         lines = {
             trial_key(s): encode_record(
                 trial_key(s), spec_fingerprint(s), run_trial(s).to_wire()
@@ -117,12 +71,21 @@ def carry_over():
 
 
 @pytest.fixture
-def legacy_record() -> bytes:
-    """One pre-wire store line, frozen as such a cache wrote it: the
-    ``{"key", "spec", "outcome"}`` record of a small crashing trial
-    (flood vs ugf, N=8, F=2, seed 0) whose outcome is a field dict. No
-    reader serves it until ``doctor --repair`` migrates it."""
-    return (pathlib.Path(__file__).parent / "data" / "legacy_outcome_record.json").read_bytes()
+def pre_wire_line():
+    """``pre_wire_line(spec)`` is *spec*'s store line in the retired
+    pre-wire shape, newline-terminated: ``{"key", "spec", "outcome"}``
+    with the outcome as a field dict (abridged: no reader looks inside).
+    It is a miss, and the trial is recomputed."""
+
+    def build(spec: TrialSpec) -> bytes:
+        record = {
+            "key": trial_key(spec),
+            "spec": spec_fingerprint(spec),
+            "outcome": {"n": spec.n, "f": spec.f, "seed": spec.seed},
+        }
+        return json.dumps(record, separators=(",", ":")).encode() + b"\n"
+
+    return build
 
 
 @pytest.fixture(autouse=True)

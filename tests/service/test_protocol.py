@@ -117,7 +117,15 @@ def test_frame_round_trip():
     assert decode_frame(line) == frame
 
 
-@pytest.mark.parametrize("bad", [b"not json\n", b"[1,2,3]\n", b"\xff\xfe\n"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        b"not json\n",
+        b"[1,2,3]\n",
+        b"\xff\xfe\n",
+        pytest.param(b"[" * 200_000 + b"\n", id="nested-too-deep"),
+    ],
+)
 def test_undecodable_frames_raise(bad):
     with pytest.raises(ConfigurationError):
         decode_frame(bad)

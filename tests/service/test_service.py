@@ -246,6 +246,10 @@ def test_malformed_frames_get_error_frames_not_disconnects(daemon):
         client._sock.sendall(b"this is not json\n")
         frame = client._read_frame()
         assert frame["op"] == "error"
+        # ...so does JSON nested too deep for the parser...
+        client._sock.sendall(b"[" * 200_000 + b"\n")
+        frame = client._read_frame()
+        assert frame["op"] == "error" and "undecodable" in frame["error"]
         # ...and the connection survives for well-formed traffic.
         assert client.ping()
         # Unknown op and version mismatch are refused the same way.

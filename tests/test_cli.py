@@ -598,18 +598,27 @@ def test_backends_explains_the_routing_a_campaign_takes(
     assert result.ok and result.backend == engine
 
 
-def test_sweep_store_backend_auto_detects_a_sharded_cache(tmp_path, capsys):
+def test_sweep_recomputes_a_pre_wire_record_once(tmp_path, capsys):
     cache = tmp_path / "c"
     args = ["sweep", *CELL, "--adversary", "none", "--cache-dir", str(cache)]
     assert main(args) == 0
     assert "2 executed, 0 cached" in capsys.readouterr().err
-    # Leave the cache as the retired sharded layout would: one shard.
-    (cache / "trials.jsonl").rename(cache / "trials-00.jsonl")
-    (cache / "store-index.json").unlink()
-    assert main(["doctor", str(cache)]) == 1
-    assert "legacy-layout" in capsys.readouterr().err
+    # Leave the second trial in the pre-wire shape (an outcome dict, no
+    # wire), beside an empty shard file of the retired sharded layout.
+    path = cache / "trials.jsonl"
+    first, second = path.read_text().splitlines()
+    record = json.loads(second)
+    record["outcome"] = {"n": record["spec"]["n"]}
+    del record["wire"]
+    path.write_text(f"{first}\n{json.dumps(record)}\n")
+    (cache / "trials-00.jsonl").write_text("")
+    assert main(["doctor", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert "foreign-record" in captured.err and "trials-00.jsonl" in captured.err
     assert main(["doctor", str(cache), "--repair"]) == 0
     capsys.readouterr()
+    assert main(args) == 0
+    assert "1 executed, 1 cached" in capsys.readouterr().err
     assert main(args) == 0
     assert "0 executed, 2 cached" in capsys.readouterr().err
 
@@ -630,9 +639,9 @@ def test_supervised_sweep_counts_each_trial_once(tmp_path, capsys):
     assert "3 trials: 3 executed, 0 cached, 0 failed" in err
 
 
-def test_plot_refuses_an_outcome_record(tmp_path, capsys, legacy_record):
+def test_plot_refuses_an_outcome_record(tmp_path, capsys):
     # The "outcome" record kind is retired: plot names it as bad input.
-    outcome = json.loads(legacy_record)["outcome"]
+    outcome = {"n": 8, "f": 2, "seed": 0, "protocol_name": "flood", "adversary_name": "ugf"}
     path = tmp_path / "outcome.json"
     path.write_text(json.dumps({**outcome, "version": 1, "kind": "outcome"}))
     assert main(["plot", str(path)]) == 2
